@@ -68,6 +68,7 @@ def _cmd_sweep(args) -> int:
         step=args.step,
         simulate=args.simulate,
         horizon=args.horizon,
+        warmup=args.warmup,
         seed=args.seed,
         sim_tolerance=args.sim_tol,
     )
@@ -143,6 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--simulate", action="store_true",
                          help="cross-check each feasible point with the simulator")
     p_sweep.add_argument("--horizon", type=int, default=200_000)
+    p_sweep.add_argument("--warmup", type=int, default=10_000)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--sim-tol", type=float, default=DEFAULT_SIM_TOLERANCE)
     p_sweep.add_argument("--output", "-o", default=None, help="write CSV here instead of stdout")

@@ -12,12 +12,29 @@ leave before slot t+1.
 
 In ``dominant`` mode both nodes are saturated: they send dummy packets when
 their data buffers are empty, which costs energy and causes collisions but
-never serves the real data queues. In ``coupled`` mode the original and the
-saturated systems consume one shared pre-generated random stream (fixed
-per-slot order: arrivals, duration, sensing, channels), so the pair sees
-identical randomness even in slots where one of them ignores a draw. All
-randomness comes from a seeded PCG64 generator, which makes every run
-bit-reproducible.
+never serves the real data queues.
+
+All randomness comes from one seeded PCG64 stream, nine uniforms per slot in
+a fixed order (arrivals, duration, sensing, channels), drawn in chunks of
+``_CHUNK`` slots with the queue levels and counters carried across chunks.
+Consecutive chunks reproduce the stream of a single full-horizon draw, so
+every run is bit-reproducible and independent of the chunk size, and memory
+stays O(chunk) for an untraced run. Each chunk feeds one of two paths:
+
+* the saturated system runs through a closed-form kernel. Its service
+  indicators are exogenous or depend only on an energy queue computed
+  before: q_pe is served every slot, q_se whenever the sensor reads idle
+  (given q_pe), the data queues given q_pe and q_se. So each queue is a
+  Lindley recursion with known service, computed exactly by one cumsum and
+  one running maximum;
+* the original system, whose nodes stay silent on empty data buffers, runs
+  through a per-slot loop that records the start-of-slot levels; its
+  transmissions and service indicators then follow vectorised from those
+  levels and the draws, by the rule the kernel uses.
+
+In ``coupled`` mode the original (loop) and the saturated twin (kernel) take
+the same chunk, so the pair sees identical randomness even in slots where
+one of them ignores a draw.
 
 Reported service rates are the per-slot means of the service-process
 indicators (the service a queue would receive if backlogged), which is the
@@ -28,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +54,7 @@ from .analytics import PolicyVector, Scenario
 RNG_DESCRIPTION = f"numpy-{np.__version__}-PCG64"
 MODES = ("original", "dominant", "coupled")
 _DRIFT_SAMPLES = 2000
+_CHUNK = 65_536               # slots per draw; memory is O(chunk)
 MIN_DIAGNOSTIC_SLOTS = 1_000_000
 
 
@@ -125,110 +143,215 @@ class SlotTrace:
     r_se: np.ndarray
 
 
-def _predraw(scenario: Scenario, policy: PolicyVector, horizon: int, seed: int):
-    """Pre-generate all per-slot indicator draws from one PCG64 stream.
+class _Draws(NamedTuple):
+    """Per-slot indicator draws of one chunk, as boolean arrays."""
 
-    Column order within a slot: arrivals (p, s, pe, se), duration, sensing
-    (detection, false alarm), channels (licensed, opportunistic).
+    arr_p: np.ndarray
+    arr_s: np.ndarray
+    arr_pe: np.ndarray
+    arr_se: np.ndarray
+    det: np.ndarray         # sensor fires given a licensed transmission
+    fa: np.ndarray          # sensor fires given silence
+    chan_p: np.ndarray      # licensed channel good
+    chan_s: np.ndarray      # opportunistic channel good
+
+
+class _Service(NamedTuple):
+    """Per-slot transmissions and service indicators of one system."""
+
+    pu_tx: np.ndarray
+    cr_tx: np.ndarray
+    r_p: np.ndarray
+    r_s: np.ndarray
+    r_pe: np.ndarray
+    r_se: np.ndarray
+
+
+def _draw_chunks(scenario: Scenario, policy: PolicyVector, horizon: int, seed: int):
+    """Yield ``(t0, draws)`` for consecutive chunks of at most ``_CHUNK`` slots.
+
+    All chunks come from one PCG64 stream, nine uniforms per slot in the
+    column order arrivals (p, s, pe, se), duration, sensing (detection,
+    false alarm), channels (licensed, opportunistic); consecutive chunks
+    reproduce the stream of a single full-horizon draw.
     """
     rng = np.random.default_rng(seed)
-    u = rng.random((horizon, 9))
-    cum = np.cumsum(policy.as_array())
-    m_idx = np.minimum(np.searchsorted(cum, u[:, 4], side="right"),
-                       scenario.num_durations - 1)
-    det = scenario.detection_probs()[m_idx]
-    fal = scenario.false_alarm_probs()[m_idx]
-    out_s = scenario.secondary_outages()[m_idx]
-    return (
-        (u[:, 0] < scenario.lambda_p).tolist(),
-        (u[:, 1] < scenario.lambda_s).tolist(),
-        (u[:, 2] < scenario.lambda_pe).tolist(),
-        (u[:, 3] < scenario.lambda_se).tolist(),
-        (u[:, 5] < det).tolist(),              # sensor fires given licensed tx
-        (u[:, 6] < fal).tolist(),              # sensor fires given silence
-        (u[:, 7] < 1.0 - scenario.primary_outage).tolist(),
-        (u[:, 8] < 1.0 - out_s).tolist(),
+    thresholds = np.cumsum(policy.as_array())[:-1]
+    det, fal = scenario.detection_probs(), scenario.false_alarm_probs()
+    good_s = 1.0 - scenario.secondary_outages()
+    good_p = 1.0 - scenario.primary_outage
+    buffer = np.empty((min(_CHUNK, horizon), 9))
+    for t0 in range(0, horizon, _CHUNK):
+        u = rng.random(out=buffer[:min(_CHUNK, horizon - t0)])
+        # duration index: thresholds passed, i.e. the policy's inverse CDF
+        # (the cumulative sums never decrease, so this counts a prefix)
+        pick = u[:, 4].copy()
+        m = np.zeros(len(u), dtype=np.min_scalar_type(len(thresholds)))
+        for c in thresholds:
+            m += pick >= c
+        yield t0, _Draws(
+            u[:, 0] < scenario.lambda_p,
+            u[:, 1] < scenario.lambda_s,
+            u[:, 2] < scenario.lambda_pe,
+            u[:, 3] < scenario.lambda_se,
+            u[:, 5] < det[m],
+            u[:, 6] < fal[m],
+            u[:, 7] < good_p,
+            u[:, 8] < good_s[m],
+        )
+
+
+def _sensed_busy(d: _Draws, pu_tx: np.ndarray) -> np.ndarray:
+    """Sensor verdict: the detection draw under a licensed transmission, the
+    false-alarm draw in silence."""
+    return (pu_tx & d.det) | (~pu_tx & d.fa)
+
+
+def _service(d: _Draws, has_p, has_s, q_pe: np.ndarray, q_se: np.ndarray) -> _Service:
+    """Transmissions and service indicators from start-of-slot levels.
+
+    ``has_p``/``has_s`` say whether each node has a packet to send (always,
+    when saturated). The indicators are the service-process values: own-queue
+    emptiness is deliberately excluded, the max() in the update masks it.
+    """
+    pe_on, se_on = q_pe > 0, q_se > 0
+    pu_tx = has_p & pe_on
+    busy = _sensed_busy(d, pu_tx)
+    return _Service(
+        pu_tx=pu_tx,
+        cr_tx=~busy & has_s & se_on,
+        r_p=~(has_s & se_on & ~d.det) & d.chan_p & pe_on,
+        r_s=~pu_tx & se_on & ~d.fa & d.chan_s,
+        r_pe=has_p,
+        r_se=has_s & ~busy,
     )
 
 
-def _drift(samples: list[int], stride: int) -> float:
+def _lindley(q0: int, arrivals: np.ndarray, service) -> np.ndarray:
+    """Levels at slots 0..n of ``q' = max(q - r, 0) + a`` from ``q0``, exactly.
+
+    Unrolled, ``q_t = S_t + max(q0, max_{k<t} (a_k - S_{k+1}))`` with ``S``
+    the partial sums of ``a - r``: one cumsum and one running maximum.
+    """
+    n = arrivals.size
+    total = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.subtract(arrivals, service, dtype=np.int64), out=total[1:])
+    level = np.empty(n + 1, dtype=np.int64)
+    level[0] = q0
+    np.subtract(arrivals, total[1:], out=level[1:])
+    np.maximum.accumulate(level, out=level)
+    level += total
+    return level
+
+
+def _kernel(d: _Draws, state: QueueState):
+    """One chunk of the saturated system, without a per-slot loop.
+
+    Every service indicator is exogenous or depends only on an energy queue
+    computed before it: q_pe is served every slot, q_se whenever the sensor
+    reads idle (which depends on q_pe), the data queues as ``_service`` says
+    from q_pe and q_se. Returns the four level arrays (slots 0..n) and the
+    indicators.
+    """
+    ones = np.ones(d.det.size, dtype=bool)
+    q_pe = _lindley(state.q_pe, d.arr_pe, ones)
+    q_se = _lindley(state.q_se, d.arr_se, ~_sensed_busy(d, q_pe[:-1] > 0))
+    service = _service(d, ones, ones, q_pe[:-1], q_se[:-1])
+    q_p = _lindley(state.q_p, d.arr_p, service.r_p)
+    q_s = _lindley(state.q_s, d.arr_s, service.r_s)
+    return (q_p, q_s, q_pe, q_se), service
+
+
+def _loop(d: _Draws, state: QueueState, saturated: bool = False):
+    """One chunk of one system, slot by slot; same return as ``_kernel``,
+    which it reproduces when ``saturated``.
+
+    The slot rules of ``_service``, split on whether the licensed node
+    transmits. If it does, the sensor reads the detection draw and the
+    opportunistic node cannot succeed. If not, the licensed energy buffer
+    or (in the original system) the licensed data buffer is empty, so
+    neither licensed queue moves, and the sensor reads the false-alarm draw.
+    The loop records only the levels; the indicators follow vectorised.
+    """
+    q_p, q_s, q_pe, q_se = state
+    levels: list[int] = []
+    record = levels.extend              # flat ints: no per-slot tuple to keep
+    for a_p, a_s, a_pe, a_se, det, fa, chan_p, chan_s in zip(*(x.tolist() for x in d)):
+        record((q_p, q_s, q_pe, q_se))
+        if q_pe and (saturated or q_p):
+            if q_p and chan_p and (det or not q_se or not (saturated or q_s)):
+                q_p -= 1
+            if q_se and not det and (saturated or q_s):
+                q_se -= 1
+            q_pe -= 1
+        elif q_se and not fa:
+            if saturated or q_s:
+                q_se -= 1
+            if q_s and chan_s:
+                q_s -= 1
+        q_p += a_p
+        q_s += a_s
+        q_pe += a_pe
+        q_se += a_se
+    record((q_p, q_s, q_pe, q_se))
+    columns = tuple(np.array(levels, dtype=np.int64).reshape(-1, 4).T)
+    q_p, q_s, q_pe, q_se = (q[:-1] for q in columns)
+    return columns, _service(d, saturated | (q_p > 0), saturated | (q_s > 0), q_pe, q_se)
+
+
+def _drift(samples: np.ndarray, stride: int) -> float:
     if len(samples) < 2:
         return 0.0
     x = np.arange(len(samples), dtype=float) * stride
     return float(np.polyfit(x, np.asarray(samples, dtype=float), 1)[0])
 
 
-def _run(config: SimConfig, saturated_flags: Sequence[bool], trace: bool):
-    scenario, policy = config.scenario, config.policy
-    horizon, warmup = config.horizon, config.warmup
-    arr_p, arr_s, arr_pe, arr_se, det_busy, fa_busy, chan_p, chan_s = _predraw(
-        scenario, policy, horizon, config.seed)
+def _end(levels) -> QueueState:
+    return QueueState(*(int(q[-1]) for q in levels))
 
-    systems = [list(config.initial) for _ in saturated_flags]
-    coupled = len(systems) == 2
+
+def _run(config: SimConfig, trace: bool):
+    """One run, chunk by chunk; the statistics describe the original system
+    in ``original`` and ``coupled`` mode and the saturated one otherwise."""
+    mode, horizon, warmup = config.mode, config.horizon, config.warmup
     measured = horizon - warmup
     stride = max(1, measured // _DRIFT_SAMPLES)
+    state = twin = config.initial
 
     svc = [0, 0, 0, 0]                      # service-indicator sums, order p,s,pe,se
     qsum = [0, 0, 0, 0]
-    pe_empty = 0
-    se_nonempty = 0
+    nonempty = [0, 0, 0, 0]
     collisions = 0
     violations = 0
-    drift_samples: list[list[int]] = [[], [], [], []]
-    rows: list[list] = [] if trace else None
+    drift_samples: list[list[np.ndarray]] = [[], [], [], []]
+    parts: list[tuple] = []
 
-    for t in range(horizon):
-        in_window = t >= warmup
-        if in_window:
-            q = systems[0]
-            for k in range(4):
-                qsum[k] += q[k]
-            pe_empty += q[2] == 0
-            se_nonempty += q[3] != 0
-            if (t - warmup) % stride == 0:
-                for k in range(4):
-                    drift_samples[k].append(q[k])
-        for sysno, saturated in enumerate(saturated_flags):
-            q_p, q_s, q_pe, q_se = systems[sysno]
-            has_p = saturated or q_p > 0
-            has_s = saturated or q_s > 0
-            pu_tx = has_p and q_pe > 0
-            sensed_busy = det_busy[t] if pu_tx else fa_busy[t]
-            cr_tx = (not sensed_busy) and has_s and q_se > 0
-            # service-process indicators; own-queue emptiness deliberately
-            # excluded, the max() in the update masks it
-            r_s = 1 if ((not pu_tx) and q_se > 0 and (not fa_busy[t]) and chan_s[t]) else 0
-            r_se = 1 if (has_s and not sensed_busy) else 0
-            r_pe = 1 if has_p else 0
-            r_p = 1 if ((not (has_s and q_se > 0 and not det_busy[t]))
-                        and chan_p[t] and q_pe > 0) else 0
-            if sysno == 0:
-                if in_window:
-                    svc[0] += r_p
-                    svc[1] += r_s
-                    svc[2] += r_pe
-                    svc[3] += r_se
-                    if pu_tx and cr_tx:
-                        collisions += 1
-                if trace:
-                    rows.append([q_p, q_s, q_pe, q_se,
-                                 arr_p[t], arr_s[t], arr_pe[t], arr_se[t],
-                                 pu_tx, cr_tx, r_p, r_s, r_pe, r_se])
-            systems[sysno] = [
-                (q_p - r_p if q_p > r_p else 0) + arr_p[t],
-                (q_s - r_s if q_s > r_s else 0) + arr_s[t],
-                (q_pe - r_pe if q_pe > r_pe else 0) + arr_pe[t],
-                (q_se - r_se if q_se > r_se else 0) + arr_se[t],
-            ]
-        if coupled:
-            if systems[0][0] > systems[1][0]:
-                violations += 1
-            if systems[0][1] > systems[1][1]:
-                violations += 1
+    for t0, d in _draw_chunks(config.scenario, config.policy, horizon, config.seed):
+        if mode == "dominant":
+            levels, service = _kernel(d, state)
+        else:
+            levels, service = _loop(d, state)
+            if mode == "coupled":
+                twin_levels, _ = _kernel(d, twin)
+                twin = _end(twin_levels)
+                violations += sum(int(np.count_nonzero(levels[k][1:] > twin_levels[k][1:]))
+                                  for k in (0, 1))
+        state = _end(levels)
+        n = d.det.size
+        lo = min(max(warmup - t0, 0), n)
+        first = lo + (warmup - t0 - lo) % stride     # drift samples: t - warmup = 0 mod stride
+        for k, (q, r) in enumerate(zip(levels, service[2:])):
+            svc[k] += int(np.count_nonzero(r[lo:]))
+            qsum[k] += int(q[lo:n].sum())
+            nonempty[k] += int(np.count_nonzero(q[lo:n]))
+            drift_samples[k].append(q[first:n:stride])
+        collisions += int(np.count_nonzero(service.pu_tx[lo:] & service.cr_tx[lo:]))
+        if trace:
+            parts.append(tuple(q[:-1] for q in levels) + d[:4] + service)
 
+    drift = [_drift(np.concatenate(s), stride) for s in drift_samples]
     report = SimReport(
-        mode=config.mode,
+        mode=mode,
         horizon=horizon,
         warmup=warmup,
         seed=config.seed,
@@ -237,40 +360,38 @@ def _run(config: SimConfig, saturated_flags: Sequence[bool], trace: bool):
         mu_s=svc[1] / measured,
         mu_pe=svc[2] / measured,
         mu_se=svc[3] / measured,
-        prob_pe_empty=pe_empty / measured,
-        prob_se_nonempty=se_nonempty / measured,
+        prob_pe_empty=(measured - nonempty[2]) / measured,
+        prob_se_nonempty=nonempty[3] / measured,
         mean_q_p=qsum[0] / measured,
         mean_q_s=qsum[1] / measured,
         mean_q_pe=qsum[2] / measured,
         mean_q_se=qsum[3] / measured,
-        drift_p=_drift(drift_samples[0], stride),
-        drift_s=_drift(drift_samples[1], stride),
-        drift_pe=_drift(drift_samples[2], stride),
-        drift_se=_drift(drift_samples[3], stride),
+        drift_p=drift[0],
+        drift_s=drift[1],
+        drift_pe=drift[2],
+        drift_se=drift[3],
         collisions=collisions,
-        dominance_violations=violations if coupled else None,
+        dominance_violations=violations if mode == "coupled" else None,
     )
     if not trace:
         return report
-    cols = list(zip(*rows))
-    names = ("q_p", "q_s", "q_pe", "q_se", "arr_p", "arr_s", "arr_pe", "arr_se",
-             "pu_tx", "cr_tx", "r_p", "r_s", "r_pe", "r_se")
-    arrays = {name: np.asarray(col) for name, col in zip(names, cols)}
-    return report, SlotTrace(**arrays)
+    columns = [np.concatenate(col) for col in zip(*parts)]
+    columns[10:] = [col.astype(np.int64) for col in columns[10:]]
+    return report, SlotTrace(*columns)
 
 
 def simulate(config: SimConfig) -> SimReport:
     """Run one replication and return the empirical report."""
     if config.mode == "coupled":
         return coupled_dominance_run(config)
-    return _run(config, [config.mode == "dominant"], trace=False)
+    return _run(config, trace=False)
 
 
 def simulate_traced(config: SimConfig) -> tuple[SimReport, SlotTrace]:
     """Like ``simulate`` but also returns per-slot arrays; single modes only."""
     if config.mode == "coupled":
         raise ValueError("tracing is only supported for single-system modes")
-    return _run(config, [config.mode == "dominant"], trace=True)
+    return _run(config, trace=True)
 
 
 def coupled_dominance_run(config: SimConfig) -> SimReport:
@@ -284,7 +405,7 @@ def coupled_dominance_run(config: SimConfig) -> SimReport:
     """
     if config.mode != "coupled":
         raise ValueError("coupled_dominance_run requires mode='coupled'")
-    return _run(config, [False, True], trace=False)
+    return _run(config, trace=False)
 
 
 @dataclass(frozen=True)

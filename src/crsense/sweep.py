@@ -42,10 +42,16 @@ class SweepSpec:
             raise ValueError(f"grid [{self.start}, {self.stop}] must sit inside [0, 1]")
         if not self.step > 0.0:
             raise ValueError(f"step must be positive, got {self.step!r}")
+        if self.simulate and not self.horizon > self.warmup >= 0:
+            raise ValueError(
+                f"simulated sweep needs horizon > warmup >= 0, got --horizon "
+                f"{self.horizon} and --warmup {self.warmup}")
 
     def grid(self) -> list[float]:
+        """Grid points ``start + k*step``, clamped to ``stop``: rounding can put
+        the last point a few ulps past it."""
         count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return [self.start + k * self.step for k in range(count)]
+        return [min(self.start + k * self.step, self.stop) for k in range(count)]
 
 
 @dataclass(frozen=True)

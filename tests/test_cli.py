@@ -1,5 +1,6 @@
 import pytest
 
+import crsense.sweep as sweep_module
 from crsense.cli import main
 from crsense.scenario_io import bundled_scenario_text
 
@@ -53,6 +54,39 @@ class TestSweep:
         first = target.read_bytes()
         assert main(argv) == 0
         assert target.read_bytes() == first
+
+    def test_grid_ending_past_one_by_rounding(self, scenario_file, capsys):
+        code = main(["sweep", scenario_file, "--param", "lambda_se",
+                     "--from", "0.09", "--to", "1", "--step", "0.07"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.strip().splitlines()[-1].startswith("1.000000,")
+
+    def test_short_simulated_horizon_fails_before_solving(self, scenario_file,
+                                                          capsys, monkeypatch):
+        monkeypatch.setattr(sweep_module, "solve", None)   # never reached
+        code = main(["sweep", scenario_file, "--param", "lambda_p",
+                     "--from", "0", "--to", "0.1", "--step", "0.05",
+                     "--simulate", "--horizon", "5000"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--horizon 5000" in err and "--warmup 10000" in err
+
+    def test_warmup_passed_through(self, scenario_file, capsys, monkeypatch):
+        seen = []
+        real = sweep_module.compare_sim_vs_analytic
+
+        def spy(*args, **kwargs):
+            record = real(*args, **kwargs)
+            seen.append(record.report.warmup)
+            return record
+
+        monkeypatch.setattr(sweep_module, "compare_sim_vs_analytic", spy)
+        code = main(["sweep", scenario_file, "--lambda-pe", "0.4", "--param", "lambda_p",
+                     "--from", "0", "--to", "0.1", "--step", "0.1",
+                     "--simulate", "--horizon", "5000", "--warmup", "1000"])
+        assert code == 0
+        assert seen == [1000, 1000]
 
     def test_all_infeasible_exit_two(self, scenario_file, capsys):
         code = main(["sweep", scenario_file, "--lambda-p", "0.9",

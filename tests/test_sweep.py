@@ -17,6 +17,29 @@ class TestSpec:
         spec = SweepSpec(table_scenario, "lambda_p", 0.0, 0.1, 0.02)
         assert spec.grid() == pytest.approx([0.0, 0.02, 0.04, 0.06, 0.08, 0.1])
 
+    def test_grid_clamped_to_stop(self, table_scenario):
+        # 0.09 + 13 * 0.07 rounds to 1.0000000000000002, outside [0, 1]
+        spec = SweepSpec(table_scenario, "lambda_se", 0.09, 1.0, 0.07)
+        grid = spec.grid()
+        assert len(grid) == 14
+        assert grid[-1] == 1.0
+        assert grid[:-1] == [0.09 + k * 0.07 for k in range(13)]
+        rows = run_sweep(spec)
+        assert rows[-1].swept_value == 1.0
+
+    def test_grid_without_overshoot_unchanged(self, table_scenario):
+        spec = SweepSpec(table_scenario, "lambda_p", 0.0, 0.5, 0.01)
+        assert spec.grid() == [k * 0.01 for k in range(51)]
+
+    def test_simulated_horizon_must_exceed_warmup(self, table_scenario):
+        with pytest.raises(ValueError, match="--horizon 5000 and --warmup 10000"):
+            SweepSpec(table_scenario, "lambda_p", 0.0, 0.1, 0.05,
+                      simulate=True, horizon=5_000)
+        # without simulation the horizon is unused
+        SweepSpec(table_scenario, "lambda_p", 0.0, 0.1, 0.05, horizon=5_000)
+        SweepSpec(table_scenario, "lambda_p", 0.0, 0.1, 0.05,
+                  simulate=True, horizon=5_000, warmup=1_000)
+
     def test_validation(self, table_scenario):
         with pytest.raises(ValueError):
             SweepSpec(table_scenario, "lambda_x", 0.0, 1.0, 0.1)
