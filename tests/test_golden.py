@@ -1,0 +1,34 @@
+"""Sweep CSV bytes pinned against committed golden files.
+
+Each file under ``tests/golden`` is the output of ``crsense sweep`` on the
+bundled table with the arguments listed below. A change that moves any byte
+of a sweep shows up here as a failing case, and the golden file's diff shows
+which rows moved.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from crsense.cli import main
+from crsense.scenario_io import bundled_scenario_text
+
+GOLDEN = Path(__file__).parent / "golden"
+FULL_GRID = ["--from", "0", "--to", "1", "--step", "0.01"]
+CASES = {
+    "table1_lambda_p.csv": ["--param", "lambda_p", *FULL_GRID],
+    "table1_lambda_pe.csv": ["--param", "lambda_pe", *FULL_GRID],
+    "table1_lambda_se.csv": ["--param", "lambda_se", *FULL_GRID],
+    "table1_lambda_pe_simulated.csv": [
+        "--param", "lambda_pe", "--from", "0.2", "--to", "0.8", "--step", "0.2",
+        "--simulate", "--horizon", "50000", "--warmup", "5000"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sweep_matches_golden_bytes(tmp_path, name):
+    scenario_file = tmp_path / "table1.scn"
+    scenario_file.write_text(bundled_scenario_text())
+    out = tmp_path / name
+    assert main(["sweep", str(scenario_file), *CASES[name], "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
