@@ -20,13 +20,10 @@ from .channel import (
     secondary_rate,
     verify_outage_monotonicity,
 )
-from .lp import LPError, LPSolution, StandardFormLP, solve_lp, vertex_enumeration_oracle
+from .lp import LPSolution, StandardFormLP, solve_lp, vertex_enumeration_oracle
 from .optimizer import (
-    DegenerateFractionalError,
-    FractionalProgram,
     OptimizationOutcome,
     SubproblemResult,
-    fractional_to_lp,
     solve_constrained_subproblem,
     solve_overflow_subproblem,
 )

@@ -1,43 +1,35 @@
-"""Dense tableau simplex solver for small linear programs, plus a brute-force
-vertex-enumeration oracle used to cross-check it.
+"""Ratio-of-affine programs over the probability simplex, solved by
+enumerating the vertices of the feasible polytope, plus a brute-force
+slack-form oracle used to cross-check linear programs independently.
 
-Problems are stated as
+The policy problems all read
 
-    maximize  c @ x
-    s.t.      a_eq @ x == b_eq
-              a_ub @ x <= b_ub
-              x >= 0
+    maximize  (numerator @ P) / (denominator @ P)
+    s.t.      a_ub @ P <= b_ub,  sum(P) == 1,  P >= 0
 
-The solver is built for instances with at most a few hundred variables where
-reproducibility matters more than speed: Bland's smallest-index rule is used
-for both the entering and the leaving variable, which rules out cycling and
-makes every run bit-deterministic. A singular or stalling tableau is retried
-once with a deterministic nudge of the right-hand sides; the recovered vertex
-is then re-validated against the original data.
+with at most two side rows. A ratio of affine functions is both
+quasi-convex and quasi-concave, so its maximum over a polytope sits at a
+vertex, and a vertex of this polytope has at most ``rows + 1`` non-zero
+entries: each one is fixed by the simplex row plus the side rows active
+there. ``solve_lp`` therefore scores every point mass, every two-point
+support with one active row (closed form) and every three-point support
+with both rows active (a 2x2 system), each evaluated on its support only.
+A linear objective is the special case ``denominator = ones``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-FEASIBILITY_TOL = 1e-8      # constraint slack accepted on returned solutions
-_PIVOT_TOL = 1e-10
-_REDUCED_COST_TOL = 1e-9
-_MAX_ITERATIONS = 50_000
+CONSTRAINT_TOL = 1e-8        # constraint slack accepted on returned points
+_TRIPLE_BLOCK = 4096         # three-point supports scored per block
 _ORACLE_MAX_VARS = 15
 _ORACLE_MAX_BASES = 200_000
-
-
-class LPError(RuntimeError):
-    """The solver could not produce a trustworthy answer."""
-
-
-class _NumericalTrouble(RuntimeError):
-    pass
 
 
 def _as_system(a, b, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -88,137 +80,113 @@ class LPSolution:
     value: float | None = None
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    basis[row] = col
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)                       # cached: shared by every call
+    return array
 
 
-def _optimize(tableau: np.ndarray, basis: np.ndarray, cvec: np.ndarray) -> str:
-    """Run simplex iterations in place until optimal or unbounded."""
-    ncols = tableau.shape[1] - 1
-    for _ in range(_MAX_ITERATIONS):
-        reduced = cvec[:ncols] - cvec[basis] @ tableau[:, :ncols]
-        reduced[basis] = 0.0
-        improving = np.nonzero(reduced > _REDUCED_COST_TOL)[0]
-        if improving.size == 0:
-            return "optimal"
-        col = int(improving[0])                       # Bland: lowest index enters
-        column = tableau[:, col]
-        rows = np.nonzero(column > _PIVOT_TOL)[0]
-        if rows.size == 0:
-            return "unbounded"
-        ratios = tableau[rows, -1] / column[rows]
-        tied = rows[ratios <= ratios.min() + 1e-12]
-        row = int(tied[np.argmin(basis[tied])])       # Bland: lowest basic index leaves
-        _pivot(tableau, basis, row, col)
-    raise _NumericalTrouble("simplex iteration limit reached")
+@functools.lru_cache(maxsize=32)
+def _pair_supports(m: int, rows: int) -> np.ndarray:
+    """Index pairs i < j, each repeated once per side row: (i, j, row) order."""
+    return _read_only(np.repeat(np.column_stack(np.triu_indices(m, 1)), rows, axis=0))
 
 
-def _simplex_core(c, a_eq, b_eq, a_ub, b_ub, tol) -> LPSolution:
-    n = c.size
-    m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
-    m = m_eq + m_ub
-    if m == 0:
-        # only nonnegativity: the origin is optimal unless some c_j pays to grow
-        if np.any(c > _REDUCED_COST_TOL):
-            return LPSolution("unbounded")
-        return LPSolution("optimal", np.zeros(n), 0.0)
-
-    body = np.zeros((m, n + m_ub))
-    body[:m_eq, :n] = a_eq
-    body[m_eq:, :n] = a_ub
-    body[m_eq:, n:] = np.eye(m_ub)
-    rhs = np.concatenate([b_eq, b_ub])
-    negative = rhs < 0
-    body[negative] *= -1.0
-    rhs = np.abs(rhs)
-
-    basis = np.full(m, -1, dtype=int)
-    needs_artificial = []
-    for i in range(m):
-        if i >= m_eq and not negative[i]:
-            basis[i] = n + (i - m_eq)                 # slack starts basic
-        else:
-            needs_artificial.append(i)
-
-    n_slack = m_ub
-    n_art = len(needs_artificial)
-    tableau = np.hstack([body, np.zeros((m, n_art)), rhs[:, None]])
-    for k, i in enumerate(needs_artificial):
-        tableau[i, n + n_slack + k] = 1.0
-        basis[i] = n + n_slack + k
-
-    if n_art:
-        phase1 = np.zeros(n + n_slack + n_art)
-        phase1[n + n_slack:] = -1.0                   # maximize -sum(artificials)
-        if _optimize(tableau, basis, phase1) != "optimal":
-            raise _NumericalTrouble("phase 1 failed to converge")  # bounded by 0
-        if -(phase1[basis] @ tableau[:, -1]) > tol:
-            return LPSolution("infeasible")
-        # drive leftover artificials (all at level ~0) out of the basis
-        drop = []
-        for i in range(m):
-            if basis[i] >= n + n_slack:
-                candidates = np.nonzero(np.abs(tableau[i, : n + n_slack]) > _PIVOT_TOL)[0]
-                if candidates.size:
-                    _pivot(tableau, basis, i, int(candidates[0]))
-                else:
-                    drop.append(i)                    # redundant constraint row
-        if drop:
-            keep = [i for i in range(m) if i not in drop]
-            tableau = tableau[keep]
-            basis = basis[keep]
-        tableau = np.delete(tableau, np.s_[n + n_slack: n + n_slack + n_art], axis=1)
-
-    phase2 = np.concatenate([c, np.zeros(n_slack)])
-    status = _optimize(tableau, basis, phase2)
-    if status == "unbounded":
-        return LPSolution("unbounded")
-    x_full = np.zeros(n + n_slack)
-    x_full[basis] = tableau[:, -1]
-    x = x_full[:n]
-    return LPSolution("optimal", x, float(c @ x))
+def _index_block(combos) -> np.ndarray:
+    flat = itertools.chain.from_iterable(itertools.islice(combos, _TRIPLE_BLOCK))
+    return np.fromiter(flat, dtype=np.intp).reshape(-1, 3)
 
 
-def _validates(lp: StandardFormLP, x: np.ndarray, tol: float) -> bool:
-    if x is None or np.any(x < -1e-10):
-        return False
-    if lp.a_eq.size and np.max(np.abs(lp.a_eq @ x - lp.b_eq)) > tol:
-        return False
-    if lp.a_ub.size and np.max(lp.a_ub @ x - lp.b_ub) > tol:
-        return False
-    return True
+@functools.lru_cache(maxsize=32)
+def _first_triples(m: int) -> np.ndarray:
+    return _read_only(_index_block(itertools.combinations(range(m), 3)))
 
 
-def solve_lp(lp: StandardFormLP, tol: float = FEASIBILITY_TOL) -> LPSolution:
-    """Deterministic two-phase simplex; returns a vertex when optimal."""
-    try:
-        sol = _simplex_core(lp.objective, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, tol)
-        if sol.status != "optimal" or _validates(lp, sol.x, tol):
-            return sol
-    except _NumericalTrouble:
-        pass
-    # Stalled or drifted: nudge the right-hand sides deterministically, then
-    # insist the recovered vertex satisfies the *original* data.
-    m_eq, m_ub = lp.b_eq.size, lp.b_ub.size
-    bump_eq = 1e-9 * (1.0 + np.abs(lp.b_eq)) * np.arange(1, m_eq + 1)
-    bump_ub = 1e-9 * (1.0 + np.abs(lp.b_ub)) * np.arange(1, m_ub + 1)
-    try:
-        sol = _simplex_core(lp.objective, lp.a_eq, lp.b_eq + bump_eq,
-                            lp.a_ub, lp.b_ub + bump_ub, tol)
-    except _NumericalTrouble as exc:
-        raise LPError(f"simplex failed even after perturbation: {exc}") from exc
-    if sol.status != "optimal":
-        raise LPError(f"perturbed problem reported {sol.status}; original undecided")
-    if not _validates(lp, sol.x, tol):
-        raise LPError("perturbation fallback produced an invalid vertex")
-    return LPSolution("optimal", sol.x, float(lp.objective @ sol.x))
+def _triple_supports(m: int):
+    """Index triples i < j < k in lexicographic order, in blocks of at most
+    ``_TRIPLE_BLOCK``; the first block is cached, so up to M = 30 every
+    call reuses one array."""
+    yield _first_triples(m)
+    rest = itertools.islice(itertools.combinations(range(m), 3), _TRIPLE_BLOCK, None)
+    while (block := _index_block(rest)).size:
+        yield block
 
 
-def vertex_enumeration_oracle(lp: StandardFormLP, tol: float = FEASIBILITY_TOL) -> LPSolution:
+def _solve_or_nan(top: np.ndarray, det: np.ndarray) -> np.ndarray:
+    # a singular system fixes no point: NaN fails every feasibility test, as
+    # does the infinity a near-singular one can overflow to
+    with np.errstate(over="ignore"):
+        return np.divide(top, det, out=np.full_like(top, np.nan), where=det != 0.0)
+
+
+def _candidates(a: np.ndarray, b: np.ndarray):
+    """(support, weights) blocks of every vertex candidate, in tie order."""
+    rows, m = a.shape
+    yield np.arange(m)[:, None], np.ones((m, 1))
+    if rows == 0 or m < 2:
+        return
+    support = _pair_supports(m, rows)
+    i, j = support[::rows].T
+    far = a[:, j].T                                   # (pairs, rows)
+    t = _solve_or_nan(b - far, a[:, i].T - far).ravel()
+    yield support, np.column_stack([t, 1.0 - t])
+    if rows == 1 or m < 3:
+        return
+    for support in _triple_supports(m):
+        # eliminate the third entry through sum(P) == 1, then Cramer's rule
+        last = a[:, support[:, 2]]
+        x = a[:, support[:, 0]] - last
+        y = a[:, support[:, 1]] - last
+        rhs = b[:, None] - last
+        det = x[0] * y[1] - y[0] * x[1]
+        p = _solve_or_nan(rhs[0] * y[1] - y[0] * rhs[1], det)
+        q = _solve_or_nan(x[0] * rhs[1] - rhs[0] * x[1], det)
+        yield support, np.column_stack([p, q, 1.0 - p - q])
+
+
+def solve_lp(numerator, denominator, a_ub, b_ub) -> LPSolution:
+    """Maximize ``(numerator @ P) / (denominator @ P)`` over the probability
+    simplex subject to ``a_ub @ P <= b_ub`` (at most two rows).
+
+    A candidate is kept when its denominator is positive and it meets every
+    constraint, ``P >= 0`` and ``a_ub @ P <= b_ub``, to ``CONSTRAINT_TOL``
+    per unit of the denominator. Rows that were multiplied through by the
+    denominator to make them affine are so held to the tolerance in their
+    own units; a fixed slack would accept any violation, and let negative
+    entries cancel the denominator, once the denominator is tiny. With
+    ``denominator = ones`` the scaling is the identity.
+
+    Ties are broken by a fixed order: the first candidate attaining the
+    maximum wins, with point masses by index first, then two-point supports
+    in lexicographic (i, j, row) order, then three-point supports in
+    lexicographic (i, j, k) order. The status is "optimal" or "infeasible".
+    """
+    numerator = np.asarray(numerator, dtype=float)
+    a = np.asarray(a_ub, dtype=float).reshape(-1, numerator.size)
+    b = np.asarray(b_ub, dtype=float).reshape(-1)
+    # a vertex has at most rows + 1 non-zero entries; a third row would need
+    # four-point supports, which are not enumerated
+    assert a.shape[0] <= 2, f"support enumeration covers at most 2 side rows, got {a.shape[0]}"
+    coef = np.vstack([numerator, denominator, a])
+
+    best_value, best = -math.inf, None
+    for support, weights in _candidates(a, b):
+        values = np.einsum("cns,ns->cn", coef[:, support], weights)
+        num, den = values[0], values[1]
+        slack = CONSTRAINT_TOL * den
+        feasible = ((den > 0.0) & (weights >= -slack[:, None]).all(axis=1)
+                    & (values[2:] - b[:, None] <= slack).all(axis=0))
+        ratio = np.divide(num, den, out=np.full_like(num, -math.inf), where=feasible)
+        k = int(np.argmax(ratio))                     # first occurrence of the max
+        if ratio[k] > best_value:                     # strict: earlier ties win
+            best_value, best = float(ratio[k]), (support[k], weights[k])
+    if best is None:
+        return LPSolution("infeasible")
+    x = np.zeros(numerator.size)
+    x[best[0]] = best[1]
+    return LPSolution("optimal", x, best_value)
+
+
+def vertex_enumeration_oracle(lp: StandardFormLP, tol: float = CONSTRAINT_TOL) -> LPSolution:
     """Brute-force ground truth: enumerate basic solutions of the slack form
     and return the best feasible one.
 
@@ -233,7 +201,7 @@ def vertex_enumeration_oracle(lp: StandardFormLP, tol: float = FEASIBILITY_TOL) 
     rows = m_eq + m_ub
     n_total = n + m_ub
     if rows == 0:
-        if np.any(lp.objective > _REDUCED_COST_TOL):
+        if np.any(lp.objective > 0.0):
             return LPSolution("unbounded")
         return LPSolution("optimal", np.zeros(n), 0.0)
     if math.comb(n_total, rows) > _ORACLE_MAX_BASES:

@@ -7,12 +7,14 @@ the objective depends on the state of the energy buffer:
 
 * while harvests are the bottleneck (``lambda_se <= mu_se``) the throughput
   is a ratio of two affine functions of the policy, a linear-fractional
-  program solved here through the classic lift to a linear program;
+  program;
 * once the buffer saturates (``lambda_se >= mu_se``) the cap makes the
   problem an ordinary linear program, independent of the harvest rate.
 
-Both regimes are solved and the better feasible answer wins; ties go to the
-saturated regime because its policy does not depend on the harvest rate.
+Both are programs over the probability simplex with at most two side rows,
+solved by ``lp.solve_lp``, which enumerates the vertices of the feasible
+set. Both regimes are solved and the better feasible answer wins; ties go to
+the saturated regime because its policy does not depend on the harvest rate.
 """
 
 from __future__ import annotations
@@ -29,73 +31,9 @@ from .analytics import (
     consumption_weights,
     success_weights,
 )
-from .lp import LPError, StandardFormLP, solve_lp
+from .lp import CONSTRAINT_TOL, solve_lp  # noqa: F401  (CONSTRAINT_TOL is re-exported)
 
-CONSTRAINT_TOL = 1e-8   # slack accepted on returned policies
-_DEGENERATE_T = 1e-12
 _REGIME_TOL = 1e-12
-
-
-class DegenerateFractionalError(RuntimeError):
-    """The lifted program drove the denominator scale to zero."""
-
-
-@dataclass(frozen=True)
-class FractionalProgram:
-    """maximize (numerator @ P) / (denominator @ P) over the probability
-    simplex, subject to a_ub @ P <= b_ub. The simplex constraint is implicit.
-    """
-
-    numerator: np.ndarray
-    denominator: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-
-
-@dataclass(frozen=True)
-class LiftedLP:
-    """Linear program over (y, t) = (P * t, 1 / (denominator @ P))."""
-
-    lp: StandardFormLP
-    num_policy_vars: int
-
-    def recover(self, x: np.ndarray) -> np.ndarray:
-        """Map a lifted solution back to the simplex; P = y / t."""
-        t = float(x[self.num_policy_vars])
-        if t <= _DEGENERATE_T:
-            raise DegenerateFractionalError(
-                f"lifted scale t = {t!r}; the denominator is unbounded on the feasible set"
-            )
-        return np.asarray(x[: self.num_policy_vars], dtype=float) / t
-
-
-def fractional_to_lp(problem: FractionalProgram) -> LiftedLP:
-    """Lift a ratio objective over the simplex to a linear program.
-
-    The substitution y = t * P with t = 1 / (denominator @ P) pins the
-    denominator to one, turns the simplex constraint into sum(y) = t, and
-    scales every inequality row by t (a_ub @ y - b_ub * t <= 0). Ratios of
-    affine functions become affine in (y, t), so the optimum transfers.
-    """
-    num = np.atleast_1d(np.asarray(problem.numerator, dtype=float))
-    den = np.atleast_1d(np.asarray(problem.denominator, dtype=float))
-    if num.shape != den.shape:
-        raise ValueError("numerator and denominator must have equal length")
-    m = num.size
-    c = np.append(num, 0.0)
-    a_eq = np.vstack([
-        np.append(den, 0.0),             # denominator @ y == 1
-        np.append(np.ones(m), -1.0),     # sum(y) == t
-    ])
-    b_eq = np.array([1.0, 0.0])
-    a_ub = np.atleast_2d(np.asarray(problem.a_ub, dtype=float))
-    b_ub = np.atleast_1d(np.asarray(problem.b_ub, dtype=float))
-    if a_ub.size:
-        lifted_ub = np.hstack([a_ub, -b_ub[:, None]])
-        lifted_rhs = np.zeros(b_ub.size)
-    else:
-        lifted_ub, lifted_rhs = None, None
-    return LiftedLP(StandardFormLP(c, a_eq, b_eq, lifted_ub, lifted_rhs), m)
 
 
 @dataclass(frozen=True)
@@ -117,12 +55,9 @@ class OptimizationOutcome:
 
 
 def _policy_from(raw: np.ndarray) -> PolicyVector:
-    # LP round-off can leave ~1e-16 negatives; clean and renormalize
+    # vertices are accepted up to CONSTRAINT_TOL; clip and renormalize
     clipped = np.clip(raw, 0.0, None)
-    total = clipped.sum()
-    if total <= 0.0:
-        raise LPError("recovered policy has no mass")
-    return PolicyVector(tuple(clipped / total))
+    return PolicyVector(tuple(clipped / clipped.sum()))
 
 
 def _coefficients(scenario: Scenario):
@@ -139,7 +74,7 @@ def solve_constrained_subproblem(scenario: Scenario) -> SubproblemResult:
     The throughput is (lambda_se / mu_se(P)) * (1 - lambda_pe) * (u @ P).
     Multiplying the licensed-stability constraint through by the positive
     denominator makes it affine in P, so the whole problem is a
-    linear-fractional program handled by ``fractional_to_lp``.
+    linear-fractional program over the simplex with two side rows.
     """
     w, u, d, cap = _coefficients(scenario)
     lam_se = scenario.lambda_se
@@ -149,16 +84,10 @@ def solve_constrained_subproblem(scenario: Scenario) -> SubproblemResult:
         cap * lam_se * d - (cap - lam_p) * w,   # licensed queue stays stable
         -w,                                      # regime: consumption covers harvest
     ])
-    rhs = np.array([0.0, -lam_se])
-    lifted = fractional_to_lp(FractionalProgram(numerator, w, rows, rhs))
-    solution = solve_lp(lifted.lp)
-    if solution.status == "unbounded":
-        raise LPError("lifted regime problem reported unbounded; inputs out of range")
+    solution = solve_lp(numerator, w, rows, [0.0, -lam_se])
     if solution.status != "optimal":
         return SubproblemResult("infeasible", 0.0, None)
-    policy = _policy_from(lifted.recover(solution.x))
-    # report the objective recomputed from the recovered policy, not from the
-    # lifted variables, so transformation round-off cannot leak into results
+    policy = _policy_from(solution.x)
     return SubproblemResult("optimal", analyze(scenario, policy).mu_s, policy)
 
 
@@ -166,29 +95,24 @@ def solve_overflow_subproblem(scenario: Scenario) -> SubproblemResult:
     """Best policy when the energy buffer stays full (lambda_se >= mu_se).
 
     The cap removes the harvest rate from the objective, leaving a plain
-    linear program. It is solved without the regime row first; if the
-    unconstrained optimum already consumes no more than the harvest rate the
-    row is slack and the answer (and hence the whole plateau beyond it) is
-    exactly reproducible, otherwise the row is added and the LP re-solved.
+    linear program (a ratio with denominator sum(P) == 1). It is solved
+    without the regime row first; if the unconstrained optimum already
+    consumes no more than the harvest rate the row is slack and the answer
+    (and hence the whole plateau beyond it) is exactly reproducible,
+    otherwise the row is added and the LP re-solved.
     """
     w, u, d, cap = _coefficients(scenario)
-    m = scenario.num_durations
     c = (1.0 - scenario.lambda_pe) * u
-    ones = np.ones((1, m))
+    ones = np.ones(scenario.num_durations)
     primary_row = (cap * d)[None, :]
-    primary_rhs = np.array([cap - scenario.lambda_p])
-    relaxed = StandardFormLP(c, ones, [1.0], primary_row, primary_rhs)
-    solution = solve_lp(relaxed)
+    primary_rhs = cap - scenario.lambda_p
+    solution = solve_lp(c, ones, primary_row, [primary_rhs])
     if solution.status != "optimal":
         return SubproblemResult("infeasible", 0.0, None)
     policy = _policy_from(solution.x)
     if float(w @ policy.as_array()) > scenario.lambda_se + _REGIME_TOL:
-        full = StandardFormLP(
-            c, ones, [1.0],
-            np.vstack([primary_row, w[None, :]]),
-            np.append(primary_rhs, scenario.lambda_se),
-        )
-        solution = solve_lp(full)
+        solution = solve_lp(c, ones, np.vstack([primary_row, w]),
+                            [primary_rhs, scenario.lambda_se])
         if solution.status != "optimal":
             return SubproblemResult("infeasible", 0.0, None)
         policy = _policy_from(solution.x)
@@ -201,7 +125,10 @@ def solve(scenario: Scenario) -> OptimizationOutcome:
     Infeasible overall means no policy keeps the licensed queue stable, which
     happens exactly when lambda_p exceeds the best reachable mu_p. Ties
     between the regimes go to the saturated one, whose policy is independent
-    of the harvest rate and therefore more robust to it.
+    of the harvest rate and therefore more robust to it. The drain regime
+    wins only with a policy strictly inside it (mu_se > lambda_se): on the
+    boundary the saturated problem's feasible set holds the same policy, so
+    a lead there is round-off.
     """
     constrained = solve_constrained_subproblem(scenario)
     overflow = solve_overflow_subproblem(scenario)
@@ -209,7 +136,10 @@ def solve(scenario: Scenario) -> OptimizationOutcome:
         return OptimizationOutcome(
             "infeasible", None, 0.0, "none", constrained, overflow, None)
     if constrained.status == "optimal" and (
-            overflow.status != "optimal" or constrained.value > overflow.value):
+            overflow.status != "optimal" or (
+                constrained.value > overflow.value
+                and float(consumption_weights(scenario) @ constrained.policy.as_array())
+                > scenario.lambda_se + _REGIME_TOL)):
         winner, side = constrained, "constrained"
     else:
         winner, side = overflow, "overflow"

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crsense.analytics import (
     PolicyVector,
@@ -15,6 +17,7 @@ from crsense.analytics import (
     success_weights,
 )
 from crsense.channel import SensingOption
+from scenario_strategies import SETTINGS, policies, scenarios
 
 
 def make_scenario(table, lam_p=0.1, lam_s=0.1, lam_pe=0.2, lam_se=0.4, p_out=0.3):
@@ -203,3 +206,14 @@ class TestScenario:
         table = (table_scenario.sensing_table[0],) * 2
         with pytest.raises(ValueError):
             replace(table_scenario, sensing_table=table)
+
+
+class TestRanges:
+    @settings(max_examples=150, **SETTINGS)
+    @given(st.data())
+    def test_rates_in_unit_interval(self, data):
+        scenario = data.draw(scenarios(1, 10))
+        rates = analyze(scenario, data.draw(policies(scenario.num_durations)))
+        for name in ("mu_p", "mu_s", "mu_pe", "mu_se", "x_se_capped", "prob_pe_empty"):
+            assert 0.0 <= getattr(rates, name) <= 1.0, name
+        assert rates.mu_p <= scenario.lambda_pe

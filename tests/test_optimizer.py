@@ -2,19 +2,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from crsense.acceptance import grid_oracle_constrained, grid_oracle_master, overflow_oracle
-from crsense.analytics import analyze, consumption_weights
+from crsense.analytics import PolicyVector, Scenario, analyze, consumption_weights
 from crsense.channel import SensingOption
 from crsense.optimizer import (
     CONSTRAINT_TOL,
-    FractionalProgram,
-    fractional_to_lp,
     solve,
     solve_constrained_subproblem,
     solve_overflow_subproblem,
 )
-from crsense.lp import solve_lp
+from scenario_strategies import SETTINGS, hundredths, scenarios
+from simplex_oracle import (
+    FractionalProgram,
+    constrained_reference,
+    fractional_to_lp,
+    overflow_reference,
+    simplex_lp,
+)
 
 
 def assert_policy_feasible(scenario, outcome):
@@ -35,7 +41,7 @@ class TestFractionalLift:
         w = consumption_weights(scenario)
         lifted = fractional_to_lp(FractionalProgram(
             np.array([1.0]), w, np.zeros((0, 1)), np.zeros(0)))
-        sol = solve_lp(lifted.lp)
+        sol = simplex_lp(lifted.lp)
         assert sol.status == "optimal"
         # t pins the denominator: t = 1 / mu_se(point mass)
         assert sol.x[-1] == pytest.approx(1.0 / w[0], rel=1e-9)
@@ -217,6 +223,24 @@ class TestMasterSolve:
         knee = analyze(replace(base, lambda_se=1.0), ref.overflow.policy).mu_se
         outcome = solve(replace(base, lambda_se=knee))
         assert outcome.winning_subproblem == "overflow"
+        # both regimes return the same vertex, on the regime boundary; the
+        # drain regime's value can lead by round-off only
+        outcome = solve(replace(table_scenario, lambda_pe=0.78))
+        assert outcome.winning_subproblem == "overflow"
+        assert outcome.rates.x_se_capped == 1.0
+        assert outcome.best_policy.probs == pytest.approx(
+            [0.742515, 0, 0, 0, 0, 0, 0.257485, 0, 0, 0], abs=1e-6)
+        # here the drain regime does lead, by 2.8e-17, with mu_se 1.1e-16
+        # below lambda_se: a lead on the boundary goes to the saturated regime
+        scenario = replace(table_scenario, lambda_p=0.052, lambda_pe=0.378,
+                           lambda_se=0.768, primary_outage=0.518, sensing_table=(
+                               SensingOption(1, 0.057, 0.232, 0.472),
+                               SensingOption(2, 0.626, 0.918, 0.853),
+                               SensingOption(3, 0.515, 0.716, 0.051),
+                               SensingOption(4, 0.849, 0.112, 0.73)))
+        outcome = solve(scenario)
+        assert outcome.constrained.value > outcome.overflow.value
+        assert outcome.winning_subproblem == "overflow"
 
     def test_monotone_feasibility_in_lambda_p(self, table_scenario):
         rng = np.random.default_rng(10)
@@ -243,3 +267,95 @@ class TestMasterSolve:
                 continue
             outcome = solve(replace(table_scenario, lambda_p=lam_p, lambda_pe=lam_pe))
             assert outcome.status == "infeasible"
+
+
+def random_table(rng, m):
+    return tuple(SensingOption(k + 1, *map(float, rng.uniform(0.0, 1.0, 3)))
+                 for k in range(m))
+
+
+def assert_subproblem_feasible(scenario, result, drains):
+    rates = analyze(scenario, result.policy)
+    assert scenario.lambda_p <= rates.mu_p + CONSTRAINT_TOL
+    if drains:
+        assert scenario.lambda_se <= rates.mu_se + CONSTRAINT_TOL
+    else:
+        assert scenario.lambda_se >= rates.mu_se - CONSTRAINT_TOL
+
+
+def assert_matches_reference(scenario):
+    """Both subproblems equal the simplex oracle's in status and mu_s, and
+    return a policy that meets their constraints to CONSTRAINT_TOL."""
+    for ours, ref, drains in (
+            (solve_constrained_subproblem(scenario), constrained_reference(scenario), True),
+            (solve_overflow_subproblem(scenario), overflow_reference(scenario), False)):
+        assert ours.status == ref.status
+        if ours.status == "optimal":
+            assert abs(ours.value - ref.value) <= 1e-12
+            assert_subproblem_feasible(scenario, ours, drains)
+
+
+# lambda_p > mu_p for every policy. The pair's licensed row is active at
+# P = (-3.1e-9, 1 + 3.1e-9), where the denominator mu_se cancels to 4e-25;
+# a nonnegativity slack not scaled by the denominator accepted that vertex
+_TINY_DENOMINATOR = Scenario(
+    0.9991269739076112, 0.5, 0.9999999876497003, 0.0, 0.4571721789904417,
+    (SensingOption(5, 0.264265049316983, 0.23834158159649943, 0.9970781789687317),
+     SensingOption(8, 1.0, 0.816615459129375, 0.6070731358208212)))
+
+
+def hundredths_scenario(lam_p, lam_pe, lam_se, p_out, rows):
+    return Scenario(lam_p, 0.1, lam_pe, lam_se, p_out,
+                    tuple(SensingOption(k + 1, *row) for k, row in enumerate(rows)))
+
+
+# random draws seldom reach an optimum on three durations with both rows
+# active; these two reach one in the overflow and in the drain regime
+_THREE_POINT_OVERFLOW = hundredths_scenario(
+    0.03, 0.22, 0.8, 0.68, [(0.33, 0.02, 0.09), (0.18, 0.53, 0.06), (0.99, 0.1, 0.62)])
+_THREE_POINT_DRAIN = hundredths_scenario(
+    0.14, 0.32, 0.51, 0.32, [(0.81, 0.01, 0.61), (0.01, 0.57, 0.08), (0.91, 0.73, 0.43)])
+
+
+class TestSimplexOracleEquality:
+    @settings(max_examples=400, **SETTINGS)
+    @given(scenarios(1, 10, hundredths))
+    @example(_THREE_POINT_OVERFLOW)
+    @example(_THREE_POINT_DRAIN)
+    def test_subproblems_match_simplex(self, scenario):
+        assert_matches_reference(scenario)
+
+    def test_forty_durations(self, table_scenario):
+        rng = np.random.default_rng(40)
+        scenario = replace(table_scenario, lambda_p=0.05, lambda_pe=0.4, lambda_se=0.3,
+                           sensing_table=random_table(rng, 40))
+        assert_matches_reference(scenario)
+
+    @settings(max_examples=300, **SETTINGS)
+    @given(scenarios(1, 10))
+    @example(_TINY_DENOMINATOR)
+    def test_policy_feasible_for_any_rates(self, scenario):
+        for result, drains in ((solve_constrained_subproblem(scenario), True),
+                               (solve_overflow_subproblem(scenario), False)):
+            if result.status == "optimal":
+                assert_subproblem_feasible(scenario, result, drains)
+
+
+class TestVertexTieRule:
+    @pytest.mark.parametrize("field, value", [("lambda_se", 0.0), ("lambda_pe", 1.0)])
+    def test_zero_objective_takes_first_point_mass(self, table_scenario, field, value):
+        # every feasible policy gives mu_s = 0; the first candidate, e_1, wins
+        outcome = solve(replace(table_scenario, **{field: value}))
+        assert outcome.best_mu_s == 0.0
+        assert outcome.best_policy == PolicyVector.point_mass(10, 0)
+
+
+class TestLargeTables:
+    def test_hundred_durations_answer(self, table_scenario):
+        rng = np.random.default_rng(100)
+        scenario = replace(table_scenario, lambda_p=0.05, lambda_pe=0.4, lambda_se=0.3,
+                           sensing_table=random_table(rng, 100))
+        outcome = solve(scenario)
+        assert outcome.status == "optimal"
+        assert_policy_feasible(scenario, outcome)
+        assert sum(p > 0.0 for p in outcome.best_policy.probs) <= 3

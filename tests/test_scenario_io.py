@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crsense.channel import PhysicalLink, primary_outage, secondary_outage
 from crsense.scenario_io import (
@@ -7,6 +9,7 @@ from crsense.scenario_io import (
     parse_scenario,
     parse_scenario_text,
 )
+from scenario_strategies import SETTINGS, scenarios
 
 TABLE_TEXT = """
 # minimal two-duration table
@@ -142,3 +145,22 @@ class TestFiles:
 
     def test_bundled_equals_direct_parse(self, table_scenario):
         assert load_bundled_scenario() == table_scenario
+
+
+def scenario_text(scenario, order) -> str:
+    """Table-mode text of a scenario, duration records in the given order."""
+    lines = [f"{name} {getattr(scenario, name)!r}" for name in
+             ("lambda_p", "lambda_s", "lambda_pe", "lambda_se", "primary_outage")]
+    table = scenario.sensing_table
+    lines += [f"duration {table[k].index} {table[k].detection_prob!r} "
+              f"{table[k].false_alarm_prob!r} {table[k].secondary_outage!r}" for k in order]
+    return "\n".join(lines) + "\n"
+
+
+class TestRoundTrip:
+    @settings(max_examples=100, **SETTINGS)
+    @given(st.data())
+    def test_text_round_trip(self, data):
+        scenario = data.draw(scenarios(1, 12))
+        order = data.draw(st.permutations(range(scenario.num_durations)))
+        assert parse_scenario_text(scenario_text(scenario, order)) == scenario
