@@ -147,13 +147,15 @@ def solve_lp(numerator, denominator, a_ub, b_ub) -> LPSolution:
     """Maximize ``(numerator @ P) / (denominator @ P)`` over the probability
     simplex subject to ``a_ub @ P <= b_ub`` (at most two rows).
 
-    A candidate is kept when its denominator is positive and it meets every
-    constraint, ``P >= 0`` and ``a_ub @ P <= b_ub``, to ``CONSTRAINT_TOL``
-    per unit of the denominator. Rows that were multiplied through by the
-    denominator to make them affine are so held to the tolerance in their
-    own units; a fixed slack would accept any violation, and let negative
-    entries cancel the denominator, once the denominator is tiny. With
-    ``denominator = ones`` the scaling is the identity.
+    A candidate is kept when it meets every constraint, ``P >= 0`` and
+    ``a_ub @ P <= b_ub``, to a slack of ``CONSTRAINT_TOL`` per unit of the
+    denominator, and that slack is positive. Rows that were multiplied
+    through by the denominator to make them affine are so held to the
+    tolerance in their own units; a fixed slack would accept any violation,
+    and let negative entries cancel the denominator, once the denominator
+    is tiny. A denominator so small that its slack underflows to zero
+    (below about 5e-316) is rejected, as the rows' products underflow with
+    it. With ``denominator = ones`` the scaling is the identity.
 
     Ties are broken by a fixed order: the first candidate attaining the
     maximum wins, with point masses by index first, then two-point supports
@@ -173,7 +175,7 @@ def solve_lp(numerator, denominator, a_ub, b_ub) -> LPSolution:
         values = np.einsum("cns,ns->cn", coef[:, support], weights)
         num, den = values[0], values[1]
         slack = CONSTRAINT_TOL * den
-        feasible = ((den > 0.0) & (weights >= -slack[:, None]).all(axis=1)
+        feasible = ((slack > 0.0) & (weights >= -slack[:, None]).all(axis=1)
                     & (values[2:] - b[:, None] <= slack).all(axis=0))
         ratio = np.divide(num, den, out=np.full_like(num, -math.inf), where=feasible)
         k = int(np.argmax(ratio))                     # first occurrence of the max

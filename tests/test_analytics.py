@@ -208,12 +208,20 @@ class TestScenario:
             replace(table_scenario, sensing_table=table)
 
 
+# mu_p, mu_s and mu_se go through dot products with the policy, whose float
+# sum is 1 only up to rounding: at most ten terms, normalized, then summed,
+# stay within 16 ulps of 1 (mu_se = 1 + 4.4e-16 and mu_p = -1.1e-16 occur)
+_DOT_ROUNDING = 16 * np.finfo(float).eps
+
+
 class TestRanges:
     @settings(max_examples=150, **SETTINGS)
     @given(st.data())
     def test_rates_in_unit_interval(self, data):
         scenario = data.draw(scenarios(1, 10))
         rates = analyze(scenario, data.draw(policies(scenario.num_durations)))
-        for name in ("mu_p", "mu_s", "mu_pe", "mu_se", "x_se_capped", "prob_pe_empty"):
+        for name in ("mu_pe", "x_se_capped", "prob_pe_empty"):
             assert 0.0 <= getattr(rates, name) <= 1.0, name
+        for name in ("mu_p", "mu_s", "mu_se"):
+            assert -_DOT_ROUNDING <= getattr(rates, name) <= 1.0 + _DOT_ROUNDING, name
         assert rates.mu_p <= scenario.lambda_pe

@@ -317,6 +317,15 @@ _THREE_POINT_DRAIN = hundredths_scenario(
     0.14, 0.32, 0.51, 0.32, [(0.81, 0.01, 0.61), (0.01, 0.57, 0.08), (0.91, 0.73, 0.43)])
 
 
+# lambda_p > mu_p = 0 for every policy. At lambda_se = 5e-324 the pair
+# vertex with the regime row active has mu_se = 5e-324, and the licensed
+# row's value 0.5 * mu_se underflows to zero: only a denominator whose
+# slack does not underflow may be trusted
+_SUBNORMAL_HARVEST = Scenario(
+    0.5, 0.0, 0.0, 5e-324, 0.0,
+    (SensingOption(1, 0.0, 0.0, 0.0), SensingOption(2, 0.0, 1.0, 0.0)))
+
+
 class TestSimplexOracleEquality:
     @settings(max_examples=400, **SETTINGS)
     @given(scenarios(1, 10, hundredths))
@@ -334,6 +343,7 @@ class TestSimplexOracleEquality:
     @settings(max_examples=300, **SETTINGS)
     @given(scenarios(1, 10))
     @example(_TINY_DENOMINATOR)
+    @example(_SUBNORMAL_HARVEST)
     def test_policy_feasible_for_any_rates(self, scenario):
         for result, drains in ((solve_constrained_subproblem(scenario), True),
                                (solve_overflow_subproblem(scenario), False)):
