@@ -3,15 +3,7 @@ energy-harvesting opportunistic radio link sharing a slot-synchronous
 collision channel with a licensed user, validated by a slot-level
 Monte Carlo simulator of the four interacting queues."""
 
-from .analytics import (
-    AnalyticRates,
-    PolicyVector,
-    Scenario,
-    analyze,
-    data_rates,
-    energy_rates,
-    secondary_energy_occupancy,
-)
+from .analytics import AnalyticRates, PolicyVector, Scenario, analyze
 from .channel import (
     PhysicalLink,
     SensingOption,

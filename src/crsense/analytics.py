@@ -16,19 +16,23 @@ The data-queue rates then follow by averaging the per-slot success
 indicators: the licensed node loses the slot to fading or to a misdetection
 collision, the opportunistic node needs energy, a silent licensed node, no
 false alarm, and a good channel.
+
+``analyze`` is the one evaluator: it turns a scenario and a policy into
+every rate in one pass. ``coefficients`` builds the per-duration vectors it
+averages, which the optimizer's two programs are written in too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import SensingOption
 
 POLICY_SUM_TOL = 1e-9  # absolute tolerance on sum(probs) == 1
-RATE_REL_TOL = 1e-9    # relative tolerance used by floating comparisons here
 
 
 def _check_prob(name: str, value: float) -> None:
@@ -64,9 +68,6 @@ class Scenario:
 
     def detection_probs(self) -> np.ndarray:
         return np.array([o.detection_prob for o in self.sensing_table])
-
-    def misdetect_probs(self) -> np.ndarray:
-        return np.array([o.misdetection_prob for o in self.sensing_table])
 
     def false_alarm_probs(self) -> np.ndarray:
         return np.array([o.false_alarm_prob for o in self.sensing_table])
@@ -134,71 +135,54 @@ class AnalyticRates:
     degenerate_energy_service: bool = False
 
 
-def _check_dims(scenario: Scenario, policy: PolicyVector) -> None:
+class Coefficients(NamedTuple):
+    """The per-duration vectors ``analyze`` and both optimizer programs are
+    written in, and the licensed cap."""
+
+    w: np.ndarray   # sensor reads idle, which costs an energy packet
+    u: np.ndarray   # no false alarm and no secondary outage
+    d: np.ndarray   # misdetection
+    cap: float      # licensed rate without collisions: lambda_pe * (1 - outage)
+
+
+def coefficients(scenario: Scenario) -> Coefficients:
+    lam_pe = scenario.lambda_pe
+    d = 1.0 - scenario.detection_probs()
+    no_fa = 1.0 - scenario.false_alarm_probs()
+    return Coefficients(lam_pe * d + (1.0 - lam_pe) * no_fa,
+                        (1.0 - scenario.secondary_outages()) * no_fa, d,
+                        lam_pe * (1.0 - scenario.primary_outage))
+
+
+def analyze(scenario: Scenario, policy: PolicyVector,
+            coeffs: Coefficients | None = None) -> AnalyticRates:
+    """Evaluate every closed-form quantity for one (scenario, policy) pair.
+
+    ``coeffs`` passes in ``coefficients(scenario)`` when the caller already
+    holds them.
+    """
     if len(policy) != scenario.num_durations:
         raise ValueError(
             f"policy has {len(policy)} entries but the scenario offers "
             f"{scenario.num_durations} durations"
         )
-
-
-def consumption_weights(scenario: Scenario) -> np.ndarray:
-    """Per-duration probability that the sensor declares the channel idle.
-
-    An idle verdict costs one energy packet: either the busy licensed node is
-    misdetected, or the idle one triggers no false alarm.
-    """
-    lam_pe = scenario.lambda_pe
-    return lam_pe * scenario.misdetect_probs() + (1.0 - lam_pe) * (1.0 - scenario.false_alarm_probs())
-
-
-def success_weights(scenario: Scenario) -> np.ndarray:
-    """Per-duration probability factor (no false alarm) * (channel not in outage)."""
-    return (1.0 - scenario.secondary_outages()) * (1.0 - scenario.false_alarm_probs())
-
-
-def energy_rates(scenario: Scenario, policy: PolicyVector) -> tuple[float, float]:
-    """Mean service rates of the two energy queues, (mu_pe, mu_se)."""
-    _check_dims(scenario, policy)
-    mu_se = float(consumption_weights(scenario) @ policy.as_array())
-    return 1.0, mu_se
-
-
-def secondary_energy_occupancy(scenario: Scenario, policy: PolicyVector) -> tuple[float, float]:
-    """(raw ratio, capped nonempty probability) of the opportunistic energy buffer."""
-    _, mu_se = energy_rates(scenario, policy)
-    lam_se = scenario.lambda_se
+    w, u, d, cap = coefficients(scenario) if coeffs is None else coeffs
+    probs = policy.as_array()
+    lam_pe, lam_se = scenario.lambda_pe, scenario.lambda_se
+    mu_se = float(w @ probs)
+    degenerate = mu_se == 0.0 and lam_se > 0.0
     if mu_se == 0.0:
-        x_se = math.inf if lam_se > 0.0 else 0.0
+        x_se = math.inf if degenerate else 0.0
     else:
         x_se = lam_se / mu_se
-    return x_se, min(x_se, 1.0)
-
-
-def data_rates(scenario: Scenario, policy: PolicyVector) -> tuple[float, float]:
-    """Mean service rates of the two data queues, (mu_p, mu_s)."""
-    rates = analyze(scenario, policy)
-    return rates.mu_p, rates.mu_s
-
-
-def analyze(scenario: Scenario, policy: PolicyVector) -> AnalyticRates:
-    """Evaluate every closed-form quantity for one (scenario, policy) pair."""
-    _check_dims(scenario, policy)
-    probs = policy.as_array()
-    mu_pe, mu_se = energy_rates(scenario, policy)
-    x_se, x_capped = secondary_energy_occupancy(scenario, policy)
-    lam_pe = scenario.lambda_pe
-    misdetect = float(scenario.misdetect_probs() @ probs)
-    mu_p = lam_pe * (1.0 - scenario.primary_outage) * (1.0 - x_capped * misdetect)
-    mu_s = x_capped * (1.0 - lam_pe) * float(success_weights(scenario) @ probs)
-    degenerate = mu_se == 0.0 and scenario.lambda_se > 0.0
-    if degenerate:
-        # the node never spends energy, hence never transmits
-        mu_s = 0.0
+    x_capped = min(x_se, 1.0)
+    mu_p = cap * (1.0 - x_capped * float(d @ probs))
+    # a degenerate node never spends energy, hence never transmits
+    mu_s = 0.0 if degenerate else x_capped * (1.0 - lam_pe) * float(u @ probs)
     return AnalyticRates(
         mu_p=mu_p,
         mu_s=mu_s,
-        mu_pe=mu_pe,
+        mu_pe=1.0,
         mu_se=mu_se,
         x_se=x_se,
         x_se_capped=x_capped,

@@ -115,20 +115,22 @@ def secondary_outage(link: PhysicalLink, tau: float) -> float:
         1 - exp(-(2 ** (b / (W (T - tau))) - 1) / (gain_variance * snr))
 
     computed through ``expm1`` so that near-zero probabilities keep full
-    precision.
+    precision. Past float range the SNR threshold is infinite and the outage
+    exactly 1: no channel gain carries the packet in that window.
     """
     _check_sensing_time(link, tau)
     window = link.slot_duration - tau
     snr = link.energy_per_packet / (window * link.noise_power)
-    threshold = 2.0 ** (link.bits_per_packet / (link.bandwidth * window)) - 1.0
+    try:
+        threshold = 2.0 ** (link.bits_per_packet / (link.bandwidth * window)) - 1.0
+    except OverflowError:
+        threshold = math.inf
     return -math.expm1(-threshold / (link.gain_variance * snr))
 
 
 def primary_outage(link: PhysicalLink) -> float:
     """Outage probability of the licensed link, which uses the whole slot."""
-    snr = link.energy_per_packet / (link.slot_duration * link.noise_power)
-    threshold = 2.0 ** (link.bits_per_packet / (link.bandwidth * link.slot_duration)) - 1.0
-    return -math.expm1(-threshold / (link.gain_variance * snr))
+    return secondary_outage(link, 0.0)
 
 
 def verify_outage_monotonicity(link: PhysicalLink, taus: Iterable[float]) -> bool:

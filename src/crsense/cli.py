@@ -19,9 +19,9 @@ from pathlib import Path
 from . import acceptance
 from .analytics import PolicyVector, Scenario
 from .optimizer import solve
-from .scenario_io import ScenarioFormatError, parse_scenario
+from .scenario_io import parse_scenario
 from .simulator import SimConfig, simulate
-from .sweep import DEFAULT_SIM_TOLERANCE, SweepSpec, rows_to_csv, run_sweep
+from .sweep import SweepSpec, rows_to_csv, run_sweep
 
 _OVERRIDES = ("lambda_p", "lambda_s", "lambda_pe", "lambda_se", "primary_outage")
 
@@ -70,7 +70,6 @@ def _cmd_sweep(args) -> int:
         horizon=args.horizon,
         warmup=args.warmup,
         seed=args.seed,
-        sim_tolerance=args.sim_tol,
     )
     rows = run_sweep(spec)
     text = rows_to_csv(spec, rows)
@@ -146,7 +145,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--horizon", type=int, default=200_000)
     p_sweep.add_argument("--warmup", type=int, default=10_000)
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--sim-tol", type=float, default=DEFAULT_SIM_TOLERANCE)
     p_sweep.add_argument("--output", "-o", default=None, help="write CSV here instead of stdout")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -170,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioFormatError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,6 +15,10 @@ Both are programs over the probability simplex with at most two side rows,
 solved by ``lp.solve_lp``, which enumerates the vertices of the feasible
 set. Both regimes are solved and the better feasible answer wins; ties go to
 the saturated regime because its policy does not depend on the harvest rate.
+
+Both programs are written in ``analytics.coefficients``, and each subproblem
+evaluates the policy it returns once, with ``analytics.analyze``; the
+outcome carries the winner's rates as they are.
 """
 
 from __future__ import annotations
@@ -23,14 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import (
-    AnalyticRates,
-    PolicyVector,
-    Scenario,
-    analyze,
-    consumption_weights,
-    success_weights,
-)
+from .analytics import AnalyticRates, PolicyVector, Scenario, analyze, coefficients
 from .lp import CONSTRAINT_TOL, solve_lp  # noqa: F401  (CONSTRAINT_TOL is re-exported)
 
 _REGIME_TOL = 1e-12
@@ -39,8 +36,16 @@ _REGIME_TOL = 1e-12
 @dataclass(frozen=True)
 class SubproblemResult:
     status: str                      # "optimal" | "infeasible"
-    value: float                     # attained mu_s (0.0 when infeasible)
     policy: PolicyVector | None
+    rates: AnalyticRates | None      # closed-form rates at the policy
+
+    @property
+    def value(self) -> float:
+        """Attained mu_s (0.0 when infeasible)."""
+        return self.rates.mu_s if self.rates is not None else 0.0
+
+
+_INFEASIBLE = SubproblemResult("infeasible", None, None)
 
 
 @dataclass(frozen=True)
@@ -60,14 +65,6 @@ def _policy_from(raw: np.ndarray) -> PolicyVector:
     return PolicyVector(tuple(clipped / clipped.sum()))
 
 
-def _coefficients(scenario: Scenario):
-    w = consumption_weights(scenario)
-    u = success_weights(scenario)
-    d = scenario.misdetect_probs()
-    cap = scenario.lambda_pe * (1.0 - scenario.primary_outage)
-    return w, u, d, cap
-
-
 def solve_constrained_subproblem(scenario: Scenario) -> SubproblemResult:
     """Best policy while the energy buffer drains (lambda_se <= mu_se).
 
@@ -76,9 +73,8 @@ def solve_constrained_subproblem(scenario: Scenario) -> SubproblemResult:
     denominator makes it affine in P, so the whole problem is a
     linear-fractional program over the simplex with two side rows.
     """
-    w, u, d, cap = _coefficients(scenario)
-    lam_se = scenario.lambda_se
-    lam_p = scenario.lambda_p
+    w, u, d, cap = coeffs = coefficients(scenario)
+    lam_p, lam_se = scenario.lambda_p, scenario.lambda_se
     numerator = lam_se * (1.0 - scenario.lambda_pe) * u
     rows = np.vstack([
         cap * lam_se * d - (cap - lam_p) * w,   # licensed queue stays stable
@@ -86,9 +82,9 @@ def solve_constrained_subproblem(scenario: Scenario) -> SubproblemResult:
     ])
     solution = solve_lp(numerator, w, rows, [0.0, -lam_se])
     if solution.status != "optimal":
-        return SubproblemResult("infeasible", 0.0, None)
+        return _INFEASIBLE
     policy = _policy_from(solution.x)
-    return SubproblemResult("optimal", analyze(scenario, policy).mu_s, policy)
+    return SubproblemResult("optimal", policy, analyze(scenario, policy, coeffs))
 
 
 def solve_overflow_subproblem(scenario: Scenario) -> SubproblemResult:
@@ -101,22 +97,22 @@ def solve_overflow_subproblem(scenario: Scenario) -> SubproblemResult:
     (and hence the whole plateau beyond it) is exactly reproducible,
     otherwise the row is added and the LP re-solved.
     """
-    w, u, d, cap = _coefficients(scenario)
+    w, u, d, cap = coeffs = coefficients(scenario)
     c = (1.0 - scenario.lambda_pe) * u
     ones = np.ones(scenario.num_durations)
     primary_row = (cap * d)[None, :]
     primary_rhs = cap - scenario.lambda_p
     solution = solve_lp(c, ones, primary_row, [primary_rhs])
     if solution.status != "optimal":
-        return SubproblemResult("infeasible", 0.0, None)
+        return _INFEASIBLE
     policy = _policy_from(solution.x)
     if float(w @ policy.as_array()) > scenario.lambda_se + _REGIME_TOL:
         solution = solve_lp(c, ones, np.vstack([primary_row, w]),
                             [primary_rhs, scenario.lambda_se])
         if solution.status != "optimal":
-            return SubproblemResult("infeasible", 0.0, None)
+            return _INFEASIBLE
         policy = _policy_from(solution.x)
-    return SubproblemResult("optimal", analyze(scenario, policy).mu_s, policy)
+    return SubproblemResult("optimal", policy, analyze(scenario, policy, coeffs))
 
 
 def solve(scenario: Scenario) -> OptimizationOutcome:
@@ -138,11 +134,9 @@ def solve(scenario: Scenario) -> OptimizationOutcome:
     if constrained.status == "optimal" and (
             overflow.status != "optimal" or (
                 constrained.value > overflow.value
-                and float(consumption_weights(scenario) @ constrained.policy.as_array())
-                > scenario.lambda_se + _REGIME_TOL)):
+                and constrained.rates.mu_se > scenario.lambda_se + _REGIME_TOL)):
         winner, side = constrained, "constrained"
     else:
         winner, side = overflow, "overflow"
     return OptimizationOutcome(
-        "optimal", winner.policy, winner.value, side,
-        constrained, overflow, analyze(scenario, winner.policy))
+        "optimal", winner.policy, winner.value, side, constrained, overflow, winner.rates)

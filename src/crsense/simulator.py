@@ -262,32 +262,31 @@ def _kernel(d: _Draws, state: QueueState):
     return (q_p, q_s, q_pe, q_se), service
 
 
-def _loop(d: _Draws, state: QueueState, saturated: bool = False):
-    """One chunk of one system, slot by slot; same return as ``_kernel``,
-    which it reproduces when ``saturated``.
+def _loop(d: _Draws, state: QueueState):
+    """One chunk of the original system, slot by slot; same return as
+    ``_kernel``.
 
     The slot rules of ``_service``, split on whether the licensed node
     transmits. If it does, the sensor reads the detection draw and the
-    opportunistic node cannot succeed. If not, the licensed energy buffer
-    or (in the original system) the licensed data buffer is empty, so
-    neither licensed queue moves, and the sensor reads the false-alarm draw.
-    The loop records only the levels; the indicators follow vectorised.
+    opportunistic node cannot succeed. If not, the licensed energy or data
+    buffer is empty, so neither licensed queue moves, and the sensor reads
+    the false-alarm draw. The loop records only the levels; the indicators
+    follow vectorised.
     """
     q_p, q_s, q_pe, q_se = state
     levels: list[int] = []
     record = levels.extend              # flat ints: no per-slot tuple to keep
     for a_p, a_s, a_pe, a_se, det, fa, chan_p, chan_s in zip(*(x.tolist() for x in d)):
         record((q_p, q_s, q_pe, q_se))
-        if q_pe and (saturated or q_p):
-            if q_p and chan_p and (det or not q_se or not (saturated or q_s)):
+        if q_pe and q_p:
+            if chan_p and (det or not q_se or not q_s):
                 q_p -= 1
-            if q_se and not det and (saturated or q_s):
+            if q_se and not det and q_s:
                 q_se -= 1
             q_pe -= 1
-        elif q_se and not fa:
-            if saturated or q_s:
-                q_se -= 1
-            if q_s and chan_s:
+        elif q_se and not fa and q_s:
+            q_se -= 1
+            if chan_s:
                 q_s -= 1
         q_p += a_p
         q_s += a_s
@@ -296,7 +295,7 @@ def _loop(d: _Draws, state: QueueState, saturated: bool = False):
     record((q_p, q_s, q_pe, q_se))
     columns = tuple(np.array(levels, dtype=np.int64).reshape(-1, 4).T)
     q_p, q_s, q_pe, q_se = (q[:-1] for q in columns)
-    return columns, _service(d, saturated | (q_p > 0), saturated | (q_s > 0), q_pe, q_se)
+    return columns, _service(d, q_p > 0, q_s > 0, q_pe, q_se)
 
 
 def _drift(samples: np.ndarray, stride: int) -> float:

@@ -18,7 +18,7 @@ from .optimizer import OptimizationOutcome, solve
 from .simulator import SimConfig, SimReport, simulate
 
 SWEEPABLE = ("lambda_p", "lambda_pe", "lambda_se")
-DEFAULT_SIM_TOLERANCE = 0.02   # relative, with a 0.005 absolute floor
+_REL_TOL = 0.02     # cross-check tolerance: relative, with an absolute floor
 _ABS_FLOOR = 0.005
 
 
@@ -33,7 +33,6 @@ class SweepSpec:
     horizon: int = 200_000
     warmup: int = 10_000
     seed: int = 0
-    sim_tolerance: float = DEFAULT_SIM_TOLERANCE
 
     def __post_init__(self):
         if self.param not in SWEEPABLE:
@@ -61,7 +60,6 @@ class ComparisonRecord:
     analytic: AnalyticRates
     report: SimReport
     deltas: dict[str, tuple[float, float]]   # name -> (absolute, relative)
-    tolerance: float
     passed: bool
 
 
@@ -74,12 +72,11 @@ class SweepRow:
 
 def compare_sim_vs_analytic(scenario: Scenario, policy: PolicyVector,
                             horizon: int, seed: int,
-                            tolerance: float = DEFAULT_SIM_TOLERANCE,
                             warmup: int = 10_000) -> ComparisonRecord:
     """Run the saturated-mode simulator and grade it against the closed form.
 
     Each quantity passes when |simulated - analytic| stays within
-    ``max(0.005, tolerance * |analytic|)``; the record carries per-quantity
+    ``max(0.005, 0.02 * |analytic|)``; the record carries per-quantity
     absolute and relative deltas.
     """
     rates = analyze(scenario, policy)
@@ -98,9 +95,9 @@ def compare_sim_vs_analytic(scenario: Scenario, policy: PolicyVector,
         delta = abs(got - expected)
         rel = delta / abs(expected) if expected else math.inf
         deltas[name] = (delta, rel)
-        if delta > max(_ABS_FLOOR, tolerance * abs(expected)):
+        if delta > max(_ABS_FLOOR, _REL_TOL * abs(expected)):
             passed = False
-    return ComparisonRecord(rates, report, deltas, tolerance, passed)
+    return ComparisonRecord(rates, report, deltas, passed)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -112,7 +109,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         if spec.simulate and outcome.status == "optimal":
             comparison = compare_sim_vs_analytic(
                 scenario, outcome.best_policy, spec.horizon,
-                spec.seed + k, spec.sim_tolerance, spec.warmup)
+                spec.seed + k, spec.warmup)
         rows.append(SweepRow(value, outcome, comparison))
     return rows
 

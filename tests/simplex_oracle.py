@@ -5,8 +5,8 @@ Charnes-Cooper lift of a linear-fractional program to a linear program
 
 This is the route the package took before it enumerated vertices. It shares
 no code with the enumerator beyond the ``StandardFormLP``/``LPSolution``
-containers and the closed-form rates, so the randomized tests can hold the
-two against each other.
+containers and the closed-form coefficients and rates, so the randomized
+tests can hold the two against each other.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crsense.analytics import (
-    PolicyVector,
-    Scenario,
-    analyze,
-    consumption_weights,
-    success_weights,
-)
+from crsense.analytics import PolicyVector, Scenario, analyze, coefficients
 from crsense.lp import LPSolution, StandardFormLP
 from crsense.optimizer import SubproblemResult
 
@@ -242,17 +236,16 @@ def _policy_from(raw: np.ndarray) -> PolicyVector:
     return PolicyVector(tuple(clipped / total))
 
 
-def _coefficients(scenario: Scenario):
-    w = consumption_weights(scenario)
-    u = success_weights(scenario)
-    d = scenario.misdetect_probs()
-    cap = scenario.lambda_pe * (1.0 - scenario.primary_outage)
-    return w, u, d, cap
+def _optimal(scenario: Scenario, policy: PolicyVector) -> SubproblemResult:
+    return SubproblemResult("optimal", policy, analyze(scenario, policy))
+
+
+_INFEASIBLE = SubproblemResult("infeasible", None, None)
 
 
 def constrained_reference(scenario: Scenario) -> SubproblemResult:
     """The drain-regime subproblem through the lift and the simplex."""
-    w, u, d, cap = _coefficients(scenario)
+    w, u, d, cap = coefficients(scenario)
     lam_se = scenario.lambda_se
     numerator = lam_se * (1.0 - scenario.lambda_pe) * u
     rows = np.vstack([cap * lam_se * d - (cap - scenario.lambda_p) * w, -w])
@@ -261,14 +254,14 @@ def constrained_reference(scenario: Scenario) -> SubproblemResult:
     if solution.status == "unbounded":
         raise LPError("lifted regime problem reported unbounded; inputs out of range")
     if solution.status != "optimal":
-        return SubproblemResult("infeasible", 0.0, None)
+        return _INFEASIBLE
     policy = _policy_from(lifted.recover(solution.x))
-    return SubproblemResult("optimal", analyze(scenario, policy).mu_s, policy)
+    return _optimal(scenario, policy)
 
 
 def overflow_reference(scenario: Scenario) -> SubproblemResult:
     """The saturated-regime subproblem through the simplex, relaxed first."""
-    w, u, d, cap = _coefficients(scenario)
+    w, u, d, cap = coefficients(scenario)
     m = scenario.num_durations
     c = (1.0 - scenario.lambda_pe) * u
     ones = np.ones((1, m))
@@ -276,13 +269,13 @@ def overflow_reference(scenario: Scenario) -> SubproblemResult:
     primary_rhs = np.array([cap - scenario.lambda_p])
     solution = simplex_lp(StandardFormLP(c, ones, [1.0], primary_row, primary_rhs))
     if solution.status != "optimal":
-        return SubproblemResult("infeasible", 0.0, None)
+        return _INFEASIBLE
     policy = _policy_from(solution.x)
     if float(w @ policy.as_array()) > scenario.lambda_se + _REGIME_TOL:
         solution = simplex_lp(StandardFormLP(
             c, ones, [1.0], np.vstack([primary_row, w[None, :]]),
             np.append(primary_rhs, scenario.lambda_se)))
         if solution.status != "optimal":
-            return SubproblemResult("infeasible", 0.0, None)
+            return _INFEASIBLE
         policy = _policy_from(solution.x)
-    return SubproblemResult("optimal", analyze(scenario, policy).mu_s, policy)
+    return _optimal(scenario, policy)

@@ -6,16 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crsense.analytics import (
-    PolicyVector,
-    Scenario,
-    analyze,
-    consumption_weights,
-    data_rates,
-    energy_rates,
-    secondary_energy_occupancy,
-    success_weights,
-)
+from crsense.analytics import PolicyVector, Scenario, analyze, coefficients
 from crsense.channel import SensingOption
 from scenario_strategies import SETTINGS, policies, scenarios
 
@@ -31,59 +22,57 @@ def random_policy(rng, m):
 
 class TestEnergyRates:
     def test_licensed_rate_is_one(self, table_scenario):
-        mu_pe, _ = energy_rates(table_scenario, PolicyVector.uniform(10))
-        assert mu_pe == 1.0
+        assert analyze(table_scenario, PolicyVector.uniform(10)).mu_pe == 1.0
 
     def test_first_row_point_mass(self, table_scenario):
         # 0.2 * 0.30 + 0.8 * 0.95, hand-evaluated from the first table row
         scenario = replace(table_scenario, lambda_pe=0.2)
-        _, mu_se = energy_rates(scenario, PolicyVector.point_mass(10, 0))
+        mu_se = analyze(scenario, PolicyVector.point_mass(10, 0)).mu_se
         assert mu_se == pytest.approx(0.82, rel=1e-12)
 
     def test_uniform_policy(self, table_scenario):
         # 0.2 * mean(miss) + 0.8 * mean(1 - false alarm) = 0.2*0.153 + 0.8*0.91
         scenario = replace(table_scenario, lambda_pe=0.2)
-        _, mu_se = energy_rates(scenario, PolicyVector.uniform(10))
+        mu_se = analyze(scenario, PolicyVector.uniform(10)).mu_se
         assert mu_se == pytest.approx(0.7586, rel=1e-12)
 
     def test_idle_licensed_perfect_sensor(self):
         table = [SensingOption(1, 0.9, 0.0, 0.2), SensingOption(2, 0.95, 0.0, 0.3)]
         scenario = make_scenario(table, lam_pe=0.0)
-        _, mu_se = energy_rates(scenario, PolicyVector.uniform(2))
-        assert mu_se == 1.0
+        assert analyze(scenario, PolicyVector.uniform(2)).mu_se == 1.0
 
     def test_dimension_mismatch(self, table_scenario):
         with pytest.raises(ValueError):
-            energy_rates(table_scenario, PolicyVector.uniform(3))
+            analyze(table_scenario, PolicyVector.uniform(3))
 
 
 class TestOccupancy:
     def test_ratio(self, table_scenario):
         scenario = replace(table_scenario, lambda_pe=0.2, lambda_se=0.4)
-        x, capped = secondary_energy_occupancy(scenario, PolicyVector.point_mass(10, 0))
-        assert x == pytest.approx(0.4 / 0.82, rel=1e-12)
-        assert capped == x
+        rates = analyze(scenario, PolicyVector.point_mass(10, 0))
+        assert rates.x_se == pytest.approx(0.4 / 0.82, rel=1e-12)
+        assert rates.x_se_capped == rates.x_se
 
     def test_cap_at_overflow(self, table_scenario):
         scenario = replace(table_scenario, lambda_pe=0.2, lambda_se=1.0)
-        x, capped = secondary_energy_occupancy(scenario, PolicyVector.point_mass(10, 0))
-        assert x == pytest.approx(1.0 / 0.82, rel=1e-12)
-        assert capped == 1.0
+        rates = analyze(scenario, PolicyVector.point_mass(10, 0))
+        assert rates.x_se == pytest.approx(1.0 / 0.82, rel=1e-12)
+        assert rates.x_se_capped == 1.0
 
     def test_no_harvest(self, table_scenario):
         scenario = replace(table_scenario, lambda_se=0.0)
-        x, capped = secondary_energy_occupancy(scenario, PolicyVector.uniform(10))
-        assert x == 0.0 and capped == 0.0
+        rates = analyze(scenario, PolicyVector.uniform(10))
+        assert rates.x_se == 0.0 and rates.x_se_capped == 0.0
 
     def test_degenerate_sentinels(self):
         # consumption rate zero: the sensor never reports idle
         table = [SensingOption(1, 1.0, 1.0, 0.2)]
         scenario = make_scenario(table, lam_pe=1.0, lam_se=0.5)
-        x, capped = secondary_energy_occupancy(scenario, PolicyVector.uniform(1))
-        assert math.isinf(x) and capped == 1.0
+        rates = analyze(scenario, PolicyVector.uniform(1))
+        assert math.isinf(rates.x_se) and rates.x_se_capped == 1.0
         scenario0 = make_scenario(table, lam_pe=1.0, lam_se=0.0)
-        x0, capped0 = secondary_energy_occupancy(scenario0, PolicyVector.uniform(1))
-        assert x0 == 0.0 and capped0 == 0.0
+        rates0 = analyze(scenario0, PolicyVector.uniform(1))
+        assert rates0.x_se == 0.0 and rates0.x_se_capped == 0.0
 
 
 class TestDataRates:
@@ -91,20 +80,19 @@ class TestDataRates:
         # chained hand substitution: X = 0.4/0.82, mu_s = X*0.8*0.9*0.95,
         # mu_p = 0.2*0.7*(1 - X*0.3)
         scenario = replace(table_scenario, lambda_pe=0.2, lambda_se=0.4)
-        mu_p, mu_s = data_rates(scenario, PolicyVector.point_mass(10, 0))
-        assert mu_s == pytest.approx(13.68 / 41.0, rel=1e-12)   # 0.33366
-        assert mu_p == pytest.approx(4.9 / 41.0, rel=1e-12)     # 0.11951
+        rates = analyze(scenario, PolicyVector.point_mass(10, 0))
+        assert rates.mu_s == pytest.approx(13.68 / 41.0, rel=1e-12)   # 0.33366
+        assert rates.mu_p == pytest.approx(4.9 / 41.0, rel=1e-12)     # 0.11951
 
     def test_licensed_without_energy(self, table_scenario):
         scenario = replace(table_scenario, lambda_pe=0.0, lambda_se=0.4)
-        mu_p, mu_s = data_rates(scenario, PolicyVector.uniform(10))
-        assert mu_p == 0.0
-        assert mu_s > 0.0
+        rates = analyze(scenario, PolicyVector.uniform(10))
+        assert rates.mu_p == 0.0
+        assert rates.mu_s > 0.0
 
     def test_licensed_always_energized(self, table_scenario):
         scenario = replace(table_scenario, lambda_pe=1.0)
-        _, mu_s = data_rates(scenario, PolicyVector.uniform(10))
-        assert mu_s == 0.0
+        assert analyze(scenario, PolicyVector.uniform(10)).mu_s == 0.0
 
     def test_degenerate_consumption_flagged(self):
         table = [SensingOption(1, 1.0, 1.0, 0.2)]
@@ -115,7 +103,7 @@ class TestDataRates:
 
     def test_rate_bounds(self, table_scenario):
         rng = np.random.default_rng(31)
-        u = success_weights(table_scenario)
+        u = coefficients(table_scenario).u
         for _ in range(300):
             scenario = replace(
                 table_scenario,
@@ -149,15 +137,12 @@ class TestStructure:
             alpha = rng.uniform(0.0, 1.0)
             mix = PolicyVector(tuple(alpha * a + (1 - alpha) * b
                                      for a, b in zip(p1.probs, p2.probs)))
-            _, mu_mix = energy_rates(table_scenario, mix)
-            _, mu_1 = energy_rates(table_scenario, p1)
-            _, mu_2 = energy_rates(table_scenario, p2)
+            mu_mix, mu_1, mu_2 = (analyze(table_scenario, p).mu_se for p in (mix, p1, p2))
             assert mu_mix == pytest.approx(alpha * mu_1 + (1 - alpha) * mu_2, abs=1e-12)
 
     def test_throughput_is_ratio_of_affine_forms_below_cap(self, table_scenario):
         rng = np.random.default_rng(43)
-        w = consumption_weights(table_scenario)
-        u = success_weights(table_scenario)
+        w, u, _, _ = coefficients(table_scenario)
         lam_se = table_scenario.lambda_se
         for _ in range(100):
             policy = random_policy(rng, 10)

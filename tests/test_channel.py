@@ -88,7 +88,7 @@ class TestOutage:
         assert primary_outage(UNIT_LINK) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
     def test_zero_sensing_time_reduces_to_primary_formula(self):
-        # separate code paths must agree when the links coincide
+        # the licensed link is the sensing link with no sensing time
         rng = np.random.default_rng(11)
         for _ in range(200):
             link = random_link(rng)
@@ -108,6 +108,12 @@ class TestOutage:
             link = random_link(rng)
             taus = np.linspace(0.0, 0.9 * link.slot_duration, 10)
             assert verify_outage_monotonicity(link, taus)
+
+    def test_threshold_past_float_range_is_certain_outage(self):
+        # b / (W T) = 2000: 2 ** 2000 overflows, and no gain carries the packet
+        link = PhysicalLink(2_000_000.0, 1e-3, 1e6, 1.0, 1e-6, 1e-3)
+        assert primary_outage(link) == 1.0
+        assert secondary_outage(link, 0.5e-3) == 1.0
 
 
 class TestMonotonicityCertificate:

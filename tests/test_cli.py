@@ -5,6 +5,11 @@ from crsense.cli import main
 from crsense.scenario_io import bundled_scenario_text
 
 
+def assert_clean_error(err):
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 @pytest.fixture()
 def scenario_file(tmp_path):
     path = tmp_path / "table1.scn"
@@ -33,6 +38,20 @@ class TestSolve:
         bad.write_text("lambda_p 2.0\n")
         assert main(["solve", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_directory_as_scenario_exit_one(self, tmp_path, capsys):
+        assert main(["solve", str(tmp_path)]) == 1
+        assert_clean_error(capsys.readouterr().err)
+
+    def test_packet_beyond_float_range_solves(self, tmp_path, capsys):
+        # 2 ** (b / (W T)) = 2 ** 2000 overflows: every outage is exactly 1
+        path = tmp_path / "huge.scn"
+        path.write_text("mode physical\nlambda_p 0.0\nlambda_s 0.1\nlambda_pe 0.2\n"
+                        "lambda_se 0.4\nbits_per_packet 2000000\nslot_duration 1e-3\n"
+                        "bandwidth 1e6\ngain_variance 1.0\nenergy_per_packet 1e-6\n"
+                        "noise_power 1e-3\nduration 1 0.00005 0.70 0.05\n")
+        assert main(["solve", str(path)]) == 0
+        assert "mu_s 0.000000" in capsys.readouterr().out
 
 
 class TestSweep:
@@ -88,6 +107,12 @@ class TestSweep:
         assert code == 0
         assert seen == [1000, 1000]
 
+    def test_directory_as_output_exit_one(self, scenario_file, tmp_path, capsys):
+        code = main(["sweep", scenario_file, "--param", "lambda_p",
+                     "--from", "0", "--to", "0.1", "--step", "0.05", "-o", str(tmp_path)])
+        assert code == 1
+        assert_clean_error(capsys.readouterr().err)
+
     def test_all_infeasible_exit_two(self, scenario_file, capsys):
         code = main(["sweep", scenario_file, "--lambda-p", "0.9",
                      "--param", "lambda_pe", "--from", "0", "--to", "0.4",
@@ -105,6 +130,12 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert code == 0
         assert "mu_s " in out and "prob_pe_empty" in out and "PCG64" in out
+
+    def test_directory_as_policy_exit_one(self, scenario_file, tmp_path, capsys):
+        code = main(["simulate", scenario_file, "--policy", str(tmp_path),
+                     "--horizon", "20000"])
+        assert code == 1
+        assert_clean_error(capsys.readouterr().err)
 
     def test_with_optimal_policy(self, scenario_file, capsys):
         code = main(["simulate", scenario_file, "--lambda-pe", "0.4",

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from crsense import optimizer
 from crsense.acceptance import grid_oracle_constrained, grid_oracle_master, overflow_oracle
-from crsense.analytics import PolicyVector, Scenario, analyze, consumption_weights
+from crsense.analytics import PolicyVector, Scenario, analyze, coefficients
 from crsense.channel import SensingOption
 from crsense.optimizer import (
     CONSTRAINT_TOL,
@@ -38,7 +39,7 @@ class TestFractionalLift:
     def test_single_duration_recovery(self, table_scenario):
         scenario = replace(table_scenario,
                            sensing_table=(table_scenario.sensing_table[0],))
-        w = consumption_weights(scenario)
+        w = coefficients(scenario).w
         lifted = fractional_to_lp(FractionalProgram(
             np.array([1.0]), w, np.zeros((0, 1)), np.zeros(0)))
         sol = simplex_lp(lifted.lp)
@@ -51,9 +52,7 @@ class TestFractionalLift:
         # a feasible simplex point maps to a feasible lifted point and back
         rng = np.random.default_rng(2)
         scenario = replace(sub3_scenario, lambda_p=0.05, lambda_pe=0.4, lambda_se=0.3)
-        w = consumption_weights(scenario)
-        d = scenario.misdetect_probs()
-        cap = scenario.lambda_pe * (1.0 - scenario.primary_outage)
+        w, _, d, cap = coefficients(scenario)
         rows = np.vstack([cap * scenario.lambda_se * d - (cap - scenario.lambda_p) * w, -w])
         rhs = np.array([0.0, -scenario.lambda_se])
         lifted = fractional_to_lp(FractionalProgram(np.ones(3), w, rows, rhs))
@@ -369,3 +368,50 @@ class TestLargeTables:
         assert outcome.status == "optimal"
         assert_policy_feasible(scenario, outcome)
         assert sum(p > 0.0 for p in outcome.best_policy.probs) <= 3
+
+
+class TestRatesPassThrough:
+    """Each returned policy is evaluated once, by ``analyze``, and its rates
+    reach the outcome unchanged."""
+
+    @settings(max_examples=300, **SETTINGS)
+    @given(scenarios(1, 10))
+    @example(_THREE_POINT_OVERFLOW)
+    @example(_THREE_POINT_DRAIN)
+    @example(_TINY_DENOMINATOR)
+    def test_rates_are_analyze_of_policy(self, scenario):
+        outcome = solve(scenario)
+        for result in (outcome.constrained, outcome.overflow):
+            if result.status == "optimal":
+                assert result.rates == analyze(scenario, result.policy)
+                assert result.value == result.rates.mu_s
+            else:
+                assert result.policy is None and result.rates is None
+                assert result.value == 0.0
+        if outcome.status == "optimal":
+            assert outcome.rates == analyze(scenario, outcome.best_policy)
+            assert outcome.best_mu_s == outcome.rates.mu_s
+        else:
+            assert outcome.rates is None
+
+    @pytest.mark.parametrize("lam_p, lam_pe, lam_se, statuses", [
+        (0.0, 0.2, 0.8, ("optimal", "optimal")),      # overflow row added, LP re-solved
+        (0.0, 0.4, 0.7, ("infeasible", "optimal")),
+        (0.1, 0.4, 0.4, ("optimal", "infeasible")),
+        (0.2, 0.2, 0.3, ("infeasible", "infeasible")),
+    ])
+    def test_one_analyze_per_optimal_subproblem(self, table_scenario, monkeypatch,
+                                                lam_p, lam_pe, lam_se, statuses):
+        evaluated = []
+        real = optimizer.analyze
+
+        def counting(scenario, policy, *args, **kwargs):
+            evaluated.append(policy)
+            return real(scenario, policy, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "analyze", counting)
+        outcome = solve(replace(table_scenario, lambda_p=lam_p, lambda_pe=lam_pe,
+                                lambda_se=lam_se))
+        results = (outcome.constrained, outcome.overflow)
+        assert tuple(r.status for r in results) == statuses
+        assert evaluated == [r.policy for r in results if r.status == "optimal"]

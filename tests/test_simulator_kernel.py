@@ -2,19 +2,16 @@
 
 The saturated system runs through a closed-form kernel (Lindley recursions
 with cumsum and a running maximum), the original through a per-slot loop.
-Two oracles check them:
-
-* the loop run saturated, which must reproduce the kernel chunk by chunk;
-* ``reference_run`` below, the per-slot simulator that both paths replaced:
-  one full-horizon draw, both systems stepped slot by slot in one loop. It
-  fixes the reports and traces every seed must keep reproducing.
+``reference_run`` below is the oracle for both: the per-slot simulator that
+both paths replaced, one full-horizon draw, both systems stepped slot by
+slot in one loop. It fixes the reports and traces every seed must keep
+reproducing.
 
 Small chunk sizes push horizons across many chunk boundaries cheaply; a few
 runs use the real chunk size around its boundaries.
 """
 
 from dataclasses import fields, replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -136,11 +133,6 @@ def configs(draw, table, modes=("original", "dominant", "coupled"),
                      draw(st.integers(0, 2**32 - 1)), warmup, initial)
 
 
-def _loop_as_kernel(mp):
-    """Replace the saturated kernel by the per-slot loop run saturated."""
-    mp.setattr(simulator, "_kernel", partial(simulator._loop, saturated=True))
-
-
 def _run_both(config):
     report = simulate(config)
     trace = simulate_traced(config)[1] if config.mode != "coupled" else None
@@ -148,6 +140,8 @@ def _run_both(config):
 
 
 class TestKernelEqualsSaturatedLoop:
+    """The kernel against the saturated system of the per-slot reference."""
+
     @settings(max_examples=60, **_SETTINGS)
     @given(data=st.data(), chunk=st.sampled_from([1, 2, 5, 64]))
     def test_small_chunks(self, table_scenario, data, chunk):
@@ -156,11 +150,10 @@ class TestKernelEqualsSaturatedLoop:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "_CHUNK", chunk)
             report, trace = _run_both(config)
-            _loop_as_kernel(mp)
-            oracle_report, oracle_trace = _run_both(config)
-        assert report == oracle_report
+        want_report, want_trace = reference_run(config)
+        assert report == want_report
         if trace is not None:
-            assert_traces_equal(trace, oracle_trace)
+            assert_traces_equal(trace, want_trace)
 
     @settings(max_examples=4, **_SETTINGS)
     @given(data=st.data(), chunks=st.integers(1, 2), offset=st.integers(-2, 2))
@@ -169,11 +162,9 @@ class TestKernelEqualsSaturatedLoop:
         config = data.draw(configs(table_scenario, modes=("dominant",),
                                    horizons=st.just(horizon)))
         report, trace = simulate_traced(config)
-        with pytest.MonkeyPatch.context() as mp:
-            _loop_as_kernel(mp)
-            oracle_report, oracle_trace = simulate_traced(config)
-        assert report == oracle_report
-        assert_traces_equal(trace, oracle_trace)
+        want_report, want_trace = reference_run(config)
+        assert report == want_report
+        assert_traces_equal(trace, want_trace)
 
 
 class TestAgainstReference:
