@@ -12,7 +12,7 @@ from .channel import (
     secondary_rate,
     verify_outage_monotonicity,
 )
-from .lp import LPSolution, StandardFormLP, solve_lp, vertex_enumeration_oracle
+from .lp import LPSolution, solve_lp
 from .optimizer import (
     OptimizationOutcome,
     SubproblemResult,

@@ -3,14 +3,17 @@
 Each criterion is a function returning a ``CriterionResult``; ``run_all``
 evaluates a scenario (expected to be a ten-duration table like the bundled
 one) against all of them. The checks deliberately cross different routes
-through the code: closed forms against the slot simulator, the LP-based
-optimizer against a dense simplex grid and against vertex enumeration,
-monotonicity claims against parameter sweeps, the original system against
-its saturated twin on shared draws.
+through the code: closed forms against the slot simulator, the optimizer
+against an exact oracle in rational arithmetic, monotonicity claims against
+parameter sweeps, the original system against its saturated twin on shared
+draws.
 
-The brute-force oracles below recompute the per-duration weights straight
-from the sensing table instead of calling the analytics helpers, so that a
-bug in the production path cannot hide inside its own oracle.
+The oracles below recompute the per-duration weights straight from the
+sensing table instead of calling the analytics helpers, so that a bug in the
+production path cannot hide inside its own oracle. ``exact_ratio_program``
+solves a ratio program over the simplex by enumerating the bases of its
+Charnes-Cooper lift in integers; it shares no code with ``lp.solve_lp`` and
+does not rely on the few-point supports that solver scores.
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from .analytics import PolicyVector, Scenario, analyze
 from .channel import PhysicalLink, verify_outage_monotonicity
-from .lp import StandardFormLP, vertex_enumeration_oracle
 from .optimizer import (
     CONSTRAINT_TOL,
     solve,
@@ -52,87 +55,139 @@ def format_result(result: CriterionResult) -> str:
 # oracles
 
 
-_GRID_CACHE: dict[int, np.ndarray] = {}
+def _raw_weights(scenario: Scenario, number=float):
+    """Per-duration consumption, success and misdetection weights straight
+    from the table (oracle-side copy), in floats or, with ``number=Fraction``,
+    exactly."""
+    lam_pe = number(scenario.lambda_pe)
+    w, u, d = [], [], []
+    for option in scenario.sensing_table:
+        miss = 1 - number(option.detection_prob)
+        no_fa = 1 - number(option.false_alarm_prob)
+        w.append(lam_pe * miss + (1 - lam_pe) * no_fa)
+        u.append((1 - number(option.secondary_outage)) * no_fa)
+        d.append(miss)
+    return w, u, d
 
 
-def _simplex_grid(k: int = 1000) -> np.ndarray:
-    """All points of the 2-simplex with coordinates in multiples of 1/k."""
-    if k not in _GRID_CACHE:
-        i = np.repeat(np.arange(k + 1), np.arange(k + 1, 0, -1))
-        j = np.concatenate([np.arange(k + 1 - v) for v in range(k + 1)])
-        _GRID_CACHE[k] = np.column_stack([i, j, k - i - j]) / k
-    return _GRID_CACHE[k]
+def _exact(values) -> list[Fraction]:
+    """Each entry as a Fraction; floats convert exactly, and a non-finite
+    entry raises ValueError."""
+    out = []
+    for v in values:
+        if not isinstance(v, Fraction):
+            if not math.isfinite(v := float(v)):
+                raise ValueError(f"program entry {v} is not finite")
+            v = Fraction(v)
+        out.append(v)
+    return out
 
 
-def _require_three_durations(scenario: Scenario) -> None:
-    if scenario.num_durations != 3:
-        raise ValueError("the dense grid oracle covers exactly three durations")
+def _integer_row(row: list[Fraction]) -> list[int]:
+    """The row times the least common multiple of its denominators."""
+    scale = math.lcm(*(f.denominator for f in row))
+    return [f.numerator * (scale // f.denominator) for f in row]
 
 
-def _raw_weights(scenario: Scenario):
-    """Per-duration weights straight from the table (oracle-side copy)."""
-    miss = np.array([1.0 - o.detection_prob for o in scenario.sensing_table])
-    no_fa = np.array([1.0 - o.false_alarm_prob for o in scenario.sensing_table])
-    good = np.array([1.0 - o.secondary_outage for o in scenario.sensing_table])
-    consume = scenario.lambda_pe * miss + (1.0 - scenario.lambda_pe) * no_fa
-    return consume, good * no_fa, miss
+def _basic_solutions(rows: list[list[int]], done: int = 0, previous: int = 1, first: int = 0):
+    """Every nonsingular square choice of columns of the integer rows
+    ``[A | rhs]``, solved by fraction-free Gauss-Jordan elimination (Bareiss
+    1968), in which every division is exact. Yields the columns, the
+    numerators of the solution and their common denominator.
+
+    Column choices that share their first columns share those elimination
+    steps. Each step pivots row ``done`` and keeps only the columns right of
+    the pivot, since later pivots lie there; the last step keeps the rhs.
+    """
+    n = len(rows)
+    if done == n:
+        yield (), [row[-1] for row in rows], previous
+        return
+    width = len(rows[0]) - 1
+    for j in range(width - (n - done - 1)):
+        pivot = next((i for i in range(done, n) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        order = rows[:]
+        order[done], order[pivot] = order[pivot], order[done]
+        head = order[done]
+        top = head[j]
+        keep = j + 1 if done < n - 1 else width
+        reduced = [row[keep:] if i == done else
+                   [(top * x - row[j] * h) // previous for x, h in zip(row[keep:], head[keep:])]
+                   for i, row in enumerate(order)]
+        for columns, values, scale in _basic_solutions(reduced, done + 1, top, first + keep):
+            yield (first + j,) + columns, values, scale
 
 
-def grid_oracle_constrained(scenario: Scenario, k: int = 1000):
-    """Dense-grid optimum of the drain-regime subproblem; (status, value)."""
-    _require_three_durations(scenario)
-    w, u, d = _raw_weights(scenario)
-    grid = _simplex_grid(k)
-    wp = grid @ w
-    up = grid @ u
-    dp = grid @ d
-    lam_se = scenario.lambda_se
-    cap = scenario.lambda_pe * (1.0 - scenario.primary_outage)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(wp > 0.0, lam_se / wp, np.where(lam_se > 0.0, np.inf, 0.0))
-    feasible = (
-        (lam_se <= wp + 1e-12)
-        & (scenario.lambda_p <= cap * (1.0 - ratio * dp) + 1e-9)
-    )
-    if not feasible.any():
-        return "infeasible", 0.0
-    values = ratio[feasible] * (1.0 - scenario.lambda_pe) * up[feasible]
-    return "optimal", float(values.max())
+def exact_ratio_program(numerator, denominator, a_ub, b_ub) -> Fraction | None:
+    """Exact maximum of ``(numerator @ P) / (denominator @ P)`` over the
+    probability simplex subject to ``a_ub @ P <= b_ub``, or None when no
+    point is feasible. ``denominator @ P`` must be positive on the feasible
+    set. Any number of side rows is accepted.
+
+    Every input converts to a Fraction exactly. The Charnes-Cooper lift
+    (Charnes & Cooper 1962), ``y = t * P`` with ``denominator @ y == 1``,
+    turns the program into the linear one
+
+        maximize numerator @ y  s.t.  denominator @ y == 1,  sum(y) - t == 0,
+                                      a_ub @ y - b_ub * t + s == 0,  y, t, s >= 0,
+
+    whose optimum is a basic feasible solution. Every feasible point has
+    ``t = sum(y) > 0``, so ``t`` is basic in every feasible basis: its row
+    is pivoted out once, leaving ``(a_ub - b_ub) @ y + s == 0`` row by row.
+    Every basis of the remaining rows is enumerated and solved in integers,
+    on rows scaled to integers. Nothing here uses how few entries a vertex
+    of the original program has. Inputs whose lengths disagree raise
+    ValueError.
+    """
+    num, den = _exact(numerator), _exact(denominator)
+    m = len(num)
+    b = _exact(b_ub)
+    r = len(b)
+    if len(den) != m or len(a_ub) != r or any(len(row) != m for row in a_ub):
+        raise ValueError(
+            f"program shapes disagree: {m} numerator and {len(den)} denominator "
+            f"entries, a_ub rows of lengths {[len(row) for row in a_ub]}, {r} b_ub entries")
+    # columns: y_1..y_m, s_1..s_r; the last entry of each row is its rhs
+    lifted = [den + [Fraction(0)] * r + [Fraction(1)]]
+    for k, row in enumerate(a_ub):
+        lifted.append([x - b[k] for x in _exact(row)]
+                      + [Fraction(int(j == k)) for j in range(r)] + [Fraction(0)])
+    rows = [_integer_row(row) for row in lifted]
+    best = None
+    for basis, values, scale in _basic_solutions(rows):
+        if any(v * scale < 0 for v in values):
+            continue
+        value = Fraction(sum(num[j] * v for j, v in zip(basis, values) if j < m), scale)
+        if best is None or value > best:
+            best = value
+    return best
 
 
-def grid_oracle_master(scenario: Scenario, k: int = 1000):
-    """Dense-grid optimum of the full problem (capped occupancy)."""
-    _require_three_durations(scenario)
-    w, u, d = _raw_weights(scenario)
-    grid = _simplex_grid(k)
-    wp = grid @ w
-    up = grid @ u
-    dp = grid @ d
-    lam_se = scenario.lambda_se
-    cap = scenario.lambda_pe * (1.0 - scenario.primary_outage)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(wp > 0.0, lam_se / wp, np.where(lam_se > 0.0, np.inf, 0.0))
-    capped = np.minimum(ratio, 1.0)
-    mu_p = cap * (1.0 - capped * dp)
-    mu_s = capped * (1.0 - scenario.lambda_pe) * up
-    feasible = scenario.lambda_p <= mu_p + 1e-9
-    if not feasible.any():
-        return "infeasible", 0.0
-    return "optimal", float(mu_s[feasible].max())
+def exact_subproblems(scenario: Scenario) -> tuple[Fraction | None, Fraction | None]:
+    """Exact optima of the drain-regime and the saturated-regime programs
+    (mu_s), written in rationals straight from the sensing table; None where
+    a program is infeasible.
 
-
-def overflow_oracle(scenario: Scenario):
-    """Vertex-enumeration optimum of the saturated-regime subproblem."""
-    w, u, d = _raw_weights(scenario)
-    m = w.size
-    cap = scenario.lambda_pe * (1.0 - scenario.primary_outage)
-    lp = StandardFormLP(
-        (1.0 - scenario.lambda_pe) * u,
-        np.ones((1, m)), [1.0],
-        np.vstack([cap * d, w]),
-        np.array([cap - scenario.lambda_p, scenario.lambda_se]),
-    )
-    return vertex_enumeration_oracle(lp)
+    Drain regime: maximize (lambda_se / (w @ P)) * (1 - lambda_pe) * (u @ P)
+    over w @ P >= lambda_se, with the licensed row lambda_p <= cap * (1 -
+    lambda_se * (d @ P) / (w @ P)) multiplied through by w @ P. Saturated
+    regime: maximize (1 - lambda_pe) * (u @ P) over w @ P <= lambda_se and
+    lambda_p <= cap * (1 - d @ P).
+    """
+    w, u, d = _raw_weights(scenario, Fraction)
+    lam_p, lam_pe, lam_se, outage = (Fraction(getattr(scenario, name)) for name in (
+        "lambda_p", "lambda_pe", "lambda_se", "primary_outage"))
+    cap = lam_pe * (1 - outage)
+    gain = [(1 - lam_pe) * x for x in u]
+    drain = exact_ratio_program(
+        [lam_se * g for g in gain], w,
+        [[cap * lam_se * di - (cap - lam_p) * wi for wi, di in zip(w, d)], [-wi for wi in w]],
+        [0, -lam_se])
+    overflow = exact_ratio_program(
+        gain, [1] * len(w), [[cap * di for di in d], w], [cap - lam_p, lam_se])
+    return drain, overflow
 
 
 def best_reachable_mu_p(scenario: Scenario) -> float:
@@ -143,7 +198,7 @@ def best_reachable_mu_p(scenario: Scenario) -> float:
     linear, so its minimum over the simplex sits at a point mass or where an
     edge of the simplex crosses the hyperplane w @ P = lambda_se.
     """
-    w, _, d = _raw_weights(scenario)
+    w, _, d = (np.array(x) for x in _raw_weights(scenario))
     lam_se = scenario.lambda_se
     m = w.size
     candidates = list(np.eye(m))
@@ -160,14 +215,6 @@ def best_reachable_mu_p(scenario: Scenario) -> float:
                              1.0 if lam_se > 0.0 else 0.0)
     cap = scenario.lambda_pe * (1.0 - scenario.primary_outage)
     return float((cap * (1.0 - occupancy * (points @ d))).max())
-
-
-def _sub_table(scenario: Scenario) -> Scenario:
-    """Three-duration sub-scenario: first, middle, and last table rows."""
-    m = scenario.num_durations
-    positions = sorted({0, (m - 1) // 2, m - 1})
-    table = tuple(scenario.sensing_table[p] for p in positions)
-    return replace(scenario, sensing_table=table)
 
 
 # --------------------------------------------------------------------------
@@ -260,34 +307,28 @@ def criterion_3_occupancy(scenario: Scenario, count: int = 20,
 
 def criterion_4_optimizer_vs_bruteforce(scenario: Scenario, count: int = 50,
                                         seed: int = 42) -> CriterionResult:
-    """Both subproblems match independent brute-force optima on a 3-row table."""
-    sub = _sub_table(scenario)
+    """Both subproblems match the exact rational optimum of their program."""
     rng = np.random.default_rng(seed)
-    worst_frac = 0.0
-    worst_lin = 0.0
+    worst = {"drain": 0.0, "saturated": 0.0}
     mismatches = []
     for i in range(count):
         case = replace(
-            sub,
+            scenario,
             lambda_p=rng.uniform(0.0, 0.25),
             lambda_pe=rng.uniform(0.05, 0.95),
             lambda_se=rng.uniform(0.02, 0.9),
         )
-        frac = solve_constrained_subproblem(case)
-        grid_status, grid_value = grid_oracle_constrained(case)
-        if frac.status != grid_status:
-            mismatches.append(f"case {i}: drain regime {frac.status} vs grid {grid_status}")
-        elif frac.status == "optimal":
-            worst_frac = max(worst_frac, abs(frac.value - grid_value))
-        lin = solve_overflow_subproblem(case)
-        oracle = overflow_oracle(case)
-        if lin.status != oracle.status:
-            mismatches.append(f"case {i}: saturated regime {lin.status} vs {oracle.status}")
-        elif lin.status == "optimal":
-            worst_lin = max(worst_lin, abs(lin.value - oracle.value))
-    passed = not mismatches and worst_frac <= 1e-3 and worst_lin <= 1e-7
-    detail = (f"{count} cases: max |fractional - grid| = {worst_frac:.2e} (<=1e-3), "
-              f"max |linear - enumeration| = {worst_lin:.2e} (<=1e-7)")
+        solved = (solve_constrained_subproblem(case), solve_overflow_subproblem(case))
+        for regime, result, exact in zip(worst, solved, exact_subproblems(case)):
+            status = "infeasible" if exact is None else "optimal"
+            if result.status != status:
+                mismatches.append(f"case {i}: {regime} regime {result.status} vs exact {status}")
+            elif exact is not None:
+                worst[regime] = max(worst[regime], float(abs(Fraction(result.value) - exact)))
+    passed = not mismatches and max(worst.values()) <= 1e-12
+    detail = (f"{count} cases on {scenario.num_durations} durations: "
+              f"max |drain - exact| = {worst['drain']:.2e}, "
+              f"max |saturated - exact| = {worst['saturated']:.2e} (<=1e-12)")
     if mismatches:
         detail += "; status mismatches: " + "; ".join(mismatches[:3])
     return CriterionResult(4, "optimizer vs brute force", passed, detail)

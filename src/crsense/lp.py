@@ -1,6 +1,5 @@
 """Ratio-of-affine programs over the probability simplex, solved by
-enumerating the vertices of the feasible polytope, plus a brute-force
-slack-form oracle used to cross-check linear programs independently.
+enumerating the vertices of the feasible polytope.
 
 The policy problems all read
 
@@ -15,6 +14,10 @@ there. ``solve_lp`` therefore scores every point mass, every two-point
 support with one active row (closed form) and every three-point support
 with both rows active (a 2x2 system), each evaluated on its support only.
 A linear objective is the special case ``denominator = ones``.
+
+The tests hold ``solve_lp`` against ``acceptance.exact_ratio_program``, an
+exact oracle in rational arithmetic that enumerates the bases of the
+Charnes-Cooper lift and does not use the support bound above.
 """
 
 from __future__ import annotations
@@ -28,54 +31,15 @@ import numpy as np
 
 CONSTRAINT_TOL = 1e-8        # constraint slack accepted on returned points
 _TRIPLE_BLOCK = 4096         # three-point supports scored per block
-_ORACLE_MAX_VARS = 15
-_ORACLE_MAX_BASES = 200_000
-
-
-def _as_system(a, b, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    if a is None and b is None:
-        return np.zeros((0, n)), np.zeros(0)
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if a.shape != (b.size, n):
-        raise ValueError(f"{kind} system has shape {a.shape}, expected ({b.size}, {n})")
-    return a, b
-
-
-@dataclass(frozen=True)
-class StandardFormLP:
-    """maximize objective @ x  s.t.  a_eq x = b_eq, a_ub x <= b_ub, x >= 0."""
-
-    objective: np.ndarray
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    a_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("objective must be a nonempty vector")
-        a_eq, b_eq = _as_system(self.a_eq, self.b_eq, c.size, "equality")
-        a_ub, b_ub = _as_system(self.a_ub, self.b_ub, c.size, "inequality")
-        for name, arr in (("objective", c), ("a_eq", a_eq), ("b_eq", b_eq),
-                          ("a_ub", a_ub), ("b_ub", b_ub)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "a_eq", a_eq)
-        object.__setattr__(self, "b_eq", b_eq)
-        object.__setattr__(self, "a_ub", a_ub)
-        object.__setattr__(self, "b_ub", b_ub)
-
-    @property
-    def n(self) -> int:
-        return self.objective.size
+# Largest number of entries accepted: the C(M, 3) three-point supports cost
+# about 135 ms at M = 100 and grow as M**3 (4.4 s at M = 200). The paper's
+# tables have at most ten durations.
+MAX_DURATIONS = 100
 
 
 @dataclass(frozen=True)
 class LPSolution:
-    status: str                  # "optimal" | "infeasible" | "unbounded"
+    status: str                  # "optimal" | "infeasible"
     x: np.ndarray | None = None
     value: float | None = None
 
@@ -161,8 +125,14 @@ def solve_lp(numerator, denominator, a_ub, b_ub) -> LPSolution:
     maximum wins, with point masses by index first, then two-point supports
     in lexicographic (i, j, row) order, then three-point supports in
     lexicographic (i, j, k) order. The status is "optimal" or "infeasible".
+    More than ``MAX_DURATIONS`` entries raise ``ValueError``.
     """
     numerator = np.asarray(numerator, dtype=float)
+    if numerator.size > MAX_DURATIONS:
+        raise ValueError(
+            f"{numerator.size} durations exceed the bound of {MAX_DURATIONS}: the "
+            f"optimizer scores all C(M, 3) = {math.comb(numerator.size, 3)} "
+            f"three-point policies, which grows as M**3")
     a = np.asarray(a_ub, dtype=float).reshape(-1, numerator.size)
     b = np.asarray(b_ub, dtype=float).reshape(-1)
     # a vertex has at most rows + 1 non-zero entries; a third row would need
@@ -186,53 +156,3 @@ def solve_lp(numerator, denominator, a_ub, b_ub) -> LPSolution:
     x = np.zeros(numerator.size)
     x[best[0]] = best[1]
     return LPSolution("optimal", x, best_value)
-
-
-def vertex_enumeration_oracle(lp: StandardFormLP, tol: float = CONSTRAINT_TOL) -> LPSolution:
-    """Brute-force ground truth: enumerate basic solutions of the slack form
-    and return the best feasible one.
-
-    Only meant for testing small instances (refuses combinatorial sizes) and
-    assumes the feasible region is bounded and the constraints have full row
-    rank.
-    """
-    n = lp.n
-    if n > _ORACLE_MAX_VARS:
-        raise ValueError(f"enumeration refuses more than {_ORACLE_MAX_VARS} variables")
-    m_eq, m_ub = lp.b_eq.size, lp.b_ub.size
-    rows = m_eq + m_ub
-    n_total = n + m_ub
-    if rows == 0:
-        if np.any(lp.objective > 0.0):
-            return LPSolution("unbounded")
-        return LPSolution("optimal", np.zeros(n), 0.0)
-    if math.comb(n_total, rows) > _ORACLE_MAX_BASES:
-        raise ValueError("enumeration refuses: too many candidate bases")
-
-    a_full = np.zeros((rows, n_total))
-    a_full[:m_eq, :n] = lp.a_eq
-    a_full[m_eq:, :n] = lp.a_ub
-    a_full[m_eq:, n:] = np.eye(m_ub)
-    b_full = np.concatenate([lp.b_eq, lp.b_ub])
-
-    best_x = None
-    best_value = -math.inf
-    for cols in itertools.combinations(range(n_total), rows):
-        square = a_full[:, cols]
-        try:
-            xb = np.linalg.solve(square, b_full)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(xb)) or xb.min() < -1e-9:
-            continue
-        x_full = np.zeros(n_total)
-        x_full[list(cols)] = xb
-        if np.max(np.abs(a_full @ x_full - b_full)) > tol:
-            continue                                  # ill-conditioned basis
-        value = float(lp.objective @ x_full[:n])
-        if value > best_value:
-            best_value = value
-            best_x = x_full[:n]
-    if best_x is None:
-        return LPSolution("infeasible")
-    return LPSolution("optimal", best_x, best_value)

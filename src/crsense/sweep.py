@@ -18,6 +18,7 @@ from .optimizer import OptimizationOutcome, solve
 from .simulator import SimConfig, SimReport, simulate
 
 SWEEPABLE = ("lambda_p", "lambda_pe", "lambda_se")
+MAX_GRID_POINTS = 1_000_001     # a step of 1e-6 across [0, 1]
 _REL_TOL = 0.02     # cross-check tolerance: relative, with an absolute floor
 _ABS_FLOOR = 0.005
 
@@ -41,15 +42,26 @@ class SweepSpec:
             raise ValueError(f"grid [{self.start}, {self.stop}] must sit inside [0, 1]")
         if not self.step > 0.0:
             raise ValueError(f"step must be positive, got {self.step!r}")
+        points = self._last_index() + 1
+        if points > MAX_GRID_POINTS:
+            raise ValueError(
+                f"--step {self.step!r} makes {points:.0f} grid points from {self.start} "
+                f"to {self.stop}; at most {MAX_GRID_POINTS} are allowed")
         if self.simulate and not self.horizon > self.warmup >= 0:
             raise ValueError(
                 f"simulated sweep needs horizon > warmup >= 0, got --horizon "
                 f"{self.horizon} and --warmup {self.warmup}")
 
+    def _last_index(self) -> float:
+        """Largest k of the grid, as a float: a step too small for the span
+        gives inf instead of an integer overflow."""
+        steps = (self.stop - self.start) / self.step + 1e-9
+        return float(math.floor(steps)) if math.isfinite(steps) else steps
+
     def grid(self) -> list[float]:
         """Grid points ``start + k*step``, clamped to ``stop``: rounding can put
         the last point a few ulps past it."""
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        count = int(self._last_index()) + 1
         return [min(self.start + k * self.step, self.stop) for k in range(count)]
 
 

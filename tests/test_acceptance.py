@@ -31,12 +31,13 @@ that it provably lacks:
 """
 
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from crsense import acceptance as acc
-from crsense.analytics import PolicyVector, analyze
+from crsense.analytics import PolicyVector, analyze, coefficients
 from crsense.simulator import SlotTrace
 
 
@@ -140,6 +141,18 @@ def test_criterion_7b_catches_infeasible_verdict_with_reachable_mu_p(
     assert issue is not None and "lambda_p=0.26" in issue
 
 
+def exact_best_mu_p(scenario) -> Fraction:
+    """cap * (1 - min g) with g(P) = min(lambda_se / (w @ P), 1) * (d @ P),
+    from one exact program on each side of w @ P = lambda_se: above it g is
+    linear-fractional, below it linear."""
+    w, _, d, cap = coefficients(scenario)
+    lam_se = scenario.lambda_se
+    draining = acc.exact_ratio_program(-lam_se * d, w, [-w], [-lam_se])
+    saturated = acc.exact_ratio_program(-d, np.ones(d.size), [w], [lam_se])
+    min_g = min(-v for v in (draining, saturated) if v is not None)
+    return Fraction(cap) * (1 - min_g)
+
+
 def test_best_reachable_mu_p_is_the_maximum(table_scenario, sub3_scenario):
     rng = np.random.default_rng(5)
     for scenario in (replace(table_scenario, lambda_pe=0.4, lambda_se=0.4),
@@ -149,13 +162,11 @@ def test_best_reachable_mu_p_is_the_maximum(table_scenario, sub3_scenario):
             raw = rng.random(scenario.num_durations) ** 4
             policy = PolicyVector(tuple(raw / raw.sum()))
             assert analyze(scenario, policy).mu_p <= best + 1e-12
-    # on three durations, a dense grid of the simplex comes within its spacing
+        assert abs(Fraction(best) - exact_best_mu_p(scenario)) <= 1e-12
     for lam_se in (0.05, 0.3, 0.6, 0.95):
         scenario = replace(sub3_scenario, lambda_pe=0.5, lambda_se=lam_se)
-        grid_best = max(analyze(scenario, PolicyVector(tuple(p))).mu_p
-                        for p in acc._simplex_grid(100))
-        assert grid_best <= acc.best_reachable_mu_p(scenario) + 1e-12
-        assert acc.best_reachable_mu_p(scenario) - grid_best < 1e-2
+        assert abs(Fraction(acc.best_reachable_mu_p(scenario))
+                   - exact_best_mu_p(scenario)) <= 1e-12
 
 
 def _trace(n=3, **columns):

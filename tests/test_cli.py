@@ -53,6 +53,16 @@ class TestSolve:
         assert main(["solve", str(path)]) == 0
         assert "mu_s 0.000000" in capsys.readouterr().out
 
+    def test_too_many_durations_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "wide.scn"
+        rows = "".join(f"duration {k} 0.9 0.1 0.2\n" for k in range(1, 102))
+        path.write_text("lambda_p 0.1\nlambda_s 0.1\nlambda_pe 0.4\nlambda_se 0.4\n"
+                        "primary_outage 0.3\n" + rows)
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert_clean_error(err)
+        assert "101 durations exceed the bound of 100" in err
+
 
 class TestSweep:
     def test_csv_to_stdout(self, scenario_file, capsys):
@@ -106,6 +116,15 @@ class TestSweep:
                      "--simulate", "--horizon", "5000", "--warmup", "1000"])
         assert code == 0
         assert seen == [1000, 1000]
+
+    def test_tiny_step_exit_one(self, scenario_file, capsys, monkeypatch):
+        monkeypatch.setattr(sweep_module.SweepSpec, "grid", None)   # never reached
+        code = main(["sweep", scenario_file, "--param", "lambda_p",
+                     "--from", "0", "--to", "1", "--step", "1e-12"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_clean_error(err)
+        assert "--step 1e-12" in err and "1000000000001 grid points" in err
 
     def test_directory_as_output_exit_one(self, scenario_file, tmp_path, capsys):
         code = main(["sweep", scenario_file, "--param", "lambda_p",

@@ -1,12 +1,14 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+import crsense.lp
 from crsense import optimizer
-from crsense.acceptance import grid_oracle_constrained, grid_oracle_master, overflow_oracle
-from crsense.analytics import PolicyVector, Scenario, analyze, coefficients
+from crsense.acceptance import exact_subproblems
+from crsense.analytics import PolicyVector, Scenario, analyze
 from crsense.channel import SensingOption
 from crsense.optimizer import (
     CONSTRAINT_TOL,
@@ -15,13 +17,6 @@ from crsense.optimizer import (
     solve_overflow_subproblem,
 )
 from scenario_strategies import SETTINGS, hundredths, scenarios
-from simplex_oracle import (
-    FractionalProgram,
-    constrained_reference,
-    fractional_to_lp,
-    overflow_reference,
-    simplex_lp,
-)
 
 
 def assert_policy_feasible(scenario, outcome):
@@ -35,51 +30,6 @@ def assert_policy_feasible(scenario, outcome):
         assert scenario.lambda_se >= rates.mu_se - CONSTRAINT_TOL
 
 
-class TestFractionalLift:
-    def test_single_duration_recovery(self, table_scenario):
-        scenario = replace(table_scenario,
-                           sensing_table=(table_scenario.sensing_table[0],))
-        w = coefficients(scenario).w
-        lifted = fractional_to_lp(FractionalProgram(
-            np.array([1.0]), w, np.zeros((0, 1)), np.zeros(0)))
-        sol = simplex_lp(lifted.lp)
-        assert sol.status == "optimal"
-        # t pins the denominator: t = 1 / mu_se(point mass)
-        assert sol.x[-1] == pytest.approx(1.0 / w[0], rel=1e-9)
-        assert lifted.recover(sol.x) == pytest.approx([1.0], rel=1e-9)
-
-    def test_lift_preserves_constraint_membership(self, sub3_scenario):
-        # a feasible simplex point maps to a feasible lifted point and back
-        rng = np.random.default_rng(2)
-        scenario = replace(sub3_scenario, lambda_p=0.05, lambda_pe=0.4, lambda_se=0.3)
-        w, _, d, cap = coefficients(scenario)
-        rows = np.vstack([cap * scenario.lambda_se * d - (cap - scenario.lambda_p) * w, -w])
-        rhs = np.array([0.0, -scenario.lambda_se])
-        lifted = fractional_to_lp(FractionalProgram(np.ones(3), w, rows, rhs))
-        for _ in range(200):
-            raw = rng.random(3) + 1e-3
-            p = raw / raw.sum()
-            t = 1.0 / float(w @ p)
-            z = np.append(p * t, t)
-            lifted_ok = (
-                np.max(lifted.lp.a_ub @ z - lifted.lp.b_ub) <= 1e-12
-                and np.max(np.abs(lifted.lp.a_eq @ z - lifted.lp.b_eq)) <= 1e-12
-            )
-            original_ok = bool(np.all(rows @ p <= rhs + 1e-12))
-            assert lifted_ok == original_ok
-
-    def test_degenerate_scale_surfaces(self):
-        lifted = fractional_to_lp(FractionalProgram(
-            np.array([1.0]), np.array([1.0]), np.zeros((0, 1)), np.zeros(0)))
-        with pytest.raises(Exception):
-            lifted.recover(np.array([0.0, 0.0]))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            fractional_to_lp(FractionalProgram(
-                np.ones(3), np.ones(2), np.zeros((0, 3)), np.zeros(0)))
-
-
 class TestConstrainedSubproblem:
     def test_zero_harvest_rate_gives_zero_value(self, table_scenario):
         scenario = replace(table_scenario, lambda_p=0.05, lambda_se=0.0)
@@ -88,14 +38,12 @@ class TestConstrainedSubproblem:
         assert result.value == pytest.approx(0.0, abs=1e-12)
         assert sum(result.policy.probs) == pytest.approx(1.0, abs=1e-9)
 
-    def test_matches_grid_oracle_on_subtable(self, sub3_scenario):
+    def test_matches_exact_oracle_on_subtable(self, sub3_scenario):
         scenario = replace(sub3_scenario, lambda_p=0.1, lambda_pe=0.4, lambda_se=0.4)
         result = solve_constrained_subproblem(scenario)
-        status, value = grid_oracle_constrained(scenario)
-        assert result.status == status == "optimal"
-        assert result.value == pytest.approx(value, abs=1e-3)
-        # the LP must never fall below the best feasible grid point
-        assert result.value >= value - 1e-9
+        exact, _ = exact_subproblems(scenario)
+        assert result.status == "optimal" and exact is not None
+        assert abs(Fraction(result.value) - exact) <= 1e-12
 
     def test_recovered_policy_satisfies_original_constraints(self, sub3_scenario):
         rng = np.random.default_rng(4)
@@ -155,10 +103,10 @@ class TestOverflowSubproblem:
                 lambda_se=rng.uniform(0.05, 0.9),
             )
             result = solve_overflow_subproblem(scenario)
-            oracle = overflow_oracle(scenario)
-            assert result.status == oracle.status
-            if result.status == "optimal":
-                assert result.value == pytest.approx(oracle.value, abs=1e-7)
+            _, exact = exact_subproblems(scenario)
+            assert result.status == ("infeasible" if exact is None else "optimal")
+            if exact is not None:
+                assert abs(Fraction(result.value) - exact) <= 1e-12
                 compared += 1
         assert compared > 10
 
@@ -189,12 +137,13 @@ class TestMasterSolve:
         assert outcome.best_mu_s == 0.0
         assert outcome.winning_subproblem == "none"
 
-    def test_reference_point_matches_master_grid(self, sub3_scenario):
+    def test_reference_point_matches_exact(self, sub3_scenario):
+        # the two regimes cover the simplex, so the better one is the optimum
         scenario = replace(sub3_scenario, lambda_p=0.1, lambda_pe=0.4, lambda_se=0.4)
         outcome = solve(scenario)
-        status, value = grid_oracle_master(scenario)
-        assert outcome.status == status == "optimal"
-        assert outcome.best_mu_s == pytest.approx(value, abs=1e-3)
+        exact = max(v for v in exact_subproblems(scenario) if v is not None)
+        assert outcome.status == "optimal"
+        assert abs(Fraction(outcome.best_mu_s) - exact) <= 1e-12
         assert_policy_feasible(scenario, outcome)
 
     def test_best_of_both_subproblems(self, table_scenario):
@@ -282,15 +231,19 @@ def assert_subproblem_feasible(scenario, result, drains):
         assert scenario.lambda_se >= rates.mu_se - CONSTRAINT_TOL
 
 
-def assert_matches_reference(scenario):
-    """Both subproblems equal the simplex oracle's in status and mu_s, and
+def subproblems_and_exact(scenario):
+    """(result, exact optimum or None, drains) for both regimes."""
+    return zip((solve_constrained_subproblem(scenario), solve_overflow_subproblem(scenario)),
+               exact_subproblems(scenario), (True, False))
+
+
+def assert_matches_exact(scenario):
+    """Both subproblems equal the exact oracle's in status and mu_s, and
     return a policy that meets their constraints to CONSTRAINT_TOL."""
-    for ours, ref, drains in (
-            (solve_constrained_subproblem(scenario), constrained_reference(scenario), True),
-            (solve_overflow_subproblem(scenario), overflow_reference(scenario), False)):
-        assert ours.status == ref.status
-        if ours.status == "optimal":
-            assert abs(ours.value - ref.value) <= 1e-12
+    for ours, exact, drains in subproblems_and_exact(scenario):
+        assert ours.status == ("infeasible" if exact is None else "optimal")
+        if exact is not None:
+            assert abs(Fraction(ours.value) - exact) <= 1e-12
             assert_subproblem_feasible(scenario, ours, drains)
 
 
@@ -325,29 +278,42 @@ _SUBNORMAL_HARVEST = Scenario(
     (SensingOption(1, 0.0, 0.0, 0.0), SensingOption(2, 0.0, 1.0, 0.0)))
 
 
-class TestSimplexOracleEquality:
+# lambda_pe = 0 and lambda_se = 1: every consumption weight is 1 - 1e-12,
+# below lambda_se, so the drain regime is infeasible. Its row is violated by
+# 1e-12 only, within CONSTRAINT_TOL, and the solver returns a policy with
+# mu_s = 1 - 1e-12; the saturated regime returns the same mu_s
+_WITHIN_TOLERANCE = Scenario(0.0, 0.5, 0.0, 1.0, 0.0, (SensingOption(1, 0.5, 1e-12, 0.0),))
+
+
+class TestExactOracleEquality:
     @settings(max_examples=400, **SETTINGS)
     @given(scenarios(1, 10, hundredths))
     @example(_THREE_POINT_OVERFLOW)
     @example(_THREE_POINT_DRAIN)
-    def test_subproblems_match_simplex(self, scenario):
-        assert_matches_reference(scenario)
+    def test_subproblems_match_exact(self, scenario):
+        assert_matches_exact(scenario)
 
     def test_forty_durations(self, table_scenario):
         rng = np.random.default_rng(40)
         scenario = replace(table_scenario, lambda_p=0.05, lambda_pe=0.4, lambda_se=0.3,
                            sensing_table=random_table(rng, 40))
-        assert_matches_reference(scenario)
+        assert_matches_exact(scenario)
 
     @settings(max_examples=300, **SETTINGS)
     @given(scenarios(1, 10))
     @example(_TINY_DENOMINATOR)
     @example(_SUBNORMAL_HARVEST)
-    def test_policy_feasible_for_any_rates(self, scenario):
-        for result, drains in ((solve_constrained_subproblem(scenario), True),
-                               (solve_overflow_subproblem(scenario), False)):
-            if result.status == "optimal":
-                assert_subproblem_feasible(scenario, result, drains)
+    @example(_WITHIN_TOLERANCE)
+    def test_subproblems_reach_exact_for_any_rates(self, scenario):
+        # one-sided: CONSTRAINT_TOL admits points that violate a row by less
+        # than it, so a subproblem can be optimal where the exact program is
+        # infeasible, or exceed its optimum
+        for ours, exact, drains in subproblems_and_exact(scenario):
+            if exact is not None:
+                assert ours.status == "optimal"
+                assert Fraction(ours.value) >= exact - Fraction(1e-12)
+            if ours.status == "optimal":
+                assert_subproblem_feasible(scenario, ours, drains)
 
 
 class TestVertexTieRule:
@@ -368,6 +334,14 @@ class TestLargeTables:
         assert outcome.status == "optimal"
         assert_policy_feasible(scenario, outcome)
         assert sum(p > 0.0 for p in outcome.best_policy.probs) <= 3
+
+    def test_past_the_bound_raises_before_enumerating(self, table_scenario, monkeypatch):
+        monkeypatch.setattr(crsense.lp, "_candidates", None)    # never reached
+        rng = np.random.default_rng(101)
+        scenario = replace(table_scenario, lambda_p=0.05, lambda_pe=0.4, lambda_se=0.3,
+                           sensing_table=random_table(rng, crsense.lp.MAX_DURATIONS + 1))
+        with pytest.raises(ValueError, match="101 durations exceed the bound of 100"):
+            solve(scenario)
 
 
 class TestRatesPassThrough:

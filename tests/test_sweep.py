@@ -50,6 +50,15 @@ class TestSpec:
         with pytest.raises(ValueError):
             SweepSpec(table_scenario, "lambda_p", 0.0, 1.0, 0.0)
 
+    def test_grid_size_bounded_before_building(self, table_scenario, monkeypatch):
+        monkeypatch.setattr(SweepSpec, "grid", None)     # never reached
+        with pytest.raises(ValueError, match=r"--step 1e-12 makes 1000000000001 grid points"):
+            SweepSpec(table_scenario, "lambda_p", 0.0, 1.0, 1e-12)
+        with pytest.raises(ValueError, match="at most 1000001"):
+            SweepSpec(table_scenario, "lambda_p", 0.0, 1.0, 5e-324)
+        # 1e-6 across [0, 1] is the largest grid accepted
+        SweepSpec(table_scenario, "lambda_p", 0.0, 1.0, 1e-6)
+
 
 class TestCsv:
     def test_header_schema(self, table_scenario):
