@@ -18,7 +18,6 @@ does not rely on the few-point supports that solver scores.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -193,28 +192,22 @@ def exact_subproblems(scenario: Scenario) -> tuple[Fraction | None, Fraction | N
 def best_reachable_mu_p(scenario: Scenario) -> float:
     """Largest licensed service rate any policy reaches, by exact enumeration.
 
-    mu_p falls with (d @ P) * min(lambda_se / (w @ P), 1). Where
-    w @ P >= lambda_se that product is linear-fractional in P, elsewhere it is
-    linear, so its minimum over the simplex sits at a point mass or where an
-    edge of the simplex crosses the hyperplane w @ P = lambda_se.
+    mu_p falls with g(P) = (d @ P) * min(lambda_se / (w @ P), 1). Where
+    w @ P >= lambda_se, g is linear-fractional in P, elsewhere it is linear,
+    so its minimum over the simplex sits at a point mass or where an edge of
+    the simplex crosses the hyperplane w @ P = lambda_se. A crossing never
+    beats a point mass: on the edge of e_i and e_j with w_i > lambda_se > w_j,
+    g at the crossing is d @ P, a convex combination of d_i and d_j, while
+    g(e_i) = lambda_se * d_i / w_i <= d_i and g(e_j) = d_j. So the point
+    masses suffice.
     """
     w, _, d = (np.array(x) for x in _raw_weights(scenario))
     lam_se = scenario.lambda_se
-    m = w.size
-    candidates = list(np.eye(m))
-    for i, j in itertools.combinations(range(m), 2):
-        if (w[i] - lam_se) * (w[j] - lam_se) < 0.0:
-            t = (lam_se - w[j]) / (w[i] - w[j])
-            mix = np.zeros(m)
-            mix[i], mix[j] = t, 1.0 - t
-            candidates.append(mix)
-    points = np.array(candidates)
-    wp = points @ w
     with np.errstate(divide="ignore", invalid="ignore"):
-        occupancy = np.where(wp > 0.0, np.minimum(lam_se / wp, 1.0),
+        occupancy = np.where(w > 0.0, np.minimum(lam_se / w, 1.0),
                              1.0 if lam_se > 0.0 else 0.0)
     cap = scenario.lambda_pe * (1.0 - scenario.primary_outage)
-    return float((cap * (1.0 - occupancy * (points @ d))).max())
+    return float((cap * (1.0 - occupancy * d)).max())
 
 
 # --------------------------------------------------------------------------

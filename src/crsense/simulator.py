@@ -19,7 +19,11 @@ a fixed order (arrivals, duration, sensing, channels), drawn in chunks of
 ``_CHUNK`` slots with the queue levels and counters carried across chunks.
 Consecutive chunks reproduce the stream of a single full-horizon draw, so
 every run is bit-reproducible and independent of the chunk size, and memory
-stays O(chunk) for an untraced run. Each chunk feeds one of two paths:
+stays O(chunk) for an untraced run. The duration draw is the policy's
+inverse CDF; a cumulative threshold at or below 0 is passed by every draw
+and one at or above 1 by none, so only the thresholds strictly inside
+(0, 1) cost a pass, and a point mass (none inside) needs no per-slot
+duration at all. Each chunk feeds one of two paths:
 
 * the saturated system runs through a closed-form kernel. Its service
   indicators are exogenous or depend only on an energy queue computed
@@ -54,7 +58,8 @@ from .analytics import PolicyVector, Scenario
 RNG_DESCRIPTION = f"numpy-{np.__version__}-PCG64"
 MODES = ("original", "dominant", "coupled")
 _DRIFT_SAMPLES = 2000
-_CHUNK = 65_536               # slots per draw; memory is O(chunk)
+_CHUNK = 16_384               # slots per draw: the 9-column draw (1.2 MB) and the
+                              # chunk's level arrays stay within a 2 MB L2 cache
 MIN_DIAGNOSTIC_SLOTS = 1_000_000
 
 
@@ -167,38 +172,71 @@ class _Service(NamedTuple):
     r_se: np.ndarray
 
 
+def _duration_levels(policy: PolicyVector) -> tuple[list[float], np.ndarray]:
+    """The policy's inverse CDF, reduced to the thresholds a draw can fall on.
+
+    A draw ``u`` in [0, 1) picks the duration whose index counts the
+    cumulative thresholds ``cumsum(P)[:-1]`` at or below ``u``. A threshold
+    <= 0 is passed by every draw and one >= 1 by none, so only the distinct
+    thresholds strictly inside (0, 1) are returned, ascending, as ``levels``.
+    The index is constant between consecutive levels: ``index[j]``, the
+    count of thresholds at or below 0 (j = 0) or at or below the j-th level,
+    is the duration of every draw that passes exactly ``j`` of them.
+    """
+    cum = np.cumsum(policy.as_array())[:-1]
+    levels = sorted({c for c in cum.tolist() if 0.0 < c < 1.0})
+    return levels, np.searchsorted(cum, [0.0] + levels, side="right")
+
+
+def _levels_passed(levels: list[float], pick: np.ndarray) -> np.ndarray:
+    """How many of the ascending ``levels`` each draw in ``pick`` reaches."""
+    passed = np.zeros(len(pick), dtype=np.min_scalar_type(len(levels)))
+    for c in levels:
+        passed += pick >= c
+    return passed
+
+
+def _indicators(scenario: Scenario, u: np.ndarray, det, fal, good_s) -> _Draws:
+    """The indicator draws of one chunk of uniforms, given each slot's
+    detection, false-alarm and opportunistic-channel probabilities (arrays,
+    or scalars when every slot has the same duration). Passed as arguments,
+    the per-slot arrays are freed before the chunk is consumed, instead of
+    staying alive in the generator's frame."""
+    return _Draws(
+        u[:, 0] < scenario.lambda_p,
+        u[:, 1] < scenario.lambda_s,
+        u[:, 2] < scenario.lambda_pe,
+        u[:, 3] < scenario.lambda_se,
+        u[:, 5] < det,
+        u[:, 6] < fal,
+        u[:, 7] < 1.0 - scenario.primary_outage,
+        u[:, 8] < good_s,
+    )
+
+
 def _draw_chunks(scenario: Scenario, policy: PolicyVector, horizon: int, seed: int):
     """Yield ``(t0, draws)`` for consecutive chunks of at most ``_CHUNK`` slots.
 
     All chunks come from one PCG64 stream, nine uniforms per slot in the
     column order arrivals (p, s, pe, se), duration, sensing (detection,
     false alarm), channels (licensed, opportunistic); consecutive chunks
-    reproduce the stream of a single full-horizon draw.
+    reproduce the stream of a single full-horizon draw. The duration
+    column costs one pass per distinct threshold strictly inside (0, 1);
+    a policy without one (a point mass) compares the sensing and channel
+    draws with scalars.
     """
     rng = np.random.default_rng(seed)
-    thresholds = np.cumsum(policy.as_array())[:-1]
-    det, fal = scenario.detection_probs(), scenario.false_alarm_probs()
-    good_s = 1.0 - scenario.secondary_outages()
-    good_p = 1.0 - scenario.primary_outage
+    levels, index = _duration_levels(policy)
+    tables = (scenario.detection_probs()[index], scenario.false_alarm_probs()[index],
+              1.0 - scenario.secondary_outages()[index])
     buffer = np.empty((min(_CHUNK, horizon), 9))
     for t0 in range(0, horizon, _CHUNK):
         u = rng.random(out=buffer[:min(_CHUNK, horizon - t0)])
-        # duration index: thresholds passed, i.e. the policy's inverse CDF
-        # (the cumulative sums never decrease, so this counts a prefix)
-        pick = u[:, 4].copy()
-        m = np.zeros(len(u), dtype=np.min_scalar_type(len(thresholds)))
-        for c in thresholds:
-            m += pick >= c
-        yield t0, _Draws(
-            u[:, 0] < scenario.lambda_p,
-            u[:, 1] < scenario.lambda_s,
-            u[:, 2] < scenario.lambda_pe,
-            u[:, 3] < scenario.lambda_se,
-            u[:, 5] < det[m],
-            u[:, 6] < fal[m],
-            u[:, 7] < good_p,
-            u[:, 8] < good_s[m],
-        )
+        if not levels:
+            yield t0, _indicators(scenario, u, *(t[0] for t in tables))
+        else:
+            m = _levels_passed(levels, u[:, 4].copy())     # contiguous: one read per pass
+            yield t0, _indicators(scenario, u, *(t.take(m) for t in tables))
 
 
 def _sensed_busy(d: _Draws, pu_tx: np.ndarray) -> np.ndarray:

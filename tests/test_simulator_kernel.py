@@ -8,18 +8,20 @@ slot in one loop. It fixes the reports and traces every seed must keep
 reproducing.
 
 Small chunk sizes push horizons across many chunk boundaries cheaply; a few
-runs use the real chunk size around its boundaries.
+runs use the real chunk size around its boundaries. The duration index the
+chunked draw builds from the policy's interior thresholds is held against
+the ``searchsorted`` inverse CDF of the reference draw.
 """
 
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from crsense import simulator
-from crsense.analytics import PolicyVector
+from crsense.analytics import POLICY_SUM_TOL, PolicyVector
 from crsense.simulator import (
     QueueState,
     SimConfig,
@@ -34,12 +36,16 @@ _SETTINGS = dict(deadline=None, derandomize=True,
                  suppress_health_check=[HealthCheck.too_slow])
 
 
+def _reference_index(policy, pick):
+    """Duration index of each draw in ``pick``: the policy's inverse CDF."""
+    cum = np.cumsum(policy.as_array())
+    return np.minimum(np.searchsorted(cum, pick, side="right"), len(policy) - 1)
+
+
 def _predraw(scenario, policy, horizon, seed):
     rng = np.random.default_rng(seed)
     u = rng.random((horizon, 9))
-    cum = np.cumsum(policy.as_array())
-    m = np.minimum(np.searchsorted(cum, u[:, 4], side="right"),
-                   scenario.num_durations - 1)
+    m = _reference_index(policy, u[:, 4])
     return (
         (u[:, 0] < scenario.lambda_p).tolist(),
         (u[:, 1] < scenario.lambda_s).tolist(),
@@ -209,3 +215,73 @@ class TestCoupledAgainstOriginal:
             original = simulate(replace(config, mode="original"))
         assert replace(coupled, mode="original", dominance_violations=None) == original
         assert coupled.dominance_violations is not None
+
+
+@st.composite
+def edge_policies(draw):
+    """Policies with zero entries anywhere (point masses, repeated thresholds),
+    scaled so that some sum to within ``POLICY_SUM_TOL`` of 1 but not to 1."""
+    m = draw(st.integers(1, 10))
+    weights = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)
+                   .filter(lambda w: sum(w) > 0))
+    scale = 1.0 + draw(st.sampled_from(
+        [0.0, -1e-10, 1e-10, -0.9 * POLICY_SUM_TOL, 0.9 * POLICY_SUM_TOL]))
+    return PolicyVector(tuple(scale * w / sum(weights) for w in weights))
+
+
+def _probes(policy, extra):
+    """Draws in [0, 1) on and next to every cumulative threshold, plus
+    ``extra``: a random draw would never land within 1e-10 of one."""
+    cum = np.cumsum(policy.as_array())
+    pick = np.concatenate([cum, np.nextafter(cum, -1.0), np.nextafter(cum, 2.0),
+                           [0.0, np.nextafter(1.0, 0.0)], extra])
+    return pick[(pick >= 0.0) & (pick < 1.0)]
+
+
+def _policy(*head, m=10):
+    return PolicyVector(head + (0.0,) * (m - len(head)))
+
+
+class TestDurationIndex:
+    """The chunked draw passes only the distinct thresholds inside (0, 1)."""
+
+    @settings(max_examples=300, **_SETTINGS)
+    @given(policy=edge_policies(),
+           extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    @example(policy=_policy(1.0), extra=[])
+    @example(policy=PolicyVector((0.0,) * 9 + (1.0,)), extra=[])
+    @example(policy=_policy(1 - 1e-10), extra=[])
+    @example(policy=PolicyVector((0.5, 0.5 - 1e-10) + (0.0,) * 7 + (1e-10,)), extra=[])
+    @example(policy=_policy(0.0, 0.3, 0.0, 0.7), extra=[])
+    @example(policy=PolicyVector((0.25, 0.0, 0.0, 0.25, 0.5, 0.0)), extra=[])
+    def test_matches_inverse_cdf(self, policy, extra):
+        levels, index = simulator._duration_levels(policy)
+        assert all(0.0 < c < 1.0 for c in levels)
+        assert all(a < b for a, b in zip(levels, levels[1:]))
+        pick = _probes(policy, extra)
+        got = index[simulator._levels_passed(levels, pick)]
+        assert np.array_equal(got, _reference_index(policy, pick))
+
+
+class TestChunkSize:
+    """Three chunks and a partial one equal one chunk of the former size."""
+
+    @pytest.mark.parametrize("mode", ["original", "dominant", "coupled"])
+    @pytest.mark.parametrize("policy", [
+        PolicyVector.uniform(10),
+        PolicyVector.point_mass(10, 9),
+        _policy(0.0, 0.3, 0.0, 0.7),
+    ], ids=["uniform", "point-mass", "two-point"])
+    def test_matches_former_chunk(self, table_scenario, mode, policy):
+        scenario = replace(table_scenario, lambda_p=0.3, lambda_s=0.3, lambda_pe=0.5,
+                           lambda_se=0.5)
+        horizon = 3 * simulator._CHUNK + 5_000
+        assert horizon < 65_536
+        config = SimConfig(scenario, policy, mode, horizon, 11, 2_000, QueueState(2, 0, 1, 3))
+        report, trace = _run_both(config)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_CHUNK", 65_536)
+            want_report, want_trace = _run_both(config)
+        assert report == want_report
+        if trace is not None:
+            assert_traces_equal(trace, want_trace)
