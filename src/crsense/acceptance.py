@@ -29,7 +29,7 @@ from .analytics import PolicyVector, Scenario, analyze
 from .channel import PhysicalLink, verify_outage_monotonicity
 from .optimizer import CONSTRAINT_TOL, solve_constrained_subproblem, solve_overflow_subproblem
 from .simulator import SimConfig, SlotTrace, simulate, simulate_traced
-from .sweep import SweepSpec, rows_to_csv, run_sweep
+from .sweep import SweepRow, SweepSpec, rows_to_csv, run_sweep
 
 
 @dataclass(frozen=True)
@@ -333,9 +333,13 @@ def criterion_5_infeasibility_threshold(scenario: Scenario) -> CriterionResult:
     base = replace(scenario, lambda_p=0.2, lambda_se=0.4)
     threshold = base.lambda_p / (1.0 - base.primary_outage)
     below_ok = True
+    below = 0
     first_feasible = None
-    for row in run_sweep(SweepSpec(base, "lambda_pe", 0.0, 1.0, 0.01)):
+    step = 0.01
+    rows = run_sweep(SweepSpec(base, "lambda_pe", 0.0, 1.0, step))
+    for row in rows:
         if row.swept_value < threshold - 1e-9:
+            below += 1
             if row.outcome.status != "infeasible":
                 below_ok = False
         elif row.outcome.status == "optimal" and first_feasible is None:
@@ -343,17 +347,19 @@ def criterion_5_infeasibility_threshold(scenario: Scenario) -> CriterionResult:
     passed = below_ok and first_feasible is not None
     return CriterionResult(
         5, "infeasibility threshold", passed,
-        f"infeasible below {threshold:.4f}: {below_ok}; "
-        f"first feasible grid point {first_feasible}")
+        f"{len(rows)} lambda_pe points at step {step}; infeasible at the {below} below "
+        f"{threshold:.4f}: {below_ok}; first feasible grid point {first_feasible}")
 
 
 def criterion_6_plateau(scenario: Scenario) -> CriterionResult:
     """Throughput is nondecreasing in the harvest rate and exactly flat past
     the saturated subproblem's consumption rate."""
     issues = []
+    step, points = 0.02, []
     for lam_p in (0.1, 0.2):
         base = replace(scenario, lambda_pe=0.6, lambda_p=lam_p)
-        rows = run_sweep(SweepSpec(base, "lambda_se", 0.0, 1.0, 0.02))
+        rows = run_sweep(SweepSpec(base, "lambda_se", 0.0, 1.0, step))
+        points.append(len(rows))
         ref = rows[-1].outcome          # lambda_se = 1
         if ref.status != "optimal":
             issues.append(f"lambda_p={lam_p}: reference solve infeasible")
@@ -367,16 +373,25 @@ def criterion_6_plateau(scenario: Scenario) -> CriterionResult:
         plateau = [row.outcome.best_mu_s for row in rows if row.swept_value >= knee + 1e-9]
         if any(v != ref.best_mu_s for v in plateau):
             issues.append(f"lambda_p={lam_p}: plateau not exactly constant past {knee:.4f}")
+    grid = f"{' + '.join(map(str, points))} lambda_se points at step {step}: "
     return CriterionResult(
         6, "harvest-rate plateau", not issues,
-        "nondecreasing and exactly constant past the saturation knee"
-        if not issues else "; ".join(issues))
+        grid + ("nondecreasing and exactly constant past the saturation knee"
+                if not issues else "; ".join(issues)))
+
+
+def _lambda_p_sweep(scenario: Scenario, lambda_se: float) -> list[SweepRow]:
+    """The optimum over the 0.01 grid of lambda_p at lambda_pe=0.4."""
+    base = replace(scenario, lambda_pe=0.4, lambda_se=lambda_se)
+    return run_sweep(SweepSpec(base, "lambda_p", 0.0, 1.0, 0.01))
 
 
 def frontier_mu_s_vs_lambda_p(scenario: Scenario) -> str | None:
     """Throughput never rises with the licensed load; None when it holds."""
-    base = replace(scenario, lambda_pe=0.4, lambda_se=0.4)
-    rows = run_sweep(SweepSpec(base, "lambda_p", 0.0, 1.0, 0.01))
+    return _mu_s_rise(_lambda_p_sweep(scenario, 0.4))
+
+
+def _mu_s_rise(rows: list[SweepRow]) -> str | None:
     for before, row in zip(rows, rows[1:]):
         if row.outcome.best_mu_s > before.outcome.best_mu_s + 1e-10:
             return f"mu_s rose with lambda_p at {row.swept_value:.2f}"
@@ -413,14 +428,17 @@ class HarvestDrop(NamedTuple):
 def lambda_se_drops(scenario: Scenario) -> list[HarvestDrop]:
     """Every grid load where the optimum at lambda_se=0.4 falls below the one
     at lambda_se=0.2 (lambda_pe=0.4), whether forced or not."""
-    low_base = replace(scenario, lambda_pe=0.4, lambda_se=0.2)
-    high_base = replace(scenario, lambda_pe=0.4, lambda_se=0.4)
+    return _drops(scenario, _lambda_p_sweep(scenario, 0.2), _lambda_p_sweep(scenario, 0.4))
+
+
+def _drops(scenario: Scenario, low_rows: list[SweepRow],
+           high_rows: list[SweepRow]) -> list[HarvestDrop]:
     drops = []
-    for low, high in zip(run_sweep(SweepSpec(low_base, "lambda_p", 0.0, 1.0, 0.01)),
-                         run_sweep(SweepSpec(high_base, "lambda_p", 0.0, 1.0, 0.01))):
+    for low, high in zip(low_rows, high_rows):
         low_mu_s, high_mu_s = low.outcome.best_mu_s, high.outcome.best_mu_s
         if high_mu_s < low_mu_s - 1e-10:
-            high_case = replace(high_base, lambda_p=high.swept_value)
+            high_case = replace(scenario, lambda_pe=0.4, lambda_se=0.4,
+                                lambda_p=high.swept_value)
             drops.append(HarvestDrop(
                 high.swept_value, low_mu_s, high_mu_s,
                 analyze(high_case, low.outcome.best_policy).mu_p,
@@ -471,13 +489,15 @@ def criterion_7_frontier(scenario: Scenario) -> CriterionResult:
     optimum rises with lambda_pe.
 
     Every optimum comes from ``run_sweep`` over the 0.01 grid of [0, 1],
-    whose infeasible points carry zero throughput. Drops in (b) that licensed
-    stability forces are listed in the detail, with the best reachable mu_p,
-    and do not fail the criterion.
+    whose infeasible points carry zero throughput; (a) and (b) read one
+    sweep at lambda_se=0.4. Drops in (b) that licensed stability forces are
+    listed in the detail, with the best reachable mu_p, and do not fail the
+    criterion.
     """
-    drops = lambda_se_drops(scenario)
+    high = _lambda_p_sweep(scenario, 0.4)
+    drops = _drops(scenario, _lambda_p_sweep(scenario, 0.2), high)
     issues = []
-    for label, issue in (("(a)", frontier_mu_s_vs_lambda_p(scenario)),
+    for label, issue in (("(a)", _mu_s_rise(high)),
                          ("(b)", _unforced(drops)),
                          ("(c)", frontier_mu_p_vs_lambda_pe(scenario))):
         if issue:

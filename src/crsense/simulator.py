@@ -23,22 +23,36 @@ stays O(chunk) for an untraced run. The duration draw is the policy's
 inverse CDF; a cumulative threshold at or below 0 is passed by every draw
 and one at or above 1 by none, so only the thresholds strictly inside
 (0, 1) cost a pass, and a point mass (none inside) needs no per-slot
-duration at all. Each chunk feeds one of two paths:
+duration at all. Each chunk takes one of three paths:
 
-* the saturated system runs through a closed-form kernel. Its service
-  indicators are exogenous or depend only on an energy queue computed
-  before: q_pe is served every slot, q_se whenever the sensor reads idle
-  (given q_pe), the data queues given q_pe and q_se. So each queue is a
-  Lindley recursion with known service, computed exactly by one cumsum and
-  one running maximum;
-* the original system, whose nodes stay silent on empty data buffers, runs
-  through a per-slot loop that records the start-of-slot levels; its
-  transmissions and service indicators then follow vectorised from those
-  levels and the draws, by the rule the kernel uses.
+* the flagged kernel. Given flags saying in which slots each node holds a
+  packet, every service indicator is exogenous or depends only on an energy
+  queue computed before: q_pe is served where the licensed node holds one,
+  q_se where the opportunistic node does and the sensor reads idle (given
+  q_pe), the data queues given q_pe and q_se. So each queue is a Lindley
+  recursion with known service, computed exactly by one cumsum and one
+  running maximum. With all-ones flags this is the saturated system;
+* fixpoint passes of the kernel for the original system, whose nodes stay
+  silent on empty data buffers, over windows of ``_WINDOW`` slots. A pass
+  starts from all-ones flags, recomputes them as ``q_p > 0`` and
+  ``q_s > 0`` from its levels, and the next pass restarts at the first
+  slot whose flag changed, under the recomputed flags. This is exact by
+  causality: levels at slot t + 1 depend only on flags at slots up to t,
+  so the levels up to the first changed flag, and that flag, are already
+  the true ones. Every pass settles at least one more flag, and a pass
+  that changes no flag has computed the one true trajectory;
+* a per-slot loop of the original system, as the bounded fallback: it takes
+  the rest of a window still unsettled after ``_PASSES`` passes, from the
+  settled state. After a window falls back, the run sends the next 1, 2,
+  4 ... ``_BACKOFF`` windows straight to the loop, so runs near the
+  stability boundary, whose data queues empty every few slots, do not pay
+  for passes that rarely settle; a window that settles resets the count.
 
-In ``coupled`` mode the original (loop) and the saturated twin (kernel) take
-the same chunk, so the pair sees identical randomness even in slots where
-one of them ignores a draw.
+The original system's transmissions and service indicators then follow
+vectorised from its levels and the draws, by the rule the kernel uses. In
+``coupled`` mode the original and the saturated twin (kernel) take the same
+chunk, so the pair sees identical randomness even in slots where one of
+them ignores a draw.
 
 Reported service rates are the per-slot means of the service-process
 indicators (the service a queue would receive if backlogged), which is the
@@ -60,6 +74,9 @@ MODES = ("original", "dominant", "coupled")
 _DRIFT_SAMPLES = 2000
 _CHUNK = 16_384               # slots per draw: the 9-column draw (1.2 MB) and the
                               # chunk's level arrays stay within a 2 MB L2 cache
+_WINDOW = 4_096               # original-mode slots settled by one set of fixpoint passes
+_PASSES = 6                   # kernel passes per window before the loop takes the rest
+_BACKOFF = 64                 # most windows a run sends straight to the loop in a row
 MIN_DIAGNOSTIC_SLOTS = 1_000_000
 
 
@@ -282,34 +299,72 @@ def _lindley(q0: int, arrivals: np.ndarray, service) -> np.ndarray:
     return level
 
 
-def _kernel(d: _Draws, state: QueueState):
-    """One chunk of the saturated system, without a per-slot loop.
+def _kernel(d: _Draws, state: QueueState, has_p: np.ndarray, has_s: np.ndarray):
+    """One chunk of the system whose nodes hold a packet in the slots flagged
+    by ``has_p`` and ``has_s``, without a per-slot loop.
 
-    Every service indicator is exogenous or depends only on an energy queue
-    computed before it: q_pe is served every slot, q_se whenever the sensor
-    reads idle (which depends on q_pe), the data queues as ``_service`` says
-    from q_pe and q_se. Returns the four level arrays (slots 0..n) and the
+    Given the flags, every service indicator is exogenous or depends only on
+    an energy queue computed before it: q_pe is served where ``has_p``, q_se
+    where ``has_s`` and the sensor reads idle (which depends on q_pe), the
+    data queues as ``_service`` says from q_pe and q_se. All-ones flags give
+    the saturated system. Returns the four level arrays (slots 0..n) and the
     indicators.
     """
-    ones = np.ones(d.det.size, dtype=bool)
-    q_pe = _lindley(state.q_pe, d.arr_pe, ones)
-    q_se = _lindley(state.q_se, d.arr_se, ~_sensed_busy(d, q_pe[:-1] > 0))
-    service = _service(d, ones, ones, q_pe[:-1], q_se[:-1])
+    q_pe = _lindley(state.q_pe, d.arr_pe, has_p)
+    q_se = _lindley(state.q_se, d.arr_se, has_s & ~_sensed_busy(d, has_p & (q_pe[:-1] > 0)))
+    service = _service(d, has_p, has_s, q_pe[:-1], q_se[:-1])
     q_p = _lindley(state.q_p, d.arr_p, service.r_p)
     q_s = _lindley(state.q_s, d.arr_s, service.r_s)
     return (q_p, q_s, q_pe, q_se), service
 
 
-def _loop(d: _Draws, state: QueueState):
-    """One chunk of the original system, slot by slot; same return as
-    ``_kernel``.
+def _part(d: _Draws, lo: int, hi: int | None = None) -> _Draws:
+    return _Draws(*(x[lo:hi] for x in d))
+
+
+def _settle(d: _Draws, out: np.ndarray) -> int:
+    """Levels of the original system over one window, by fixpoint passes of
+    the kernel; returns how many slots settled.
+
+    ``out`` is a (4, n + 1) array whose first column holds the state at the
+    window's start. A pass runs the kernel under assumed flags ``has_p`` and
+    ``has_s`` (all ones at first) and recomputes them as ``q_p > 0`` and
+    ``q_s > 0`` from its levels. Levels at slot t + 1 depend only on the
+    flags of slots up to t, so if the first recomputed flag that differs
+    from the assumed one is at slot j, the levels of slots up to j are the
+    true ones, and so is the flag at j. The next pass starts there under the
+    recomputed flags, so every pass settles at least one more flag, and a
+    pass that changes no flag has computed the true trajectory. After
+    ``_PASSES`` passes ``out`` holds the true levels up to the returned slot.
+    """
+    n = d.det.size
+    has_p = np.ones(n, dtype=bool)
+    has_s = np.ones(n, dtype=bool)
+    start = 0
+    for _ in range(_PASSES):
+        levels, _ = _kernel(_part(d, start), QueueState(*out[:, start].tolist()),
+                            has_p[start:], has_s[start:])
+        flag_p, flag_s = levels[0][:-1] > 0, levels[1][:-1] > 0
+        changed = (flag_p != has_p[start:]) | (flag_s != has_s[start:])
+        j = int(changed.argmax())
+        if not changed[j]:
+            out[:, start:] = levels
+            return n
+        out[:, start:start + j + 1] = [q[:j + 1] for q in levels]
+        has_p[start:] = flag_p
+        has_s[start:] = flag_s
+        start += j
+    return start
+
+
+def _loop(d: _Draws, state: QueueState) -> np.ndarray:
+    """One chunk of the original system, slot by slot: the (4, n + 1) levels.
 
     The slot rules of ``_service``, split on whether the licensed node
     transmits. If it does, the sensor reads the detection draw and the
     opportunistic node cannot succeed. If not, the licensed energy or data
     buffer is empty, so neither licensed queue moves, and the sensor reads
-    the false-alarm draw. The loop records only the levels; the indicators
-    follow vectorised.
+    the false-alarm draw.
     """
     q_p, q_s, q_pe, q_se = state
     levels: list[int] = []
@@ -331,9 +386,45 @@ def _loop(d: _Draws, state: QueueState):
         q_pe += a_pe
         q_se += a_se
     record((q_p, q_s, q_pe, q_se))
-    columns = tuple(np.array(levels, dtype=np.int64).reshape(-1, 4).T)
-    q_p, q_s, q_pe, q_se = (q[:-1] for q in columns)
-    return columns, _service(d, q_p > 0, q_s > 0, q_pe, q_se)
+    return np.array(levels, dtype=np.int64).reshape(-1, 4).T
+
+
+class _Original:
+    """The original system, chunk by chunk, with one run's loop backoff.
+
+    Each window of ``_WINDOW`` slots settles by ``_settle``; what is left
+    unsettled after its passes runs through ``_loop``. Near the stability
+    boundary the data queues empty so often that passes rarely settle a
+    window, so after a window falls back the next 1, 2, 4 ... ``_BACKOFF``
+    windows go straight to the loop; a window that settles resets the count.
+    """
+
+    def __init__(self):
+        self.skip = 0           # windows left to send straight to the loop
+        self.backoff = 1        # windows to skip after the next fallback
+
+    def levels(self, d: _Draws, state: QueueState) -> np.ndarray:
+        """The (4, n + 1) levels of one chunk from ``state``."""
+        n = d.det.size
+        out = np.empty((4, n + 1), dtype=np.int64)
+        out[:, 0] = state
+        for w0 in range(0, n, _WINDOW):
+            w1 = min(w0 + _WINDOW, n)
+            window = _part(d, w0, w1)
+            if self.skip:
+                self.skip -= 1
+                settled = 0
+            else:
+                settled = _settle(window, out[:, w0:w1 + 1])
+                if settled == w1 - w0:
+                    self.backoff = 1
+                else:
+                    self.skip = self.backoff
+                    self.backoff = min(2 * self.backoff, _BACKOFF)
+            if w0 + settled < w1:
+                out[:, w0 + settled:w1 + 1] = _loop(
+                    _part(window, settled), QueueState(*out[:, w0 + settled].tolist()))
+        return out
 
 
 def _drift(samples: np.ndarray, stride: int) -> float:
@@ -362,14 +453,18 @@ def _run(config: SimConfig, trace: bool):
     violations = 0
     drift_samples: list[list[np.ndarray]] = [[], [], [], []]
     parts: list[tuple] = []
+    original = _Original()
 
     for t0, d in _draw_chunks(config.scenario, config.policy, horizon, config.seed):
+        ones = np.ones(d.det.size, dtype=bool)
         if mode == "dominant":
-            levels, service = _kernel(d, state)
+            levels, service = _kernel(d, state, ones, ones)
         else:
-            levels, service = _loop(d, state)
+            levels = original.levels(d, state)
+            q_p, q_s, q_pe, q_se = (q[:-1] for q in levels)
+            service = _service(d, q_p > 0, q_s > 0, q_pe, q_se)
             if mode == "coupled":
-                twin_levels, _ = _kernel(d, twin)
+                twin_levels, _ = _kernel(d, twin, ones, ones)
                 twin = _end(twin_levels)
                 violations += sum(int(np.count_nonzero(levels[k][1:] > twin_levels[k][1:]))
                                   for k in (0, 1))
@@ -380,7 +475,7 @@ def _run(config: SimConfig, trace: bool):
         for k, (q, r) in enumerate(zip(levels, service[2:])):
             svc[k] += int(np.count_nonzero(r[lo:]))
             qsum[k] += int(q[lo:n].sum())
-            drift_samples[k].append(q[first:n:stride])
+            drift_samples[k].append(q[first:n:stride].copy())     # a view would keep the chunk
         pe_nonempty += int(np.count_nonzero(levels[2][lo:n]))
         se_nonempty += int(np.count_nonzero(levels[3][lo:n]))
         collisions += int(np.count_nonzero(service.pu_tx[lo:] & service.cr_tx[lo:]))

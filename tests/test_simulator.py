@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from crsense import simulator
 from crsense.acceptance import audit_coupling
 from crsense.analytics import PolicyVector, Scenario, analyze
 from crsense.channel import SensingOption
 from crsense.simulator import (
+    MODES,
     QueueState,
     SimConfig,
     SimReport,
@@ -141,6 +144,30 @@ class TestInvariants:
         final = q[-1] - consumed[-1] + a[-1]
         assert consumed.sum() == q[0] + a.sum() - final
         assert consumed.sum() <= q[0] + a.sum()
+
+
+class TestMemory:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_untraced_run_keeps_per_chunk_memory(self, table_scenario, mode, monkeypatch):
+        """Eight times the chunks raise an untraced run's allocation peak by
+        at most a quarter: nothing a chunk allocates outlives it, apart from
+        the drift samples (at most 2000 per queue)."""
+        chunk = 2_048
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        scenario = replace(table_scenario, lambda_p=0.3, lambda_s=0.3,
+                           lambda_pe=0.5, lambda_se=0.5)
+        configs = [SimConfig(scenario, PolicyVector.uniform(10), mode, chunks * chunk, 1)
+                   for chunks in (8, 64)]
+        simulate(configs[0])                # first-call caches outside the measurement
+        peaks = []
+        for config in configs:
+            tracemalloc.start()
+            try:
+                simulate(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestAgainstClosedForm:

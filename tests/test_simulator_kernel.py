@@ -1,11 +1,13 @@
-"""Randomized equality tests for the simulator's two single-system paths.
+"""Randomized equality tests for the simulator's single-system paths.
 
 The saturated system runs through a closed-form kernel (Lindley recursions
-with cumsum and a running maximum), the original through a per-slot loop.
-``reference_run`` below is the oracle for both: the per-slot simulator that
-both paths replaced, one full-horizon draw, both systems stepped slot by
-slot in one loop. It fixes the reports and traces every seed must keep
-reproducing.
+with cumsum and a running maximum). The original runs through fixpoint
+passes of the same kernel under data-queue activity flags, with a per-slot
+loop taking over what the passes leave unsettled. ``reference_run`` below is
+the oracle for all of them: the per-slot simulator that the paths replaced,
+one full-horizon draw, both systems stepped slot by slot in one loop. It
+fixes the reports and traces every seed must keep reproducing. The plain
+loop is the oracle of the passes window by window.
 
 Small chunk sizes push horizons across many chunk boundaries cheaply; a few
 runs use the real chunk size around its boundaries. The duration index the
@@ -21,7 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from crsense import simulator
-from crsense.analytics import POLICY_SUM_TOL, PolicyVector
+from crsense.analytics import POLICY_SUM_TOL, PolicyVector, analyze
 from crsense.simulator import (
     QueueState,
     SimConfig,
@@ -285,3 +287,94 @@ class TestChunkSize:
         assert report == want_report
         if trace is not None:
             assert_traces_equal(trace, want_trace)
+
+
+def _first_chunk(config):
+    return next(simulator._draw_chunks(config.scenario, config.policy, config.horizon,
+                                       config.seed))[1]
+
+
+def _replication_63(table, load):
+    """Replication 63 of criterion 8's sample with lambda_s at ``load`` times
+    the closed-form mu_s(P): near critical, its q_s empties every few slots."""
+    rng = np.random.default_rng(8)
+    for _ in range(64):
+        raw = rng.random(table.num_durations) + 0.01
+        policy = PolicyVector(tuple(raw / raw.sum()))
+        case = replace(table, **{name: rng.uniform(0.05, 0.95) for name in
+                                 ("lambda_p", "lambda_s", "lambda_pe", "lambda_se")})
+    return replace(case, lambda_s=load * analyze(case, policy).mu_s), policy
+
+
+class TestSettledPath:
+    """The original system's fixpoint passes against the plain loop, window
+    by window, and against the reference; a pass cap of 0 or 1 forces the
+    hand-off to the loop from a settled prefix."""
+
+    @settings(max_examples=80, **_SETTINGS)
+    @given(data=st.data(), passes=st.sampled_from([0, 1, 2, 6]))
+    def test_settled_prefix_equals_loop(self, table_scenario, data, passes):
+        config = data.draw(configs(table_scenario, modes=("original",)))
+        d = _first_chunk(config)
+        want = simulator._loop(d, config.initial)
+        out = np.empty_like(want)
+        out[:, 0] = config.initial
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_PASSES", passes)
+            settled = simulator._settle(d, out)
+        assert 0 <= settled <= d.det.size
+        assert passes > 0 or settled == 0
+        assert np.array_equal(out[:, :settled + 1], want[:, :settled + 1])
+
+    @settings(max_examples=80, **_SETTINGS)
+    @given(data=st.data(), window=st.sampled_from([1, 3, 16, 64]),
+           passes=st.sampled_from([0, 1, 6]))
+    def test_chunks_equal_loop(self, table_scenario, data, window, passes):
+        config = data.draw(configs(table_scenario, modes=("original",)))
+        d = _first_chunk(config)
+        original = simulator._Original()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_WINDOW", window)
+            mp.setattr(simulator, "_PASSES", passes)
+            for _ in range(2):          # the second chunk starts with the run's backoff
+                assert np.array_equal(original.levels(d, config.initial),
+                                      simulator._loop(d, config.initial))
+
+    @settings(max_examples=60, **_SETTINGS)
+    @given(data=st.data(), chunk=st.sampled_from([5, 64, 200]),
+           window=st.sampled_from([1, 3, 16]), passes=st.sampled_from([0, 1, 6]))
+    def test_runs_equal_reference(self, table_scenario, data, chunk, window, passes):
+        config = data.draw(configs(table_scenario, modes=("original", "coupled"),
+                                   horizons=st.integers(1, 4 * chunk + 3)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_CHUNK", chunk)
+            mp.setattr(simulator, "_WINDOW", window)
+            mp.setattr(simulator, "_PASSES", passes)
+            report, trace = _run_both(config)
+        want_report, want_trace = reference_run(config)
+        assert report == want_report
+        if trace is not None:
+            assert_traces_equal(trace, want_trace)
+
+    @pytest.mark.parametrize("window", [simulator._WINDOW, 512])
+    def test_near_critical_replication(self, table_scenario, window, monkeypatch):
+        """At 0.97 mu_s(P) the passes settle almost no window, so the run
+        hands off to the loop mid-window and skips windows by its backoff."""
+        scenario, policy = _replication_63(table_scenario, 0.97)
+        assert scenario.lambda_s == pytest.approx(0.97 * 0.13413, abs=1e-5)
+        config = SimConfig(scenario, policy, "original", 5 * simulator._WINDOW + 17, 1)
+        handed_off = []
+        settle = simulator._settle
+
+        def counted(d, out):
+            settled = settle(d, out)
+            handed_off.append(settled < d.det.size)
+            return settled
+
+        monkeypatch.setattr(simulator, "_WINDOW", window)
+        monkeypatch.setattr(simulator, "_settle", counted)
+        report, trace = simulate_traced(config)
+        assert handed_off[0] and sum(handed_off) >= len(handed_off) - 1
+        want_report, want_trace = reference_run(config)
+        assert report == want_report
+        assert_traces_equal(trace, want_trace)
