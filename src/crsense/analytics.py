@@ -26,7 +26,7 @@ each scenario builds them once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -64,7 +64,7 @@ class Scenario:
     sensing_table: tuple[SensingOption, ...]
 
     def __post_init__(self):
-        for name in ("lambda_p", "lambda_s", "lambda_pe", "lambda_se", "primary_outage"):
+        for name in PROBABILITIES:
             _check_prob(name, getattr(self, name))
         table = tuple(self.sensing_table)
         if not table:
@@ -101,6 +101,11 @@ class Scenario:
         for vector in coeffs[:3]:
             vector.flags.writeable = False
         return coeffs
+
+
+# The scenario's scalar fields, each a probability: the four arrival rates and
+# the licensed-link outage, in declaration order.
+PROBABILITIES = tuple(f.name for f in fields(Scenario) if f.name != "sensing_table")
 
 
 @dataclass(frozen=True)

@@ -17,18 +17,16 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import acceptance
-from .analytics import PolicyVector, Scenario
+from .analytics import PROBABILITIES, PolicyVector, Scenario
 from .optimizer import solve
 from .scenario_io import parse_scenario
 from .simulator import MODES, SimConfig, simulate
 from .sweep import SWEEPABLE, SweepSpec, rows_to_csv, run_sweep
 
-_OVERRIDES = ("lambda_p", "lambda_s", "lambda_pe", "lambda_se", "primary_outage")
-
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("scenario", type=Path, help="scenario file")
-    for name in _OVERRIDES:
+    for name in PROBABILITIES:
         flag = "--" + name.replace("_", "-")
         parser.add_argument(flag, type=float, default=None,
                             help=f"override {name} from the file")
@@ -36,7 +34,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
 
 def _load_scenario(args) -> Scenario:
     scenario = parse_scenario(args.scenario)
-    overrides = {k: getattr(args, k) for k in _OVERRIDES if getattr(args, k) is not None}
+    overrides = {k: getattr(args, k) for k in PROBABILITIES if getattr(args, k) is not None}
     return replace(scenario, **overrides) if overrides else scenario
 
 

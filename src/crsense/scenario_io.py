@@ -35,10 +35,10 @@ from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
-from .analytics import Scenario
+from .analytics import PROBABILITIES, Scenario
 from .channel import PhysicalLink, SensingOption, primary_outage, secondary_outage
 
-_RATE_KEYS = ("lambda_p", "lambda_s", "lambda_pe", "lambda_se")
+_RATE_KEYS = tuple(k for k in PROBABILITIES if k != "primary_outage")
 _LINK_KEYS = tuple(f.name for f in fields(PhysicalLink))
 
 
@@ -95,13 +95,13 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
             if index in durations:
                 raise ScenarioFormatError(line_no, f"duplicate duration index {index}")
             durations[index] = (line_no, args[1:])
-        elif key in _RATE_KEYS + ("primary_outage",) + _LINK_KEYS:
+        elif key in PROBABILITIES + _LINK_KEYS:
             if len(args) != 1:
                 raise ScenarioFormatError(line_no, f"{key} needs exactly one value")
             if key in scalars:
                 raise ScenarioFormatError(line_no, f"{key} given twice")
             scalars[key] = _parse_float(line_no, key, args[0])
-            if key in _RATE_KEYS + ("primary_outage",):
+            if key in PROBABILITIES:
                 scalars[key] = _parse_prob(line_no, key, args[0])
         else:
             raise ScenarioFormatError(line_no, f"unknown key {key!r}")

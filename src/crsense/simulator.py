@@ -31,7 +31,10 @@ duration at all. Each chunk takes one of three paths:
   q_se where the opportunistic node does and the sensor reads idle (given
   q_pe), the data queues given q_pe and q_se. So each queue is a Lindley
   recursion with known service, computed exactly by one cumsum and one
-  running maximum. With all-ones flags this is the saturated system;
+  running maximum; a span whose start level keeps the queue from ever being
+  served while empty skips the running maximum. The kernel builds only the
+  two data-queue indicators it needs beside the four levels. With all-ones
+  flags this is the saturated system;
 * fixpoint passes of the kernel for the original system, whose nodes stay
   silent on empty data buffers, over windows of ``_WINDOW`` slots. A pass
   starts from all-ones flags, recomputes them as ``q_p > 0`` and
@@ -43,16 +46,18 @@ duration at all. Each chunk takes one of three paths:
   that changes no flag has computed the one true trajectory;
 * a per-slot loop of the original system, as the bounded fallback: it takes
   the rest of a window still unsettled after ``_PASSES`` passes, from the
-  settled state. After a window falls back, the run sends the next 1, 2,
-  4 ... ``_BACKOFF`` windows straight to the loop, so runs near the
-  stability boundary, whose data queues empty every few slots, do not pay
-  for passes that rarely settle; a window that settles resets the count.
+  settled state, and records only the flags; one more kernel call under
+  them gives the levels, exact by the same causality. After a window falls
+  back, the run sends the next 1, 2, 4 ... ``_BACKOFF`` windows straight to
+  the loop, so runs near the stability boundary, whose data queues empty
+  every few slots, do not pay for passes that rarely settle; a window that
+  settles resets the count.
 
-The original system's transmissions and service indicators then follow
-vectorised from its levels and the draws, by the rule the kernel uses. In
-``coupled`` mode the original and the saturated twin (kernel) take the same
-chunk, so the pair sees identical randomness even in slots where one of
-them ignores a draw.
+In every mode the transmissions and all six service indicators then follow
+vectorised, once per chunk, from the final levels and the draws, by the
+rule the kernel uses. In ``coupled`` mode the original and the saturated
+twin (kernel) take the same chunk, so the pair sees identical randomness
+even in slots where one of them ignores a draw.
 
 Reported service rates are the per-slot means of the service-process
 indicators (the service a queue would receive if backlogged), which is the
@@ -262,6 +267,12 @@ def _sensed_busy(d: _Draws, pu_tx: np.ndarray) -> np.ndarray:
     return (pu_tx & d.det) | (~pu_tx & d.fa)
 
 
+def _data_service(d: _Draws, has_s, pe_on, se_on, pu_tx) -> tuple[np.ndarray, np.ndarray]:
+    """Service indicators ``r_p`` and ``r_s`` of the two data queues."""
+    return (~(has_s & se_on & ~d.det) & d.chan_p & pe_on,
+            ~pu_tx & se_on & ~d.fa & d.chan_s)
+
+
 def _service(d: _Draws, has_p, has_s, q_pe: np.ndarray, q_se: np.ndarray) -> _Service:
     """Transmissions and service indicators from start-of-slot levels.
 
@@ -272,28 +283,30 @@ def _service(d: _Draws, has_p, has_s, q_pe: np.ndarray, q_se: np.ndarray) -> _Se
     pe_on, se_on = q_pe > 0, q_se > 0
     pu_tx = has_p & pe_on
     busy = _sensed_busy(d, pu_tx)
-    return _Service(
-        pu_tx=pu_tx,
-        cr_tx=~busy & has_s & se_on,
-        r_p=~(has_s & se_on & ~d.det) & d.chan_p & pe_on,
-        r_s=~pu_tx & se_on & ~d.fa & d.chan_s,
-        r_pe=has_p,
-        r_se=has_s & ~busy,
-    )
+    r_p, r_s = _data_service(d, has_s, pe_on, se_on, pu_tx)
+    return _Service(pu_tx=pu_tx, cr_tx=~busy & has_s & se_on, r_p=r_p, r_s=r_s,
+                    r_pe=has_p, r_se=has_s & ~busy)
 
 
-def _lindley(q0: int, arrivals: np.ndarray, service) -> np.ndarray:
+def _lindley(q0: int, arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
     """Levels at slots 0..n of ``q' = max(q - r, 0) + a`` from ``q0``, exactly.
 
     Unrolled, ``q_t = S_t + max(q0, max_{k<t} (a_k - S_{k+1}))`` with ``S``
-    the partial sums of ``a - r``: one cumsum and one running maximum.
+    the partial sums of ``a - r``: one cumsum and one running maximum. Where
+    ``q0 >= a_k - S_{k+1}`` for every slot k of the span (one max reduction),
+    the queue cannot empty, the running maximum is ``q0`` throughout, and the
+    levels are ``q0 + S`` without the scan.
     """
     n = arrivals.size
     total = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.subtract(arrivals, service, dtype=np.int64), out=total[1:])
+    np.cumsum(np.subtract(arrivals.view(np.int8), service.view(np.int8)),
+              dtype=np.int64, out=total[1:])
     level = np.empty(n + 1, dtype=np.int64)
     level[0] = q0
     np.subtract(arrivals, total[1:], out=level[1:])
+    if level.max() <= q0:
+        total += q0
+        return total
     np.maximum.accumulate(level, out=level)
     level += total
     return level
@@ -306,16 +319,17 @@ def _kernel(d: _Draws, state: QueueState, has_p: np.ndarray, has_s: np.ndarray):
     Given the flags, every service indicator is exogenous or depends only on
     an energy queue computed before it: q_pe is served where ``has_p``, q_se
     where ``has_s`` and the sensor reads idle (which depends on q_pe), the
-    data queues as ``_service`` says from q_pe and q_se. All-ones flags give
-    the saturated system. Returns the four level arrays (slots 0..n) and the
-    indicators.
+    data queues by ``_data_service`` from q_pe and q_se. All-ones flags give
+    the saturated system. Returns the four level arrays (slots 0..n), in the
+    order p, s, pe, se; ``_service`` rebuilds the indicators from them.
     """
     q_pe = _lindley(state.q_pe, d.arr_pe, has_p)
-    q_se = _lindley(state.q_se, d.arr_se, has_s & ~_sensed_busy(d, has_p & (q_pe[:-1] > 0)))
-    service = _service(d, has_p, has_s, q_pe[:-1], q_se[:-1])
-    q_p = _lindley(state.q_p, d.arr_p, service.r_p)
-    q_s = _lindley(state.q_s, d.arr_s, service.r_s)
-    return (q_p, q_s, q_pe, q_se), service
+    pe_on = q_pe[:-1] > 0
+    pu_tx = has_p & pe_on
+    q_se = _lindley(state.q_se, d.arr_se, has_s & ~_sensed_busy(d, pu_tx))
+    r_p, r_s = _data_service(d, has_s, pe_on, q_se[:-1] > 0, pu_tx)
+    return (_lindley(state.q_p, d.arr_p, r_p), _lindley(state.q_s, d.arr_s, r_s),
+            q_pe, q_se)
 
 
 def _part(d: _Draws, lo: int, hi: int | None = None) -> _Draws:
@@ -342,8 +356,8 @@ def _settle(d: _Draws, out: np.ndarray) -> int:
     has_s = np.ones(n, dtype=bool)
     start = 0
     for _ in range(_PASSES):
-        levels, _ = _kernel(_part(d, start), QueueState(*out[:, start].tolist()),
-                            has_p[start:], has_s[start:])
+        levels = _kernel(_part(d, start), QueueState(*out[:, start].tolist()),
+                         has_p[start:], has_s[start:])
         flag_p, flag_s = levels[0][:-1] > 0, levels[1][:-1] > 0
         changed = (flag_p != has_p[start:]) | (flag_s != has_s[start:])
         j = int(changed.argmax())
@@ -357,8 +371,9 @@ def _settle(d: _Draws, out: np.ndarray) -> int:
     return start
 
 
-def _loop(d: _Draws, state: QueueState) -> np.ndarray:
-    """One chunk of the original system, slot by slot: the (4, n + 1) levels.
+def _loop(d: _Draws, state: QueueState) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk of the original system, slot by slot: its flags ``q_p > 0``
+    and ``q_s > 0`` at slots 0..n-1, which give its levels by ``_kernel``.
 
     The slot rules of ``_service``, split on whether the licensed node
     transmits. If it does, the sensor reads the detection draw and the
@@ -367,10 +382,11 @@ def _loop(d: _Draws, state: QueueState) -> np.ndarray:
     the false-alarm draw.
     """
     q_p, q_s, q_pe, q_se = state
-    levels: list[int] = []
-    record = levels.extend              # flat ints: no per-slot tuple to keep
+    has_p, has_s = bytearray(), bytearray()
+    flag_p, flag_s = has_p.append, has_s.append
     for a_p, a_s, a_pe, a_se, det, fa, chan_p, chan_s in zip(*(x.tolist() for x in d)):
-        record((q_p, q_s, q_pe, q_se))
+        flag_p(q_p > 0)
+        flag_s(q_s > 0)
         if q_pe and q_p:
             if chan_p and (det or not q_se or not q_s):
                 q_p -= 1
@@ -385,18 +401,19 @@ def _loop(d: _Draws, state: QueueState) -> np.ndarray:
         q_s += a_s
         q_pe += a_pe
         q_se += a_se
-    record((q_p, q_s, q_pe, q_se))
-    return np.array(levels, dtype=np.int64).reshape(-1, 4).T
+    return np.frombuffer(has_p, dtype=bool), np.frombuffer(has_s, dtype=bool)
 
 
 class _Original:
     """The original system, chunk by chunk, with one run's loop backoff.
 
     Each window of ``_WINDOW`` slots settles by ``_settle``; what is left
-    unsettled after its passes runs through ``_loop``. Near the stability
-    boundary the data queues empty so often that passes rarely settle a
-    window, so after a window falls back the next 1, 2, 4 ... ``_BACKOFF``
-    windows go straight to the loop; a window that settles resets the count.
+    unsettled after its passes runs through ``_loop``, whose flags give the
+    levels by one more ``_kernel`` call: under the true flags the kernel
+    computes the true trajectory. Near the stability boundary the data
+    queues empty so often that passes rarely settle a window, so after a
+    window falls back the next 1, 2, 4 ... ``_BACKOFF`` windows go straight
+    to the loop; a window that settles resets the count.
     """
 
     def __init__(self):
@@ -422,16 +439,25 @@ class _Original:
                     self.skip = self.backoff
                     self.backoff = min(2 * self.backoff, _BACKOFF)
             if w0 + settled < w1:
-                out[:, w0 + settled:w1 + 1] = _loop(
-                    _part(window, settled), QueueState(*out[:, w0 + settled].tolist()))
+                rest = _part(window, settled)
+                entry = QueueState(*out[:, w0 + settled].tolist())
+                out[:, w0 + settled:w1 + 1] = _kernel(rest, entry, *_loop(rest, entry))
         return out
 
 
-def _drift(samples: np.ndarray, stride: int) -> float:
-    if len(samples) < 2:
-        return 0.0
-    x = np.arange(len(samples), dtype=float) * stride
-    return float(np.polyfit(x, np.asarray(samples, dtype=float), 1)[0])
+def _drifts(samples: list[np.ndarray], stride: int) -> list[float]:
+    """Least-squares slope of each queue's samples against the slot, as
+    ``np.polyfit(x, y, 1)`` computes it, with its design matrix built once:
+    the samples of every queue sit at the same slots."""
+    n = len(samples[0])
+    if n < 2:
+        return [0.0] * len(samples)
+    lhs = np.vander(np.arange(n, dtype=float) * stride, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    rcond = n * np.finfo(float).eps
+    return [float(np.linalg.lstsq(lhs, y.astype(float), rcond)[0][0] / scale[0])
+            for y in samples]
 
 
 def _end(levels) -> QueueState:
@@ -458,16 +484,17 @@ def _run(config: SimConfig, trace: bool):
     for t0, d in _draw_chunks(config.scenario, config.policy, horizon, config.seed):
         ones = np.ones(d.det.size, dtype=bool)
         if mode == "dominant":
-            levels, service = _kernel(d, state, ones, ones)
+            levels = _kernel(d, state, ones, ones)
+            has_p = has_s = ones
         else:
             levels = original.levels(d, state)
-            q_p, q_s, q_pe, q_se = (q[:-1] for q in levels)
-            service = _service(d, q_p > 0, q_s > 0, q_pe, q_se)
+            has_p, has_s = levels[0][:-1] > 0, levels[1][:-1] > 0
             if mode == "coupled":
-                twin_levels, _ = _kernel(d, twin, ones, ones)
+                twin_levels = _kernel(d, twin, ones, ones)
                 twin = _end(twin_levels)
                 violations += sum(int(np.count_nonzero(levels[k][1:] > twin_levels[k][1:]))
                                   for k in (0, 1))
+        service = _service(d, has_p, has_s, levels[2][:-1], levels[3][:-1])
         state = _end(levels)
         n = d.det.size
         lo = min(max(warmup - t0, 0), n)
@@ -482,7 +509,7 @@ def _run(config: SimConfig, trace: bool):
         if trace:
             parts.append(tuple(q[:-1] for q in levels) + d[:4] + service)
 
-    drift = [_drift(np.concatenate(s), stride) for s in drift_samples]
+    drift = _drifts([np.concatenate(s) for s in drift_samples], stride)
     report = SimReport(
         mode=mode,
         horizon=horizon,

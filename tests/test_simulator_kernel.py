@@ -3,11 +3,14 @@
 The saturated system runs through a closed-form kernel (Lindley recursions
 with cumsum and a running maximum). The original runs through fixpoint
 passes of the same kernel under data-queue activity flags, with a per-slot
-loop taking over what the passes leave unsettled. ``reference_run`` below is
-the oracle for all of them: the per-slot simulator that the paths replaced,
-one full-horizon draw, both systems stepped slot by slot in one loop. It
-fixes the reports and traces every seed must keep reproducing. The plain
-loop is the oracle of the passes window by window.
+loop settling the flags of what the passes leave unsettled. ``reference_run``
+below is the oracle for all of them: the per-slot simulator that the paths
+replaced, one full-horizon draw, both systems stepped slot by slot in one
+loop. It fixes the reports and traces every seed must keep reproducing. Its
+slot rules, run over one chunk's draws, are the oracle of the passes and of
+the loop's flags window by window. The recursion itself is held against a
+slot-by-slot queue, on both sides of the level from which it skips its
+running maximum.
 
 Small chunk sizes push horizons across many chunk boundaries cheaply; a few
 runs use the real chunk size around its boundaries. The duration index the
@@ -60,6 +63,27 @@ def _predraw(scenario, policy, horizon, seed):
     )
 
 
+def _slot(q, saturated, det_busy, fa_busy, chan_p, chan_s):
+    """One slot of the reference from its start-of-slot levels ``q``:
+    ``(pu_tx, cr_tx, r_p, r_s, r_pe, r_se)``."""
+    q_p, q_s, q_pe, q_se = q
+    has_p = saturated or q_p > 0
+    has_s = saturated or q_s > 0
+    pu_tx = has_p and q_pe > 0
+    sensed_busy = det_busy if pu_tx else fa_busy
+    cr_tx = (not sensed_busy) and has_s and q_se > 0
+    r_s = int((not pu_tx) and q_se > 0 and (not fa_busy) and chan_s)
+    r_se = int(has_s and not sensed_busy)
+    r_pe = int(has_p)
+    r_p = int((not (has_s and q_se > 0 and not det_busy)) and chan_p and q_pe > 0)
+    return pu_tx, cr_tx, r_p, r_s, r_pe, r_se
+
+
+def _step(q, service, arrivals):
+    """Levels after one slot: ``max(q - r, 0) + a`` per queue."""
+    return [max(x - r, 0) + a for x, r, a in zip(q, service, arrivals)]
+
+
 def reference_run(config):
     """Per-slot reference simulator: ``(report, trace or None)``."""
     flags = {"original": [False], "dominant": [True], "coupled": [False, True]}[config.mode]
@@ -82,31 +106,23 @@ def reference_run(config):
             if (t - warmup) % stride == 0:
                 for k in range(4):
                     samples[k].append(q[k])
+        arrivals = (arr_p[t], arr_s[t], arr_pe[t], arr_se[t])
         for sysno, saturated in enumerate(flags):
-            q_p, q_s, q_pe, q_se = systems[sysno]
-            has_p = saturated or q_p > 0
-            has_s = saturated or q_s > 0
-            pu_tx = has_p and q_pe > 0
-            sensed_busy = det_busy[t] if pu_tx else fa_busy[t]
-            cr_tx = (not sensed_busy) and has_s and q_se > 0
-            r_s = int((not pu_tx) and q_se > 0 and (not fa_busy[t]) and chan_s[t])
-            r_se = int(has_s and not sensed_busy)
-            r_pe = int(has_p)
-            r_p = int((not (has_s and q_se > 0 and not det_busy[t]))
-                      and chan_p[t] and q_pe > 0)
+            q = systems[sysno]
+            pu_tx, cr_tx, *service = _slot(q, saturated, det_busy[t], fa_busy[t],
+                                           chan_p[t], chan_s[t])
             if sysno == 0:
                 if t >= warmup:
-                    for k, r in enumerate((r_p, r_s, r_pe, r_se)):
+                    for k, r in enumerate(service):
                         svc[k] += r
                     collisions += pu_tx and cr_tx
-                rows.append([q_p, q_s, q_pe, q_se, arr_p[t], arr_s[t], arr_pe[t],
-                             arr_se[t], pu_tx, cr_tx, r_p, r_s, r_pe, r_se])
-            systems[sysno] = [max(q_p - r_p, 0) + arr_p[t], max(q_s - r_s, 0) + arr_s[t],
-                              max(q_pe - r_pe, 0) + arr_pe[t],
-                              max(q_se - r_se, 0) + arr_se[t]]
+                rows.append([*q, *arrivals, pu_tx, cr_tx, *service])
+            systems[sysno] = _step(q, service, arrivals)
         if len(systems) == 2:
             violations += (systems[0][0] > systems[1][0]) + (systems[0][1] > systems[1][1])
-    drift = [simulator._drift(np.asarray(s), stride) for s in samples]
+    drift = [float(np.polyfit(np.arange(len(s), dtype=float) * stride,
+                              np.asarray(s, dtype=float), 1)[0]) if len(s) > 1 else 0.0
+             for s in samples]
     report = SimReport(
         config.mode, horizon, warmup, config.seed, simulator.RNG_DESCRIPTION,
         *(x / measured for x in svc), pe_empty / measured, se_nonempty / measured,
@@ -114,6 +130,16 @@ def reference_run(config):
         violations if config.mode == "coupled" else None)
     trace = SlotTrace(*(np.asarray(col) for col in zip(*rows)))
     return report, trace
+
+
+def _original_levels(d, state):
+    """The (4, n + 1) levels of the original system over the draws ``d`` of
+    one chunk, slot by slot by the reference's rules."""
+    levels = [list(state)]
+    for a_p, a_s, a_pe, a_se, det, fa, chan_p, chan_s in zip(*(x.tolist() for x in d)):
+        _, _, *service = _slot(levels[-1], False, det, fa, chan_p, chan_s)
+        levels.append(_step(levels[-1], service, (a_p, a_s, a_pe, a_se)))
+    return np.array(levels, dtype=np.int64).T
 
 
 def assert_traces_equal(got, want):
@@ -289,6 +315,53 @@ class TestChunkSize:
             assert_traces_equal(trace, want_trace)
 
 
+class _ScanCount:
+    """``numpy`` as the simulator sees it, counting running-maximum scans."""
+
+    def __init__(self):
+        self.scans = 0
+        self.maximum = self
+
+    def accumulate(self, *args, **kwargs):
+        self.scans += 1
+        return np.maximum.accumulate(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+class TestLindley:
+    """The kernel's recursion against ``max(q - r, 0) + a`` slot by slot, from
+    a start level on, just below, just above and far above the lowest one
+    from which the queue is never served while empty; from there on the
+    running maximum is skipped."""
+
+    @settings(max_examples=300, **_SETTINGS)
+    @given(slots=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=300),
+           offset=st.sampled_from([-1, 0, 1, 1_000]))
+    @example(slots=[], offset=0)
+    @example(slots=[(False, True)], offset=-1)
+    @example(slots=[(True, False), (False, True), (False, True), (False, True)], offset=0)
+    def test_matches_slot_by_slot(self, slots, offset):
+        boundary = total = 0            # total: the level's rise when never served empty
+        for a, r in slots:
+            boundary = max(boundary, r - total)
+            total += a - r
+        q0 = max(boundary + offset, 0)
+        want = [q0]
+        for a, r in slots:
+            want.append(max(want[-1] - r, 0) + a)
+        arrivals = np.array([a for a, _ in slots], dtype=bool)
+        service = np.array([r for _, r in slots], dtype=bool)
+        counter = _ScanCount()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "np", counter)
+            got = simulator._lindley(q0, arrivals, service)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert counter.scans == (q0 < boundary)
+
+
 def _first_chunk(config):
     return next(simulator._draw_chunks(config.scenario, config.policy, config.horizon,
                                        config.seed))[1]
@@ -307,16 +380,28 @@ def _replication_63(table, load):
 
 
 class TestSettledPath:
-    """The original system's fixpoint passes against the plain loop, window
-    by window, and against the reference; a pass cap of 0 or 1 forces the
-    hand-off to the loop from a settled prefix."""
+    """The original system's fixpoint passes and its loop's flags against the
+    reference's levels, window by window, and whole runs against the
+    reference; a pass cap of 0 or 1 forces the hand-off to the loop from a
+    settled prefix."""
+
+    @settings(max_examples=80, **_SETTINGS)
+    @given(data=st.data())
+    def test_loop_flags_equal_reference(self, table_scenario, data):
+        config = data.draw(configs(table_scenario, modes=("original",)))
+        d = _first_chunk(config)
+        want = _original_levels(d, config.initial)
+        has_p, has_s = simulator._loop(d, config.initial)
+        assert has_p.dtype == has_s.dtype == bool
+        assert np.array_equal(has_p, want[0, :-1] > 0)
+        assert np.array_equal(has_s, want[1, :-1] > 0)
 
     @settings(max_examples=80, **_SETTINGS)
     @given(data=st.data(), passes=st.sampled_from([0, 1, 2, 6]))
     def test_settled_prefix_equals_loop(self, table_scenario, data, passes):
         config = data.draw(configs(table_scenario, modes=("original",)))
         d = _first_chunk(config)
-        want = simulator._loop(d, config.initial)
+        want = _original_levels(d, config.initial)
         out = np.empty_like(want)
         out[:, 0] = config.initial
         with pytest.MonkeyPatch.context() as mp:
@@ -338,7 +423,7 @@ class TestSettledPath:
             mp.setattr(simulator, "_PASSES", passes)
             for _ in range(2):          # the second chunk starts with the run's backoff
                 assert np.array_equal(original.levels(d, config.initial),
-                                      simulator._loop(d, config.initial))
+                                      _original_levels(d, config.initial))
 
     @settings(max_examples=60, **_SETTINGS)
     @given(data=st.data(), chunk=st.sampled_from([5, 64, 200]),
