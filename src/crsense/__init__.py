@@ -9,7 +9,6 @@ from .channel import (
     SensingOption,
     primary_outage,
     secondary_outage,
-    secondary_rate,
     verify_outage_monotonicity,
 )
 from .lp import LPSolution, solve_lp

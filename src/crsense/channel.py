@@ -48,11 +48,6 @@ class PhysicalLink:
                 raise ValueError(
                     f"{field.name} must be a strictly positive finite number, got {value!r}")
 
-    @property
-    def rate_exponent(self) -> float:
-        """b * ln(2) / (W * T); strictly positive for any valid link."""
-        return self.bits_per_packet * math.log(2.0) / (self.bandwidth * self.slot_duration)
-
 
 @dataclass(frozen=True)
 class SensingOption:
@@ -78,10 +73,6 @@ class SensingOption:
         if self.duration is not None and not self.duration >= 0.0:
             raise ValueError(f"duration {self.index}: sensing time {self.duration!r} negative")
 
-    @property
-    def misdetection_prob(self) -> float:
-        return 1.0 - self.detection_prob
-
 
 def _check_sensing_time(link: PhysicalLink, tau: float) -> None:
     if not 0.0 <= tau < link.slot_duration:
@@ -89,12 +80,6 @@ def _check_sensing_time(link: PhysicalLink, tau: float) -> None:
             f"sensing time {tau!r} leaves no transmission window in a "
             f"{link.slot_duration!r} s slot"
         )
-
-
-def secondary_rate(link: PhysicalLink, tau: float) -> float:
-    """Bits per second needed to fit one packet into the residual slot time."""
-    _check_sensing_time(link, tau)
-    return link.bits_per_packet / (link.slot_duration - tau)
 
 
 def secondary_outage(link: PhysicalLink, tau: float) -> float:

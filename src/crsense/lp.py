@@ -12,8 +12,8 @@ vertex, and a vertex of this polytope has at most ``rows + 1`` non-zero
 entries: each one is fixed by the simplex row plus the side rows active
 there. ``solve_lp`` therefore scores every point mass, every two-point
 support with one active row (closed form) and every three-point support
-with both rows active (a 2x2 system), each evaluated on its support only.
-A linear objective is the special case ``denominator = ones``.
+with both rows active (a 2x2 system) in one pass over a cached table of
+supports. A linear objective is the special case ``denominator = ones``.
 
 The tests hold ``solve_lp`` against ``acceptance.exact_ratio_program``, an
 exact oracle in rational arithmetic that enumerates the bases of the
@@ -30,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 CONSTRAINT_TOL = 1e-8        # constraint slack accepted on returned points
-_TRIPLE_BLOCK = 4096         # three-point supports scored per block
-# Largest number of entries accepted: the C(M, 3) three-point supports cost
-# about 135 ms at M = 100 and grow as M**3 (4.4 s at M = 200). The paper's
-# tables have at most ten durations.
+# Largest number of entries accepted: one solve scores all C(M, 3)
+# three-point supports at once, 35-37 ms with a 27 MB allocation peak at
+# M = 100 on a 2-core Xeon, and both grow as M**3. The paper's tables have
+# at most ten durations (0.1 ms, 0.04 MB).
 MAX_DURATIONS = 100
 
 
@@ -44,35 +44,22 @@ class LPSolution:
     value: float | None = None
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)                       # cached: shared by every call
-    return array
-
-
 @functools.lru_cache(maxsize=32)
-def _pair_supports(m: int, rows: int) -> np.ndarray:
-    """Index pairs i < j, each repeated once per side row: (i, j, row) order."""
-    return _read_only(np.repeat(np.column_stack(np.triu_indices(m, 1)), rows, axis=0))
-
-
-def _index_block(combos) -> np.ndarray:
-    flat = itertools.chain.from_iterable(itertools.islice(combos, _TRIPLE_BLOCK))
-    return np.fromiter(flat, dtype=np.intp).reshape(-1, 3)
-
-
-@functools.lru_cache(maxsize=32)
-def _first_triples(m: int) -> np.ndarray:
-    return _read_only(_index_block(itertools.combinations(range(m), 3)))
-
-
-def _triple_supports(m: int):
-    """Index triples i < j < k in lexicographic order, in blocks of at most
-    ``_TRIPLE_BLOCK``; the first block is cached, so up to M = 30 every
-    call reuses one array."""
-    yield _first_triples(m)
-    rest = itertools.islice(itertools.combinations(range(m), 3), _TRIPLE_BLOCK, None)
-    while (block := _index_block(rest)).size:
-        yield block
+def _supports(m: int, rows: int) -> np.ndarray:
+    """Every vertex candidate's support, in tie order: the point masses, then
+    with a side row the pairs i < j once per row in (i, j, row) order, then
+    with two rows the triples i < j < k in lexicographic order. Each is
+    padded to three entries with index ``m``, which reads a zero column.
+    Read-only, as every call shares it, and in the smallest integer dtype."""
+    dtype = np.min_scalar_type(m)
+    points = np.column_stack([np.arange(m), np.full((m, 2), m)])
+    pairs = np.repeat(np.column_stack(np.triu_indices(m, 1)), rows, axis=0)
+    pairs = np.column_stack([pairs, np.full(len(pairs), m)])
+    combos = itertools.combinations(range(m), 3) if rows == 2 else ()
+    triples = np.fromiter(itertools.chain.from_iterable(combos), dtype).reshape(-1, 3)
+    support = np.concatenate([points, pairs, triples]).astype(dtype)
+    support.setflags(write=False)
+    return support
 
 
 def _solve_or_nan(top: np.ndarray, det: np.ndarray) -> np.ndarray:
@@ -82,29 +69,29 @@ def _solve_or_nan(top: np.ndarray, det: np.ndarray) -> np.ndarray:
         return np.divide(top, det, out=np.full_like(top, np.nan), where=det != 0.0)
 
 
-def _candidates(a: np.ndarray, b: np.ndarray):
-    """(support, weights) blocks of every vertex candidate, in tie order."""
+def _weights(a: np.ndarray, b: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Each candidate's weights on its support, zero on the padding."""
     rows, m = a.shape
-    yield np.arange(m)[:, None], np.ones((m, 1))
-    if rows == 0 or m < 2:
-        return
-    support = _pair_supports(m, rows)
-    i, j = support[::rows].T
-    far = a[:, j].T                                   # (pairs, rows)
-    t = _solve_or_nan(b - far, a[:, i].T - far).ravel()
-    yield support, np.column_stack([t, 1.0 - t])
-    if rows == 1 or m < 3:
-        return
-    for support in _triple_supports(m):
+    pairs = rows * m * (m - 1) // 2
+    weights = np.zeros(support.shape)
+    weights[:m, 0] = 1.0
+    if rows:
+        i, j = support[m:m + pairs:rows, :2].T
+        far = a[:, j].T                               # (pairs, rows)
+        t = _solve_or_nan(b - far, a[:, i].T - far).ravel()
+        weights[m:m + pairs, :2] = np.column_stack([t, 1.0 - t])
+    if rows == 2:
         # eliminate the third entry through sum(P) == 1, then Cramer's rule
-        last = a[:, support[:, 2]]
-        x = a[:, support[:, 0]] - last
-        y = a[:, support[:, 1]] - last
+        triples = support[m + pairs:]
+        last = a[:, triples[:, 2]]
+        x = a[:, triples[:, 0]] - last
+        y = a[:, triples[:, 1]] - last
         rhs = b[:, None] - last
         det = x[0] * y[1] - y[0] * x[1]
         p = _solve_or_nan(rhs[0] * y[1] - y[0] * rhs[1], det)
         q = _solve_or_nan(x[0] * rhs[1] - rhs[0] * x[1], det)
-        yield support, np.column_stack([p, q, 1.0 - p - q])
+        weights[m + pairs:] = np.column_stack([p, q, 1.0 - p - q])
+    return weights
 
 
 def solve_lp(numerator, denominator, a_ub, b_ub) -> LPSolution:
@@ -125,34 +112,42 @@ def solve_lp(numerator, denominator, a_ub, b_ub) -> LPSolution:
     maximum wins, with point masses by index first, then two-point supports
     in lexicographic (i, j, row) order, then three-point supports in
     lexicographic (i, j, k) order. The status is "optimal" or "infeasible".
-    More than ``MAX_DURATIONS`` entries raise ``ValueError``.
+    More than ``MAX_DURATIONS`` entries, or a non-finite entry, raise
+    ``ValueError``.
     """
     numerator = np.asarray(numerator, dtype=float)
-    if numerator.size > MAX_DURATIONS:
+    m = numerator.size
+    if m > MAX_DURATIONS:
         raise ValueError(
-            f"{numerator.size} durations exceed the bound of {MAX_DURATIONS}: the "
-            f"optimizer scores all C(M, 3) = {math.comb(numerator.size, 3)} "
+            f"{m} durations exceed the bound of {MAX_DURATIONS}: the "
+            f"optimizer scores all C(M, 3) = {math.comb(m, 3)} "
             f"three-point policies, which grows as M**3")
-    a = np.asarray(a_ub, dtype=float).reshape(-1, numerator.size)
+    a = np.asarray(a_ub, dtype=float).reshape(-1, m)
     b = np.asarray(b_ub, dtype=float).reshape(-1)
     # a vertex has at most rows + 1 non-zero entries; a third row would need
     # four-point supports, which are not enumerated
     assert a.shape[0] <= 2, f"support enumeration covers at most 2 side rows, got {a.shape[0]}"
     coef = np.vstack([numerator, denominator, a])
+    for name, values in (("numerator", numerator), ("denominator", coef[1]),
+                         ("a_ub", a), ("b_ub", b)):
+        if not np.isfinite(values).all():
+            bad = np.argwhere(~np.isfinite(values))[0]
+            raise ValueError(f"{name}{bad.tolist()} = {values[tuple(bad)]} is not finite")
+    # column m is the zero column the padding reads: each candidate's sums
+    # are those over its own support, and x keeps its own entries only
+    coef = np.column_stack([coef, np.zeros(len(coef))])
 
-    best_value, best = -math.inf, None
-    for support, weights in _candidates(a, b):
-        values = np.einsum("cns,ns->cn", coef[:, support], weights)
-        num, den = values[0], values[1]
-        slack = CONSTRAINT_TOL * den
-        feasible = ((slack > 0.0) & (weights >= -slack[:, None]).all(axis=1)
-                    & (values[2:] - b[:, None] <= slack).all(axis=0))
-        ratio = np.divide(num, den, out=np.full_like(num, -math.inf), where=feasible)
-        k = int(np.argmax(ratio))                     # first occurrence of the max
-        if ratio[k] > best_value:                     # strict: earlier ties win
-            best_value, best = float(ratio[k]), (support[k], weights[k])
-    if best is None:
+    support = _supports(m, a.shape[0])
+    weights = _weights(a, b, support)
+    values = np.einsum("cns,ns->cn", coef[:, support], weights)
+    num, den = values[0], values[1]
+    slack = CONSTRAINT_TOL * den
+    feasible = ((slack > 0.0) & (weights >= -slack[:, None]).all(axis=1)
+                & (values[2:] - b[:, None] <= slack).all(axis=0))
+    ratio = np.divide(num, den, out=np.full_like(num, -math.inf), where=feasible)
+    k = int(np.argmax(ratio))                         # first occurrence of the max
+    if not ratio[k] > -math.inf:
         return LPSolution("infeasible")
-    x = np.zeros(numerator.size)
-    x[best[0]] = best[1]
-    return LPSolution("optimal", x, best_value)
+    x = np.zeros(m + 1)
+    x[support[k]] = weights[k]
+    return LPSolution("optimal", x[:m], float(ratio[k]))

@@ -100,9 +100,8 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
                 raise ScenarioFormatError(line_no, f"{key} needs exactly one value")
             if key in scalars:
                 raise ScenarioFormatError(line_no, f"{key} given twice")
-            scalars[key] = _parse_float(line_no, key, args[0])
-            if key in PROBABILITIES:
-                scalars[key] = _parse_prob(line_no, key, args[0])
+            parse = _parse_prob if key in PROBABILITIES else _parse_float
+            scalars[key] = parse(line_no, key, args[0])
         else:
             raise ScenarioFormatError(line_no, f"unknown key {key!r}")
 

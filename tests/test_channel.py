@@ -8,7 +8,6 @@ from crsense.channel import (
     SensingOption,
     primary_outage,
     secondary_outage,
-    secondary_rate,
     verify_outage_monotonicity,
 )
 
@@ -49,29 +48,13 @@ def random_link(rng):
     )
 
 
-class TestSecondaryRate:
-    def test_full_slot(self):
-        assert secondary_rate(UNIT_LINK, 0.0) == pytest.approx(1.0e6)
-
-    def test_half_slot_doubles_rate(self):
-        assert secondary_rate(UNIT_LINK, 0.5e-3) == pytest.approx(2.0e6)
-
-    def test_degenerate_duration_rejected(self):
-        with pytest.raises(ValueError):
-            secondary_rate(UNIT_LINK, UNIT_LINK.slot_duration)
-        with pytest.raises(ValueError):
-            secondary_rate(UNIT_LINK, -1e-6)
-
-    def test_rate_times_window_recovers_packet_size(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            link = random_link(rng)
-            tau = rng.uniform(0.0, 0.95) * link.slot_duration
-            product = secondary_rate(link, tau) * (link.slot_duration - tau)
-            assert product == pytest.approx(link.bits_per_packet, rel=1e-12)
-
-
 class TestOutage:
+    def test_degenerate_duration_rejected(self):
+        with pytest.raises(ValueError, match="leaves no transmission window"):
+            secondary_outage(UNIT_LINK, UNIT_LINK.slot_duration)
+        with pytest.raises(ValueError, match="leaves no transmission window"):
+            secondary_outage(UNIT_LINK, -1e-6)
+
     def test_unit_exponent(self):
         assert secondary_outage(UNIT_LINK, 0.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
@@ -150,17 +133,8 @@ class TestTypes:
         with pytest.raises(ValueError):
             PhysicalLink(**kwargs)
 
-    def test_rate_exponent_positive(self):
-        rng = np.random.default_rng(29)
-        for _ in range(50):
-            assert random_link(rng).rate_exponent > 0.0
-
     def test_sensing_option_probability_range(self):
         with pytest.raises(ValueError):
             SensingOption(1, detection_prob=1.2, false_alarm_prob=0.1, secondary_outage=0.1)
         with pytest.raises(ValueError):
             SensingOption(1, detection_prob=0.9, false_alarm_prob=-0.1, secondary_outage=0.1)
-
-    def test_misdetection_complements_detection(self):
-        option = SensingOption(3, 0.85, 0.085, 0.35)
-        assert option.misdetection_prob == pytest.approx(0.15)

@@ -1,4 +1,6 @@
 import itertools
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +76,13 @@ class TestValidation:
                 exact_ratio_program([bad, 1.0], [1.0, 1.0], np.zeros((0, 2)), [])
             with pytest.raises(ValueError, match="not finite"):
                 exact_ratio_program([1.0, 1.0], [1.0, 1.0], [[1.0, bad]], [1.0])
+            # zero padding weights would turn an infinite entry into NaN
+            for k, (name, at) in enumerate([("numerator", "[1]"), ("denominator", "[1]"),
+                                            ("a_ub", "[0, 1]"), ("b_ub", "[0]")]):
+                program = [np.array(v) for v in ([1.0, 1.0], [1.0, 1.0], [[1.0, 1.0]], [1.0])]
+                program[k].flat[-1] = bad
+                with pytest.raises(ValueError, match=re.escape(f"{name}{at} = {bad} is not")):
+                    enumerate_lp(*program)
 
     def test_solution_dataclass_defaults(self):
         sol = LPSolution("infeasible")
@@ -151,23 +160,42 @@ class TestVertexEnumerator:
                 assert got.value == pytest.approx(num @ got.x / (den @ got.x), abs=1e-9)
         assert statuses["optimal"] > 100 and statuses["infeasible"] > 10
 
-    def test_triple_blocks_cover_every_support_once(self, monkeypatch):
-        assert len(list(crsense.lp._triple_supports(10))) == 1
-        expected = list(itertools.combinations(range(12), 3))
-        blocks = list(crsense.lp._triple_supports(12))
-        assert [tuple(t) for block in blocks for t in block] == expected
-        rng = np.random.default_rng(5)
-        num, den = rng.uniform(0.0, 1.0, 12), rng.uniform(0.1, 1.0, 12)
-        a, b = rng.normal(size=(2, 12)), rng.uniform(0.0, 0.5, 2)
-        whole = solve_checked(num, den, a, b)
-        crsense.lp._first_triples.cache_clear()
-        monkeypatch.setattr(crsense.lp, "_TRIPLE_BLOCK", 7)
+    def test_support_table_lists_every_candidate_once_in_tie_order(self):
+        for m in range(1, 13):
+            for rows in range(3):
+                expected = [(i, m, m) for i in range(m)]
+                expected += [(i, j, m) for i, j in itertools.combinations(range(m), 2)
+                             for _ in range(rows)]
+                if rows == 2:
+                    expected += list(itertools.combinations(range(m), 3))
+                support = crsense.lp._supports(m, rows)
+                assert [tuple(s) for s in support.tolist()] == expected
+                assert not support.flags.writeable
+
+
+class TestMemory:
+    def test_solve_at_the_bound_peaks_within_32_mb(self):
+        """One solve at M = MAX_DURATIONS scores all C(M, 3) three-point
+        supports at once; its allocation peak, with the support table built
+        inside the measurement, stays within 32 MB."""
+        m = crsense.lp.MAX_DURATIONS
+        rng = np.random.default_rng(8)
+        program = (rng.uniform(0.0, 1.0, m), rng.uniform(0.1, 1.0, m),
+                   rng.normal(size=(2, m)), rng.uniform(0.0, 0.5, 2))
+        crsense.lp._supports.cache_clear()
+        tracemalloc.start()
         try:
-            blocks = list(crsense.lp._triple_supports(12))
-            assert len(blocks) == 32 and max(len(block) for block in blocks) == 7
-            assert [tuple(t) for block in blocks for t in block] == expected
-            blocked = enumerate_lp(num, den, a, b)
+            sol = enumerate_lp(*program)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            crsense.lp._first_triples.cache_clear()
-        assert blocked.value == whole.value
-        assert list(blocked.x) == list(whole.x)
+            tracemalloc.stop()
+        assert sol.status == "optimal"
+        assert peak <= 32e6, peak
+
+    def test_support_cache_within_20_mb(self):
+        # the largest tables the cache can hold at once: every M up to the
+        # bound solved at one and two side rows
+        slots = crsense.lp._supports.cache_info().maxsize
+        largest = [(m, rows) for m in range(crsense.lp.MAX_DURATIONS, 0, -1)
+                   for rows in (2, 1)][:slots]
+        assert sum(crsense.lp._supports(m, rows).nbytes for m, rows in largest) <= 20e6

@@ -336,7 +336,7 @@ class TestLargeTables:
         assert sum(p > 0.0 for p in outcome.best_policy.probs) <= 3
 
     def test_past_the_bound_raises_before_enumerating(self, table_scenario, monkeypatch):
-        monkeypatch.setattr(crsense.lp, "_candidates", None)    # never reached
+        monkeypatch.setattr(crsense.lp, "_supports", None)      # never reached
         rng = np.random.default_rng(101)
         scenario = replace(table_scenario, lambda_p=0.05, lambda_pe=0.4, lambda_se=0.3,
                            sensing_table=random_table(rng, crsense.lp.MAX_DURATIONS + 1))
