@@ -21,7 +21,6 @@ from .optimizer import (
 from .optimizer import solve as optimize_policy
 from .scenario_io import ScenarioFormatError, load_bundled_scenario, parse_scenario
 from .simulator import (
-    QueueState,
     SimConfig,
     SimReport,
     SlotTrace,

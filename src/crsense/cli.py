@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import acceptance
 from .analytics import PROBABILITIES, PolicyVector, Scenario
 from .optimizer import solve
 from .scenario_io import parse_scenario
-from .simulator import MODES, SimConfig, simulate
+from .simulator import MODES, SimConfig, SimReport, simulate
 from .sweep import SWEEPABLE, SweepSpec, rows_to_csv, run_sweep
 
 
@@ -98,15 +98,12 @@ def _cmd_simulate(args) -> int:
         return 2
     config = SimConfig(scenario, policy, args.mode, args.horizon, args.seed, args.warmup)
     report = simulate(config)
-    for name in ("mode", "horizon", "warmup", "seed", "rng"):
-        print(f"{name} {getattr(report, name)}")
-    for name in ("mu_p", "mu_s", "mu_pe", "mu_se", "prob_pe_empty", "prob_se_nonempty",
-                 "mean_q_p", "mean_q_s", "mean_q_pe", "mean_q_se",
-                 "drift_p", "drift_s", "drift_pe", "drift_se"):
-        print(f"{name} {getattr(report, name):.6f}")
-    print(f"collisions {report.collisions}")
-    if report.dominance_violations is not None:
-        print(f"dominance_violations {report.dominance_violations}")
+    for field in fields(SimReport):
+        value = getattr(report, field.name)
+        if isinstance(value, float):
+            print(f"{field.name} {value:.6f}")
+        elif value is not None:             # dominance_violations outside coupled mode
+            print(f"{field.name} {value}")
     return 0
 
 

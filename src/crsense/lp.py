@@ -111,9 +111,12 @@ def solve_lp(numerator, denominator, a_ub, b_ub) -> LPSolution:
     Ties are broken by a fixed order: the first candidate attaining the
     maximum wins, with point masses by index first, then two-point supports
     in lexicographic (i, j, row) order, then three-point supports in
-    lexicographic (i, j, k) order. The status is "optimal" or "infeasible".
-    More than ``MAX_DURATIONS`` entries, or a non-finite entry, raise
-    ``ValueError``.
+    lexicographic (i, j, k) order. A ratio past float range, from a tiny
+    denominator, reads as +inf or -inf under that order, without a warning;
+    if every feasible ratio is -inf, the first feasible candidate wins with
+    value -inf. The status is "infeasible" only when no candidate is
+    feasible, and "optimal" otherwise. More than ``MAX_DURATIONS`` entries,
+    or a non-finite entry, raise ``ValueError``.
     """
     numerator = np.asarray(numerator, dtype=float)
     m = numerator.size
@@ -144,10 +147,13 @@ def solve_lp(numerator, denominator, a_ub, b_ub) -> LPSolution:
     slack = CONSTRAINT_TOL * den
     feasible = ((slack > 0.0) & (weights >= -slack[:, None]).all(axis=1)
                 & (values[2:] - b[:, None] <= slack).all(axis=0))
-    ratio = np.divide(num, den, out=np.full_like(num, -math.inf), where=feasible)
+    with np.errstate(over="ignore"):
+        ratio = np.divide(num, den, out=np.full_like(num, -math.inf), where=feasible)
     k = int(np.argmax(ratio))                         # first occurrence of the max
-    if not ratio[k] > -math.inf:
-        return LPSolution("infeasible")
+    if ratio[k] == -math.inf:                         # infeasible candidates read -inf too
+        k = int(np.argmax(feasible))
+        if not feasible[k]:
+            return LPSolution("infeasible")
     x = np.zeros(m + 1)
     x[support[k]] = weights[k]
     return LPSolution("optimal", x[:m], float(ratio[k]))

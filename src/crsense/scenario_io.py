@@ -112,6 +112,7 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     if not durations:
         raise ScenarioFormatError(0, f"{source}: needs at least one duration record")
 
+    link = None
     if mode == "table":
         for key in _LINK_KEYS:
             if key in scalars:
@@ -119,13 +120,6 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
         if "primary_outage" not in scalars:
             raise ScenarioFormatError(0, f"{source}: table mode requires primary_outage")
         p_out_p = scalars["primary_outage"]
-        table = []
-        for index in sorted(durations):
-            line_no, fields = durations[index]
-            det = _parse_prob(line_no, f"duration {index} detection", fields[0])
-            fal = _parse_prob(line_no, f"duration {index} false_alarm", fields[1])
-            out = _parse_prob(line_no, f"duration {index} outage", fields[2])
-            table.append(SensingOption(index, det, fal, out))
     else:
         if "primary_outage" in scalars:
             raise ScenarioFormatError(
@@ -135,16 +129,22 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
             raise ScenarioFormatError(0, f"{source}: physical mode missing {missing}")
         link = PhysicalLink(**{k: scalars[k] for k in _LINK_KEYS})
         p_out_p = primary_outage(link)
-        table = []
-        for index in sorted(durations):
-            line_no, fields = durations[index]
+
+    table = []
+    for index in sorted(durations):
+        line_no, fields = durations[index]
+        tau = None
+        if link is not None:
             tau = _parse_float(line_no, f"duration {index} tau", fields[0])
             if not 0.0 <= tau < link.slot_duration:
                 raise ScenarioFormatError(
                     line_no, f"duration {index}: tau {tau!r} outside [0, slot_duration)")
-            det = _parse_prob(line_no, f"duration {index} detection", fields[1])
-            fal = _parse_prob(line_no, f"duration {index} false_alarm", fields[2])
-            table.append(SensingOption(index, det, fal, secondary_outage(link, tau), tau))
+            fields = fields[1:]
+        det = _parse_prob(line_no, f"duration {index} detection", fields[0])
+        fal = _parse_prob(line_no, f"duration {index} false_alarm", fields[1])
+        out = (_parse_prob(line_no, f"duration {index} outage", fields[2]) if link is None
+               else secondary_outage(link, tau))
+        table.append(SensingOption(index, det, fal, out, tau))
 
     return Scenario(
         lambda_p=scalars["lambda_p"],

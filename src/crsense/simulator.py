@@ -32,32 +32,32 @@ duration at all. Each chunk takes one of three paths:
   q_pe), the data queues given q_pe and q_se. So each queue is a Lindley
   recursion with known service, computed exactly by one cumsum and one
   running maximum; a span whose start level keeps the queue from ever being
-  served while empty skips the running maximum. The kernel builds only the
-  two data-queue indicators it needs beside the four levels. With all-ones
-  flags this is the saturated system;
+  served while empty skips the running maximum. Beside the four levels the
+  kernel returns the transmissions and all six service indicators it builds
+  on the way, so one vectorised statement of the slot rule serves every
+  mode. With all-ones flags this is the saturated system;
 * fixpoint passes of the kernel for the original system, whose nodes stay
   silent on empty data buffers, over windows of ``_WINDOW`` slots. A pass
   starts from all-ones flags, recomputes them as ``q_p > 0`` and
   ``q_s > 0`` from its levels, and the next pass restarts at the first
   slot whose flag changed, under the recomputed flags. This is exact by
   causality: levels at slot t + 1 depend only on flags at slots up to t,
-  so the levels up to the first changed flag, and that flag, are already
-  the true ones. Every pass settles at least one more flag, and a pass
-  that changes no flag has computed the one true trajectory;
+  and indicators at slot t only on the flags and levels at t, so the levels
+  up to the first changed flag, that flag, and the indicators before it are
+  already the true ones. Every pass settles at least one more flag, and a
+  pass that changes no flag has computed the one true trajectory;
 * a per-slot loop of the original system, as the bounded fallback: it takes
   the rest of a window still unsettled after ``_PASSES`` passes, from the
   settled state, and records only the flags; one more kernel call under
-  them gives the levels, exact by the same causality. After a window falls
-  back, the run sends the next 1, 2, 4 ... ``_BACKOFF`` windows straight to
-  the loop, so runs near the stability boundary, whose data queues empty
-  every few slots, do not pay for passes that rarely settle; a window that
-  settles resets the count.
+  them gives the levels and indicators, exact by the same causality. After
+  a window falls back, the run sends the next 1, 2, 4 ... ``_BACKOFF``
+  windows straight to the loop, so runs near the stability boundary, whose
+  data queues empty every few slots, do not pay for passes that rarely
+  settle; a window that settles resets the count.
 
-In every mode the transmissions and all six service indicators then follow
-vectorised, once per chunk, from the final levels and the draws, by the
-rule the kernel uses. In ``coupled`` mode the original and the saturated
-twin (kernel) take the same chunk, so the pair sees identical randomness
-even in slots where one of them ignores a draw.
+In ``coupled`` mode the original and the saturated twin (kernel) take the
+same chunk, so the pair sees identical randomness even in slots where one
+of them ignores a draw.
 
 Reported service rates are the per-slot means of the service-process
 indicators (the service a queue would receive if backlogged), which is the
@@ -102,7 +102,6 @@ class SimConfig:
     horizon: int = 100_000
     seed: int = 0
     warmup: int = 0
-    initial: QueueState = QueueState()
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -113,9 +112,6 @@ class SimConfig:
             raise ValueError(f"need horizon > warmup >= 0, got {self.horizon}, {self.warmup}")
         if len(self.policy) != self.scenario.num_durations:
             raise ValueError("policy length does not match the sensing table")
-        if len(self.initial) != 4 or any(q < 0 or q != int(q) for q in self.initial):
-            raise ValueError("initial must be four nonnegative integer queue levels")
-        object.__setattr__(self, "initial", QueueState(*(int(q) for q in self.initial)))
 
 
 @dataclass(frozen=True)
@@ -261,33 +257,6 @@ def _draw_chunks(scenario: Scenario, policy: PolicyVector, horizon: int, seed: i
             yield t0, _indicators(scenario, u, *(t.take(m) for t in tables))
 
 
-def _sensed_busy(d: _Draws, pu_tx: np.ndarray) -> np.ndarray:
-    """Sensor verdict: the detection draw under a licensed transmission, the
-    false-alarm draw in silence."""
-    return (pu_tx & d.det) | (~pu_tx & d.fa)
-
-
-def _data_service(d: _Draws, has_s, pe_on, se_on, pu_tx) -> tuple[np.ndarray, np.ndarray]:
-    """Service indicators ``r_p`` and ``r_s`` of the two data queues."""
-    return (~(has_s & se_on & ~d.det) & d.chan_p & pe_on,
-            ~pu_tx & se_on & ~d.fa & d.chan_s)
-
-
-def _service(d: _Draws, has_p, has_s, q_pe: np.ndarray, q_se: np.ndarray) -> _Service:
-    """Transmissions and service indicators from start-of-slot levels.
-
-    ``has_p``/``has_s`` say whether each node has a packet to send (always,
-    when saturated). The indicators are the service-process values: own-queue
-    emptiness is deliberately excluded, the max() in the update masks it.
-    """
-    pe_on, se_on = q_pe > 0, q_se > 0
-    pu_tx = has_p & pe_on
-    busy = _sensed_busy(d, pu_tx)
-    r_p, r_s = _data_service(d, has_s, pe_on, se_on, pu_tx)
-    return _Service(pu_tx=pu_tx, cr_tx=~busy & has_s & se_on, r_p=r_p, r_s=r_s,
-                    r_pe=has_p, r_se=has_s & ~busy)
-
-
 def _lindley(q0: int, arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
     """Levels at slots 0..n of ``q' = max(q - r, 0) + a`` from ``q0``, exactly.
 
@@ -318,53 +287,65 @@ def _kernel(d: _Draws, state: QueueState, has_p: np.ndarray, has_s: np.ndarray):
 
     Given the flags, every service indicator is exogenous or depends only on
     an energy queue computed before it: q_pe is served where ``has_p``, q_se
-    where ``has_s`` and the sensor reads idle (which depends on q_pe), the
-    data queues by ``_data_service`` from q_pe and q_se. All-ones flags give
-    the saturated system. Returns the four level arrays (slots 0..n), in the
-    order p, s, pe, se; ``_service`` rebuilds the indicators from them.
+    where ``has_s`` and the sensor reads idle (the detection draw under a
+    licensed transmission, the false-alarm draw in silence), the data queues
+    from q_pe and q_se. All-ones flags give the saturated system. The
+    indicators are the service-process values: own-queue emptiness is
+    deliberately excluded, the max() in the update masks it. Returns the four
+    level arrays (slots 0..n), in the order p, s, pe, se, and the chunk's
+    ``_Service``.
     """
     q_pe = _lindley(state.q_pe, d.arr_pe, has_p)
     pe_on = q_pe[:-1] > 0
     pu_tx = has_p & pe_on
-    q_se = _lindley(state.q_se, d.arr_se, has_s & ~_sensed_busy(d, pu_tx))
-    r_p, r_s = _data_service(d, has_s, pe_on, q_se[:-1] > 0, pu_tx)
-    return (_lindley(state.q_p, d.arr_p, r_p), _lindley(state.q_s, d.arr_s, r_s),
-            q_pe, q_se)
+    r_se = has_s & ~((pu_tx & d.det) | (~pu_tx & d.fa))
+    q_se = _lindley(state.q_se, d.arr_se, r_se)
+    se_on = q_se[:-1] > 0
+    r_p = ~(has_s & se_on & ~d.det) & d.chan_p & pe_on
+    r_s = ~pu_tx & se_on & ~d.fa & d.chan_s
+    levels = (_lindley(state.q_p, d.arr_p, r_p), _lindley(state.q_s, d.arr_s, r_s),
+              q_pe, q_se)
+    return levels, _Service(pu_tx, r_se & se_on, r_p, r_s, has_p, r_se)
 
 
 def _part(d: _Draws, lo: int, hi: int | None = None) -> _Draws:
     return _Draws(*(x[lo:hi] for x in d))
 
 
-def _settle(d: _Draws, out: np.ndarray) -> int:
-    """Levels of the original system over one window, by fixpoint passes of
-    the kernel; returns how many slots settled.
+def _settle(d: _Draws, out: np.ndarray, service: np.ndarray) -> int:
+    """Levels and indicators of the original system over one window, by
+    fixpoint passes of the kernel; returns how many slots settled.
 
     ``out`` is a (4, n + 1) array whose first column holds the state at the
-    window's start. A pass runs the kernel under assumed flags ``has_p`` and
-    ``has_s`` (all ones at first) and recomputes them as ``q_p > 0`` and
-    ``q_s > 0`` from its levels. Levels at slot t + 1 depend only on the
-    flags of slots up to t, so if the first recomputed flag that differs
-    from the assumed one is at slot j, the levels of slots up to j are the
-    true ones, and so is the flag at j. The next pass starts there under the
+    window's start, ``service`` a (6, n) array for the ``_Service`` rows. A
+    pass runs the kernel under assumed flags ``has_p`` and ``has_s`` (all
+    ones at first) and recomputes them as ``q_p > 0`` and ``q_s > 0`` from
+    its levels. Levels at slot t + 1 depend only on the flags of slots up to
+    t, and indicators at slot t only on the flags and levels at t, so if the
+    first recomputed flag that differs from the assumed one is at slot j,
+    the levels of slots up to j are the true ones, and so are the flag at j
+    and the indicators before it. The next pass starts there under the
     recomputed flags, so every pass settles at least one more flag, and a
     pass that changes no flag has computed the true trajectory. After
-    ``_PASSES`` passes ``out`` holds the true levels up to the returned slot.
+    ``_PASSES`` passes ``out`` holds the true levels up to the returned slot
+    and ``service`` the true indicators before it.
     """
     n = d.det.size
     has_p = np.ones(n, dtype=bool)
     has_s = np.ones(n, dtype=bool)
     start = 0
     for _ in range(_PASSES):
-        levels = _kernel(_part(d, start), QueueState(*out[:, start].tolist()),
-                         has_p[start:], has_s[start:])
+        levels, svc = _kernel(_part(d, start), QueueState(*out[:, start].tolist()),
+                              has_p[start:], has_s[start:])
         flag_p, flag_s = levels[0][:-1] > 0, levels[1][:-1] > 0
         changed = (flag_p != has_p[start:]) | (flag_s != has_s[start:])
         j = int(changed.argmax())
         if not changed[j]:
             out[:, start:] = levels
+            service[:, start:] = svc
             return n
         out[:, start:start + j + 1] = [q[:j + 1] for q in levels]
+        service[:, start:start + j] = [r[:j] for r in svc]
         has_p[start:] = flag_p
         has_s[start:] = flag_s
         start += j
@@ -375,7 +356,7 @@ def _loop(d: _Draws, state: QueueState) -> tuple[np.ndarray, np.ndarray]:
     """One chunk of the original system, slot by slot: its flags ``q_p > 0``
     and ``q_s > 0`` at slots 0..n-1, which give its levels by ``_kernel``.
 
-    The slot rules of ``_service``, split on whether the licensed node
+    The slot rules of ``_kernel``, split on whether the licensed node
     transmits. If it does, the sensor reads the detection draw and the
     opportunistic node cannot succeed. If not, the licensed energy or data
     buffer is empty, so neither licensed queue moves, and the sensor reads
@@ -409,10 +390,10 @@ class _Original:
 
     Each window of ``_WINDOW`` slots settles by ``_settle``; what is left
     unsettled after its passes runs through ``_loop``, whose flags give the
-    levels by one more ``_kernel`` call: under the true flags the kernel
-    computes the true trajectory. Near the stability boundary the data
-    queues empty so often that passes rarely settle a window, so after a
-    window falls back the next 1, 2, 4 ... ``_BACKOFF`` windows go straight
+    levels and indicators by one more ``_kernel`` call: under the true flags
+    the kernel computes the true trajectory. Near the stability boundary the
+    data queues empty so often that passes rarely settle a window, so after
+    a window falls back the next 1, 2, 4 ... ``_BACKOFF`` windows go straight
     to the loop; a window that settles resets the count.
     """
 
@@ -420,11 +401,12 @@ class _Original:
         self.skip = 0           # windows left to send straight to the loop
         self.backoff = 1        # windows to skip after the next fallback
 
-    def levels(self, d: _Draws, state: QueueState) -> np.ndarray:
-        """The (4, n + 1) levels of one chunk from ``state``."""
+    def levels(self, d: _Draws, state: QueueState) -> tuple[np.ndarray, _Service]:
+        """The (4, n + 1) levels and the indicators of one chunk from ``state``."""
         n = d.det.size
         out = np.empty((4, n + 1), dtype=np.int64)
         out[:, 0] = state
+        service = np.empty((6, n), dtype=bool)
         for w0 in range(0, n, _WINDOW):
             w1 = min(w0 + _WINDOW, n)
             window = _part(d, w0, w1)
@@ -432,7 +414,7 @@ class _Original:
                 self.skip -= 1
                 settled = 0
             else:
-                settled = _settle(window, out[:, w0:w1 + 1])
+                settled = _settle(window, out[:, w0:w1 + 1], service[:, w0:w1])
                 if settled == w1 - w0:
                     self.backoff = 1
                 else:
@@ -441,8 +423,10 @@ class _Original:
             if w0 + settled < w1:
                 rest = _part(window, settled)
                 entry = QueueState(*out[:, w0 + settled].tolist())
-                out[:, w0 + settled:w1 + 1] = _kernel(rest, entry, *_loop(rest, entry))
-        return out
+                levels, svc = _kernel(rest, entry, *_loop(rest, entry))
+                out[:, w0 + settled:w1 + 1] = levels
+                service[:, w0 + settled:w1] = svc
+        return out, _Service(*service)
 
 
 def _drifts(samples: list[np.ndarray], stride: int) -> list[float]:
@@ -470,7 +454,7 @@ def _run(config: SimConfig, trace: bool):
     mode, horizon, warmup = config.mode, config.horizon, config.warmup
     measured = horizon - warmup
     stride = max(1, measured // _DRIFT_SAMPLES)
-    state = twin = config.initial
+    state = twin = QueueState()
 
     svc = [0, 0, 0, 0]                      # service-indicator sums, order p,s,pe,se
     qsum = [0, 0, 0, 0]
@@ -484,17 +468,14 @@ def _run(config: SimConfig, trace: bool):
     for t0, d in _draw_chunks(config.scenario, config.policy, horizon, config.seed):
         ones = np.ones(d.det.size, dtype=bool)
         if mode == "dominant":
-            levels = _kernel(d, state, ones, ones)
-            has_p = has_s = ones
+            levels, service = _kernel(d, state, ones, ones)
         else:
-            levels = original.levels(d, state)
-            has_p, has_s = levels[0][:-1] > 0, levels[1][:-1] > 0
+            levels, service = original.levels(d, state)
             if mode == "coupled":
-                twin_levels = _kernel(d, twin, ones, ones)
+                twin_levels = _kernel(d, twin, ones, ones)[0]
                 twin = _end(twin_levels)
                 violations += sum(int(np.count_nonzero(levels[k][1:] > twin_levels[k][1:]))
                                   for k in (0, 1))
-        service = _service(d, has_p, has_s, levels[2][:-1], levels[3][:-1])
         state = _end(levels)
         n = d.det.size
         lo = min(max(warmup - t0, 0), n)
@@ -555,11 +536,11 @@ def simulate_traced(config: SimConfig) -> tuple[SimReport, SlotTrace]:
 def coupled_dominance_run(config: SimConfig) -> SimReport:
     """Run the original system and its saturated twin on one shared stream.
 
-    Both systems start from the same ``initial`` state and consume the same
-    positional draws. After every slot the original data queues are compared
-    against the twin's; each (slot, queue) pair where the original is longer
-    counts as one dominance violation. Rates in the returned report describe
-    the original system.
+    Both systems start empty and consume the same positional draws. After
+    every slot the original data queues are compared against the twin's;
+    each (slot, queue) pair where the original is longer counts as one
+    dominance violation. Rates in the returned report describe the
+    original system.
     """
     if config.mode != "coupled":
         raise ValueError("coupled_dominance_run requires mode='coupled'")

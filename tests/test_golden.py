@@ -1,8 +1,11 @@
-"""Sweep CSV and check output bytes pinned against committed golden files.
+"""Sweep CSV, simulate and check output bytes pinned against committed
+golden files.
 
 Each CSV under ``tests/golden`` is the output of ``crsense sweep`` on the
-bundled table with the arguments listed below, and ``table1_check_5_6_7.txt``
-is the stdout of ``crsense check`` on it for the grid criteria 5, 6 and 7.
+bundled table with the arguments listed below, each
+``table1_simulate_<mode>.txt`` the stdout of ``crsense simulate`` on it, and
+``table1_check_5_6_7.txt`` the stdout of ``crsense check`` on it for the grid
+criteria 5, 6 and 7.
 A change that moves any byte shows up here as a failing case, and the golden
 file's diff shows which rows moved.
 """
@@ -24,6 +27,7 @@ CASES = {
         "--param", "lambda_pe", "--from", "0.2", "--to", "0.8", "--step", "0.2",
         "--simulate", "--horizon", "50000", "--warmup", "5000"],
 }
+SIMULATE = ["--policy", "optimal", "--horizon", "20000", "--warmup", "1000", "--seed", "3"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -41,3 +45,12 @@ def test_grid_criteria_match_golden_bytes(tmp_path, capsys):
     assert main(["check", str(scenario_file), "--criteria", "5", "6", "7"]) == 0
     out = capsys.readouterr().out.encode()
     assert out == (GOLDEN / "table1_check_5_6_7.txt").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["dominant", "coupled"])
+def test_simulate_matches_golden_bytes(tmp_path, capsys, mode):
+    scenario_file = tmp_path / "table1.scn"
+    scenario_file.write_text(bundled_scenario_text())
+    assert main(["simulate", str(scenario_file), *SIMULATE, "--mode", mode]) == 0
+    out = capsys.readouterr().out.encode()
+    assert out == (GOLDEN / f"table1_simulate_{mode}.txt").read_bytes()

@@ -113,6 +113,23 @@ class TestVertexEnumerator:
         sol = enumerate_lp([1.0, 5.0], [1.0, 0.0], np.zeros((0, 2)), [])
         assert list(sol.x) == [1.0, 0.0]
 
+    def test_overflowing_ratios_stay_feasible(self):
+        # a denominator of 1e-310 puts every ratio past float range; the
+        # point masses still meet every constraint, so the program is
+        # feasible and the tie order picks among the infinite values
+        no_rows = np.zeros((0, 2))
+        sol = enumerate_lp([-1.0, -2.0], [1e-310, 1e-310], no_rows, [])
+        assert sol.status == "optimal"
+        assert list(sol.x) == [1.0, 0.0] and sol.value == -np.inf
+        sol = enumerate_lp([1.0, 2.0], [1e-310, 1e-310], no_rows, [])
+        assert sol.status == "optimal"
+        assert list(sol.x) == [1.0, 0.0] and sol.value == np.inf
+        # an infeasible first point mass also reads -inf: the first feasible
+        # candidate wins, not the first -inf
+        sol = enumerate_lp([-1.0, -2.0], [1e-310, 1e-310], [[1.0, 0.0]], [0.5])
+        assert sol.status == "optimal"
+        assert list(sol.x) == [0.0, 1.0] and sol.value == -np.inf
+
     def test_ties_go_to_point_masses_then_lexicographic_pairs(self):
         # a @ P == 0.5 as two rows: no point mass is feasible; the pairs
         # (0, 1) and (0, 2) tie at value 0, and (0, 1) with row 0 comes first.

@@ -11,7 +11,6 @@ from crsense.analytics import PolicyVector, Scenario, analyze
 from crsense.channel import SensingOption
 from crsense.simulator import (
     MODES,
-    QueueState,
     SimConfig,
     SimReport,
     coupled_dominance_run,
@@ -56,25 +55,11 @@ class TestBasics:
             SimConfig(table_scenario, pol, "original", 1000, 0, warmup=1000)
         with pytest.raises(ValueError):
             SimConfig(table_scenario, PolicyVector.uniform(3), "original", 1000, 0)
-        with pytest.raises(ValueError):
-            SimConfig(table_scenario, pol, "original", 1000, 0, initial=(0, -1, 0, 0))
 
     def test_rng_is_documented(self, table_scenario):
         report = simulate(SimConfig(table_scenario, PolicyVector.uniform(10),
                                     "original", 2_000, 0))
         assert "PCG64" in report.rng
-
-    def test_initial_state_respected(self, table_scenario):
-        # preloaded energy lets the licensed node serve from the first slot
-        scenario = replace(table_scenario, lambda_p=1.0, lambda_pe=0.0,
-                           lambda_s=0.0, lambda_se=0.0, primary_outage=0.0)
-        table = (SensingOption(1, 1.0, 0.0, 0.5),)
-        scenario = replace(scenario, sensing_table=table)
-        config = SimConfig(scenario, PolicyVector.uniform(1), "original",
-                           horizon=100, seed=0, initial=QueueState(q_pe=100))
-        _, trace = simulate_traced(config)
-        assert trace.pu_tx[1:].all()
-        assert trace.q_pe[0] == 100
 
 
 class TestDeterministicSlotLogic:

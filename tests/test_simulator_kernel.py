@@ -7,10 +7,10 @@ loop settling the flags of what the passes leave unsettled. ``reference_run``
 below is the oracle for all of them: the per-slot simulator that the paths
 replaced, one full-horizon draw, both systems stepped slot by slot in one
 loop. It fixes the reports and traces every seed must keep reproducing. Its
-slot rules, run over one chunk's draws, are the oracle of the passes and of
-the loop's flags window by window. The recursion itself is held against a
-slot-by-slot queue, on both sides of the level from which it skips its
-running maximum.
+slot rules, run over one chunk's draws from any start state, are the oracle
+of the kernel under arbitrary flags, and of the passes and the loop's flags
+window by window. The recursion itself is held against a slot-by-slot
+queue, on both sides of the level from which it skips its running maximum.
 
 Small chunk sizes push horizons across many chunk boundaries cheaply; a few
 runs use the real chunk size around its boundaries. The duration index the
@@ -63,12 +63,11 @@ def _predraw(scenario, policy, horizon, seed):
     )
 
 
-def _slot(q, saturated, det_busy, fa_busy, chan_p, chan_s):
-    """One slot of the reference from its start-of-slot levels ``q``:
+def _slot(q, has_p, has_s, det_busy, fa_busy, chan_p, chan_s):
+    """One slot of the reference from its start-of-slot levels ``q``, with
+    the nodes holding a packet as ``has_p`` and ``has_s`` say:
     ``(pu_tx, cr_tx, r_p, r_s, r_pe, r_se)``."""
-    q_p, q_s, q_pe, q_se = q
-    has_p = saturated or q_p > 0
-    has_s = saturated or q_s > 0
+    _, _, q_pe, q_se = q
     pu_tx = has_p and q_pe > 0
     sensed_busy = det_busy if pu_tx else fa_busy
     cr_tx = (not sensed_busy) and has_s and q_se > 0
@@ -90,7 +89,7 @@ def reference_run(config):
     horizon, warmup = config.horizon, config.warmup
     arr_p, arr_s, arr_pe, arr_se, det_busy, fa_busy, chan_p, chan_s = _predraw(
         config.scenario, config.policy, horizon, config.seed)
-    systems = [list(config.initial) for _ in flags]
+    systems = [[0] * 4 for _ in flags]
     measured = horizon - warmup
     stride = max(1, measured // simulator._DRIFT_SAMPLES)
     svc, qsum, samples = [0] * 4, [0] * 4, [[], [], [], []]
@@ -109,8 +108,8 @@ def reference_run(config):
         arrivals = (arr_p[t], arr_s[t], arr_pe[t], arr_se[t])
         for sysno, saturated in enumerate(flags):
             q = systems[sysno]
-            pu_tx, cr_tx, *service = _slot(q, saturated, det_busy[t], fa_busy[t],
-                                           chan_p[t], chan_s[t])
+            pu_tx, cr_tx, *service = _slot(q, saturated or q[0] > 0, saturated or q[1] > 0,
+                                           det_busy[t], fa_busy[t], chan_p[t], chan_s[t])
             if sysno == 0:
                 if t >= warmup:
                     for k, r in enumerate(service):
@@ -132,14 +131,19 @@ def reference_run(config):
     return report, trace
 
 
-def _original_levels(d, state):
-    """The (4, n + 1) levels of the original system over the draws ``d`` of
-    one chunk, slot by slot by the reference's rules."""
-    levels = [list(state)]
-    for a_p, a_s, a_pe, a_se, det, fa, chan_p, chan_s in zip(*(x.tolist() for x in d)):
-        _, _, *service = _slot(levels[-1], False, det, fa, chan_p, chan_s)
-        levels.append(_step(levels[-1], service, (a_p, a_s, a_pe, a_se)))
-    return np.array(levels, dtype=np.int64).T
+def _chunk_reference(d, state, has_p=None, has_s=None):
+    """The (4, n + 1) levels and (6, n) indicators over the draws ``d`` of
+    one chunk from ``state``, slot by slot by the reference's rules, under
+    the flags ``has_p`` and ``has_s``; without flags, those of the original
+    system, ``q_p > 0`` and ``q_s > 0``."""
+    levels, service = [list(state)], []
+    for t, (a_p, a_s, a_pe, a_se, det, fa, chan_p, chan_s) in enumerate(
+            zip(*(x.tolist() for x in d))):
+        q = levels[-1]
+        flags = (q[0] > 0 if has_p is None else has_p[t], q[1] > 0 if has_s is None else has_s[t])
+        service.append(_slot(q, *flags, det, fa, chan_p, chan_s))
+        levels.append(_step(q, service[-1][2:], (a_p, a_s, a_pe, a_se)))
+    return np.array(levels, dtype=np.int64).T, np.array(service, dtype=bool).T
 
 
 def assert_traces_equal(got, want):
@@ -162,9 +166,11 @@ def configs(draw, table, modes=("original", "dominant", "coupled"),
     policy = PolicyVector(tuple(w / sum(weights) for w in weights))
     horizon = draw(horizons)
     warmup = draw(st.integers(0, horizon - 1))
-    initial = QueueState(*draw(st.lists(st.integers(0, 7), min_size=4, max_size=4)))
     return SimConfig(scenario, policy, draw(st.sampled_from(modes)), horizon,
-                     draw(st.integers(0, 2**32 - 1)), warmup, initial)
+                     draw(st.integers(0, 2**32 - 1)), warmup)
+
+
+states = st.lists(st.integers(0, 7), min_size=4, max_size=4).map(lambda q: QueueState(*q))
 
 
 def _run_both(config):
@@ -223,7 +229,7 @@ class TestAgainstReference:
         scenario = replace(table_scenario, **dict(zip(
             ("lambda_p", "lambda_s", "lambda_pe", "lambda_se"), rates)))
         config = SimConfig(scenario, PolicyVector.uniform(scenario.num_durations),
-                           mode, simulator._CHUNK + 17, 7, 1_000, QueueState(3, 1, 0, 2))
+                           mode, simulator._CHUNK + 17, 7, 1_000)
         report, trace = _run_both(config)
         want_report, want_trace = reference_run(config)
         assert report == want_report
@@ -305,7 +311,7 @@ class TestChunkSize:
                            lambda_se=0.5)
         horizon = 3 * simulator._CHUNK + 5_000
         assert horizon < 65_536
-        config = SimConfig(scenario, policy, mode, horizon, 11, 2_000, QueueState(2, 0, 1, 3))
+        config = SimConfig(scenario, policy, mode, horizon, 11, 2_000)
         report, trace = _run_both(config)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "_CHUNK", 65_536)
@@ -379,51 +385,77 @@ def _replication_63(table, load):
     return replace(case, lambda_s=load * analyze(case, policy).mu_s), policy
 
 
-class TestSettledPath:
-    """The original system's fixpoint passes and its loop's flags against the
-    reference's levels, window by window, and whole runs against the
-    reference; a pass cap of 0 or 1 forces the hand-off to the loop from a
-    settled prefix."""
+class TestKernelUnderFlags:
+    """The kernel's levels and six indicators under arbitrary flags, as the
+    passes feed it before a window settles, against the reference's slot rule
+    under the same flags. The stitching of settled prefixes relies on the
+    indicators at slot t depending only on the flags and levels at t."""
 
     @settings(max_examples=80, **_SETTINGS)
-    @given(data=st.data())
-    def test_loop_flags_equal_reference(self, table_scenario, data):
+    @given(data=st.data(), state=states)
+    def test_indicators_equal_slot_rule(self, table_scenario, data, state):
         config = data.draw(configs(table_scenario, modes=("original",)))
         d = _first_chunk(config)
-        want = _original_levels(d, config.initial)
-        has_p, has_s = simulator._loop(d, config.initial)
+        n = d.det.size
+        has_p, has_s = (np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+                        for _ in range(2))
+        levels, service = simulator._kernel(d, state, has_p, has_s)
+        want_levels, want_service = _chunk_reference(d, state, has_p, has_s)
+        assert np.array_equal(np.array(levels), want_levels)
+        for got, want, name in zip(service, want_service, simulator._Service._fields):
+            assert got.dtype == bool, name
+            assert np.array_equal(got, want), name
+
+
+class TestSettledPath:
+    """The original system's fixpoint passes and its loop's flags against the
+    reference's levels and indicators, window by window, from any start
+    state, and whole runs against the reference; a pass cap of 0 or 1 forces
+    the hand-off to the loop from a settled prefix."""
+
+    @settings(max_examples=80, **_SETTINGS)
+    @given(data=st.data(), state=states)
+    def test_loop_flags_equal_reference(self, table_scenario, data, state):
+        config = data.draw(configs(table_scenario, modes=("original",)))
+        d = _first_chunk(config)
+        want, _ = _chunk_reference(d, state)
+        has_p, has_s = simulator._loop(d, state)
         assert has_p.dtype == has_s.dtype == bool
         assert np.array_equal(has_p, want[0, :-1] > 0)
         assert np.array_equal(has_s, want[1, :-1] > 0)
 
     @settings(max_examples=80, **_SETTINGS)
-    @given(data=st.data(), passes=st.sampled_from([0, 1, 2, 6]))
-    def test_settled_prefix_equals_loop(self, table_scenario, data, passes):
+    @given(data=st.data(), state=states, passes=st.sampled_from([0, 1, 2, 6]))
+    def test_settled_prefix_equals_loop(self, table_scenario, data, state, passes):
         config = data.draw(configs(table_scenario, modes=("original",)))
         d = _first_chunk(config)
-        want = _original_levels(d, config.initial)
+        want, want_service = _chunk_reference(d, state)
         out = np.empty_like(want)
-        out[:, 0] = config.initial
+        out[:, 0] = state
+        service = np.empty_like(want_service)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "_PASSES", passes)
-            settled = simulator._settle(d, out)
+            settled = simulator._settle(d, out, service)
         assert 0 <= settled <= d.det.size
         assert passes > 0 or settled == 0
         assert np.array_equal(out[:, :settled + 1], want[:, :settled + 1])
+        assert np.array_equal(service[:, :settled], want_service[:, :settled])
 
     @settings(max_examples=80, **_SETTINGS)
-    @given(data=st.data(), window=st.sampled_from([1, 3, 16, 64]),
+    @given(data=st.data(), state=states, window=st.sampled_from([1, 3, 16, 64]),
            passes=st.sampled_from([0, 1, 6]))
-    def test_chunks_equal_loop(self, table_scenario, data, window, passes):
+    def test_chunks_equal_loop(self, table_scenario, data, state, window, passes):
         config = data.draw(configs(table_scenario, modes=("original",)))
         d = _first_chunk(config)
+        want, want_service = _chunk_reference(d, state)
         original = simulator._Original()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "_WINDOW", window)
             mp.setattr(simulator, "_PASSES", passes)
             for _ in range(2):          # the second chunk starts with the run's backoff
-                assert np.array_equal(original.levels(d, config.initial),
-                                      _original_levels(d, config.initial))
+                levels, service = original.levels(d, state)
+                assert np.array_equal(levels, want)
+                assert np.array_equal(np.array(service), want_service)
 
     @settings(max_examples=60, **_SETTINGS)
     @given(data=st.data(), chunk=st.sampled_from([5, 64, 200]),
@@ -451,8 +483,8 @@ class TestSettledPath:
         handed_off = []
         settle = simulator._settle
 
-        def counted(d, out):
-            settled = settle(d, out)
+        def counted(d, out, service):
+            settled = settle(d, out, service)
             handed_off.append(settled < d.det.size)
             return settled
 
