@@ -29,7 +29,7 @@ from .analytics import PolicyVector, Scenario, analyze
 from .channel import PhysicalLink, verify_outage_monotonicity
 from .optimizer import CONSTRAINT_TOL, solve_constrained_subproblem, solve_overflow_subproblem
 from .simulator import SimConfig, SlotTrace, simulate, simulate_traced
-from .sweep import SweepRow, SweepSpec, rows_to_csv, run_sweep
+from .sweep import SweepSpec, rows_to_csv, run_sweep
 
 
 @dataclass(frozen=True)
@@ -212,6 +212,7 @@ def best_reachable_mu_p(scenario: Scenario) -> float:
 _OUTAGE_LINKS, _OUTAGE_SEED = 1000, 7
 _SIM_HORIZON, _SIM_SEED = 1_000_000, 1
 _OCCUPANCY_COUNT, _OCCUPANCY_HORIZON, _OCCUPANCY_SEED = 20, 500_000, 3
+_OCCUPANCY_DRAWS = 1000     # policy draws per scenario before giving up on mu_se >= 0.12
 _BRUTEFORCE_COUNT, _BRUTEFORCE_SEED = 50, 42
 _DOMINANCE_COUNT, _DOMINANCE_HORIZON, _DOMINANCE_SEED = 100, 10_000, 8
 
@@ -275,13 +276,16 @@ def criterion_3_occupancy(scenario: Scenario) -> CriterionResult:
 
     Scenarios keep the harvest rate at least 0.05 below the consumption rate
     (and at most 75% of it, so the mixing time stays compatible with the
-    horizon and the 0.01 target).
+    horizon and the 0.01 target). Each scenario draws a policy and a
+    licensed energy rate until the consumption rate reaches 0.12, at most
+    ``_OCCUPANCY_DRAWS`` times: no policy reaches it on a table whose
+    consumption weights all stay below 0.12, since mu_se = w @ P.
     """
     rng = np.random.default_rng(_OCCUPANCY_SEED)
     m = scenario.num_durations
     worst = 0.0
     for i in range(_OCCUPANCY_COUNT):
-        while True:
+        for _ in range(_OCCUPANCY_DRAWS):
             raw = rng.random(m) + 0.05
             policy = PolicyVector(tuple(raw / raw.sum()))
             lam_pe = rng.uniform(0.0, 1.0)
@@ -289,6 +293,11 @@ def criterion_3_occupancy(scenario: Scenario) -> CriterionResult:
             mu_se = analyze(probe, policy).mu_se
             if mu_se >= 0.12:
                 break
+        else:
+            return CriterionResult(
+                3, "energy occupancy formula", False,
+                f"scenario {i}: no drawn policy reached mu_se >= 0.12 "
+                f"in {_OCCUPANCY_DRAWS} draws")
         lam_se = rng.uniform(0.02, min(mu_se - 0.05, 0.75 * mu_se))
         case = replace(scenario, lambda_pe=lam_pe, lambda_se=lam_se)
         report = simulate(SimConfig(case, policy, "dominant", _OCCUPANCY_HORIZON, 100 + i,
@@ -331,7 +340,8 @@ def criterion_5_infeasibility_threshold(scenario: Scenario) -> CriterionResult:
     """No policy can stabilize the licensed queue until its energy rate
     clears lambda_p / (1 - primary_outage)."""
     base = replace(scenario, lambda_p=0.2, lambda_se=0.4)
-    threshold = base.lambda_p / (1.0 - base.primary_outage)
+    reachable = base.primary_outage < 1.0     # else the licensed node never delivers
+    threshold = base.lambda_p / (1.0 - base.primary_outage) if reachable else math.inf
     below_ok = True
     below = 0
     first_feasible = None
@@ -345,10 +355,12 @@ def criterion_5_infeasibility_threshold(scenario: Scenario) -> CriterionResult:
         elif row.outcome.status == "optimal" and first_feasible is None:
             first_feasible = row.swept_value
     passed = below_ok and first_feasible is not None
+    where = (f"the {below} below {threshold:.4f}" if reachable else
+             f"all {below}, as primary_outage = 1 puts the threshold out of reach")
     return CriterionResult(
         5, "infeasibility threshold", passed,
-        f"{len(rows)} lambda_pe points at step {step}; infeasible at the {below} below "
-        f"{threshold:.4f}: {below_ok}; first feasible grid point {first_feasible}")
+        f"{len(rows)} lambda_pe points at step {step}; infeasible at {where}: "
+        f"{below_ok}; first feasible grid point {first_feasible}")
 
 
 def criterion_6_plateau(scenario: Scenario) -> CriterionResult:
@@ -365,37 +377,19 @@ def criterion_6_plateau(scenario: Scenario) -> CriterionResult:
             issues.append(f"lambda_p={lam_p}: reference solve infeasible")
             continue
         knee = ref.overflow.rates.mu_se
-        values = [row.outcome.best_mu_s for row in rows]
+        values = [row.outcome.winner.value for row in rows]
         for a, b in zip(values, values[1:]):
             if b < a - 1e-10:
                 issues.append(f"lambda_p={lam_p}: decrease {a!r} -> {b!r}")
                 break
-        plateau = [row.outcome.best_mu_s for row in rows if row.swept_value >= knee + 1e-9]
-        if any(v != ref.best_mu_s for v in plateau):
+        plateau = [v for row, v in zip(rows, values) if row.swept_value >= knee + 1e-9]
+        if any(v != ref.winner.value for v in plateau):
             issues.append(f"lambda_p={lam_p}: plateau not exactly constant past {knee:.4f}")
     grid = f"{' + '.join(map(str, points))} lambda_se points at step {step}: "
     return CriterionResult(
         6, "harvest-rate plateau", not issues,
         grid + ("nondecreasing and exactly constant past the saturation knee"
                 if not issues else "; ".join(issues)))
-
-
-def _lambda_p_sweep(scenario: Scenario, lambda_se: float) -> list[SweepRow]:
-    """The optimum over the 0.01 grid of lambda_p at lambda_pe=0.4."""
-    base = replace(scenario, lambda_pe=0.4, lambda_se=lambda_se)
-    return run_sweep(SweepSpec(base, "lambda_p", 0.0, 1.0, 0.01))
-
-
-def frontier_mu_s_vs_lambda_p(scenario: Scenario) -> str | None:
-    """Throughput never rises with the licensed load; None when it holds."""
-    return _mu_s_rise(_lambda_p_sweep(scenario, 0.4))
-
-
-def _mu_s_rise(rows: list[SweepRow]) -> str | None:
-    for before, row in zip(rows, rows[1:]):
-        if row.outcome.best_mu_s > before.outcome.best_mu_s + 1e-10:
-            return f"mu_s rose with lambda_p at {row.swept_value:.2f}"
-    return None
 
 
 class HarvestDrop(NamedTuple):
@@ -425,36 +419,17 @@ class HarvestDrop(NamedTuple):
                 f"best reachable mu_p={self.mu_p_reach:.6f})")
 
 
-def lambda_se_drops(scenario: Scenario) -> list[HarvestDrop]:
-    """Every grid load where the optimum at lambda_se=0.4 falls below the one
-    at lambda_se=0.2 (lambda_pe=0.4), whether forced or not."""
-    return _drops(scenario, _lambda_p_sweep(scenario, 0.2), _lambda_p_sweep(scenario, 0.4))
+def criterion_7_frontier(scenario: Scenario) -> CriterionResult:
+    """Monotone frontier shapes: (a) mu_s falls with lambda_p; (b) mu_s at
+    lambda_se=0.4 is at least mu_s at 0.2 wherever the 0.2 optimum stays
+    feasible at 0.4; (c) mu_p at the optimum rises with lambda_pe.
 
+    Every optimum comes from ``run_sweep`` over the 0.01 grid of [0, 1],
+    whose infeasible points carry zero throughput: (a) and (b) read the
+    lambda_p sweeps at lambda_pe=0.4 and lambda_se 0.2 and 0.4, (c) the
+    lambda_pe sweep at lambda_p=0.2 and lambda_se=0.4.
 
-def _drops(scenario: Scenario, low_rows: list[SweepRow],
-           high_rows: list[SweepRow]) -> list[HarvestDrop]:
-    drops = []
-    for low, high in zip(low_rows, high_rows):
-        low_mu_s, high_mu_s = low.outcome.best_mu_s, high.outcome.best_mu_s
-        if high_mu_s < low_mu_s - 1e-10:
-            high_case = replace(scenario, lambda_pe=0.4, lambda_se=0.4,
-                                lambda_p=high.swept_value)
-            drops.append(HarvestDrop(
-                high.swept_value, low_mu_s, high_mu_s,
-                analyze(high_case, low.outcome.best_policy).mu_p,
-                best_reachable_mu_p(high_case), high.outcome.status == "optimal"))
-    return drops
-
-
-def _unforced(drops: list[HarvestDrop]) -> str | None:
-    return "; ".join(d.describe() for d in drops if not d.forced) or None
-
-
-def frontier_mu_s_vs_lambda_se(scenario: Scenario) -> str | None:
-    """More harvested energy never lowers the optimum unless licensed
-    stability forces it; None when that holds.
-
-    For a fixed policy P, mu_s(P) = min(lambda_se / mu_se(P), 1) *
+    For (b): for a fixed policy P, mu_s(P) = min(lambda_se / mu_se(P), 1) *
     (1 - lambda_pe) * (u @ P) is nondecreasing in lambda_se, since mu_se(P)
     does not depend on lambda_se. So wherever the lambda_se=0.2 optimum still
     keeps the licensed queue stable at 0.4, the optimum at 0.4 is at least
@@ -465,43 +440,36 @@ def frontier_mu_s_vs_lambda_se(scenario: Scenario) -> str | None:
     therefore be stable at 0.2 and unstable at 0.4: on the bundled table, at
     lambda_p=0.27 the best reachable mu_p at lambda_se=0.4 is 0.26972, and the
     optimum drops from 0.112592 to infeasible. Such forced drops are listed
-    by ``lambda_se_drops`` and do not fail the check.
-    """
-    return _unforced(lambda_se_drops(scenario))
-
-
-def frontier_mu_p_vs_lambda_pe(scenario: Scenario) -> str | None:
-    """Licensed service at the optimum never falls as its energy rate grows."""
-    base = replace(scenario, lambda_p=0.2, lambda_se=0.4)
-    rows = run_sweep(SweepSpec(base, "lambda_pe", 0.0, 1.0, 0.01))
-    values = [row.outcome.rates.mu_p if row.outcome.status == "optimal" else 0.0
-              for row in rows]
-    for k in range(len(rows) - 1):
-        if values[k + 1] < values[k] - 1e-10:
-            return f"mu_p fell with lambda_pe at {rows[k + 1].swept_value:.2f}"
-    return None
-
-
-def criterion_7_frontier(scenario: Scenario) -> CriterionResult:
-    """Monotone frontier shapes: (a) mu_s falls with lambda_p; (b) mu_s at
-    lambda_se=0.4 is at least mu_s at 0.2 wherever the 0.2 optimum stays
-    feasible at 0.4 (see ``frontier_mu_s_vs_lambda_se``); (c) mu_p at the
-    optimum rises with lambda_pe.
-
-    Every optimum comes from ``run_sweep`` over the 0.01 grid of [0, 1],
-    whose infeasible points carry zero throughput; (a) and (b) read one
-    sweep at lambda_se=0.4. Drops in (b) that licensed stability forces are
-    listed in the detail, with the best reachable mu_p, and do not fail the
+    in the detail, with the best reachable mu_p, and do not fail the
     criterion.
     """
-    high = _lambda_p_sweep(scenario, 0.4)
-    drops = _drops(scenario, _lambda_p_sweep(scenario, 0.2), high)
+    low, high = (run_sweep(SweepSpec(replace(scenario, lambda_pe=0.4, lambda_se=lam_se),
+                                     "lambda_p", 0.0, 1.0, 0.01)) for lam_se in (0.2, 0.4))
+    licensed = run_sweep(SweepSpec(replace(scenario, lambda_p=0.2, lambda_se=0.4),
+                                   "lambda_pe", 0.0, 1.0, 0.01))
     issues = []
-    for label, issue in (("(a)", _mu_s_rise(high)),
-                         ("(b)", _unforced(drops)),
-                         ("(c)", frontier_mu_p_vs_lambda_pe(scenario))):
-        if issue:
-            issues.append(f"{label} {issue}")
+    mu_s = [row.outcome.winner.value for row in high]
+    for row, before, after in zip(high[1:], mu_s, mu_s[1:]):
+        if after > before + 1e-10:
+            issues.append(f"(a) mu_s rose with lambda_p at {row.swept_value:.2f}")
+            break
+    drops = []
+    for lo, hi in zip(low, high):
+        lo_win, hi_win = lo.outcome.winner, hi.outcome.winner
+        if hi_win.value < lo_win.value - 1e-10:
+            hi_case = replace(scenario, lambda_pe=0.4, lambda_se=0.4, lambda_p=hi.swept_value)
+            drops.append(HarvestDrop(
+                hi.swept_value, lo_win.value, hi_win.value,
+                analyze(hi_case, lo_win.policy).mu_p,
+                best_reachable_mu_p(hi_case), hi_win.status == "optimal"))
+    if unforced := "; ".join(d.describe() for d in drops if not d.forced):
+        issues.append(f"(b) {unforced}")
+    mu_p = [row.outcome.winner.rates.mu_p if row.outcome.status == "optimal" else 0.0
+            for row in licensed]
+    for row, before, after in zip(licensed[1:], mu_p, mu_p[1:]):
+        if after < before - 1e-10:
+            issues.append(f"(c) mu_p fell with lambda_pe at {row.swept_value:.2f}")
+            break
     forced = [d.describe() for d in drops if d.forced]
     detail = ("; ".join(issues) if issues else
               "mu_s nonincreasing in lambda_p; mu_s at lambda_se=0.4 >= at 0.2 "
@@ -645,7 +613,7 @@ _CRITERIA = {
 
 
 def run_all(scenario: Scenario, criteria: list[int] | None = None) -> list[CriterionResult]:
-    numbers = sorted(criteria) if criteria else sorted(_CRITERIA)
+    numbers = sorted(set(criteria or _CRITERIA))
     unknown = [n for n in numbers if n not in _CRITERIA]
     if unknown:
         raise ValueError(f"unknown criterion numbers: {unknown}")

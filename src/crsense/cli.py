@@ -43,12 +43,12 @@ def _print_outcome(outcome) -> None:
     if outcome.status != "optimal":
         print("mu_s 0.000000")
         return
-    rates = outcome.rates
+    rates = outcome.winner.rates
     print(f"winning_subproblem {outcome.winning_subproblem}")
     for name, value in (("mu_s", rates.mu_s), ("mu_p", rates.mu_p),
                         ("mu_se", rates.mu_se), ("x_tilde_se", rates.x_se_capped)):
         print(f"{name} {value:.6f}")
-    print("policy " + " ".join(f"{p:.6f}" for p in outcome.best_policy.probs))
+    print("policy " + " ".join(f"{p:.6f}" for p in outcome.winner.policy.probs))
 
 
 def _cmd_solve(args) -> int:
@@ -86,7 +86,7 @@ def _resolve_policy(args, scenario: Scenario) -> PolicyVector | None:
         if outcome.status != "optimal":
             print("no feasible policy for this scenario", file=sys.stderr)
             return None
-        return outcome.best_policy
+        return outcome.winner.policy
     tokens = Path(args.policy).read_text().split()
     return PolicyVector(tuple(float(tok) for tok in tokens))
 

@@ -18,8 +18,9 @@ the saturated regime because its policy does not depend on the harvest rate.
 
 Both programs are written in ``Scenario.coefficients``, which a scenario
 builds once and ``analytics.analyze`` reads too; each subproblem evaluates
-the policy it returns once, with ``analyze``, and the outcome carries the
-winner's rates as they are.
+the policy it returns once, with ``analyze``. The outcome keeps both
+subproblem results and the winner's name; its policy, mu_s and rates are
+those of ``outcome.winner``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import AnalyticRates, PolicyVector, Scenario, analyze
-from .lp import CONSTRAINT_TOL, solve_lp  # noqa: F401  (CONSTRAINT_TOL is re-exported)
+from .lp import CONSTRAINT_TOL, LPSolution, solve_lp  # noqa: F401  (CONSTRAINT_TOL is re-exported)
 
 _REGIME_TOL = 1e-12
 
@@ -51,19 +52,38 @@ _INFEASIBLE = SubproblemResult("infeasible", None, None)
 
 @dataclass(frozen=True)
 class OptimizationOutcome:
-    status: str                      # "optimal" | "infeasible"
-    best_policy: PolicyVector | None
-    best_mu_s: float
     winning_subproblem: str          # "constrained" | "overflow" | "none"
     constrained: SubproblemResult
     overflow: SubproblemResult
-    rates: AnalyticRates | None      # closed-form rates at the best policy
+
+    @property
+    def winner(self) -> SubproblemResult:
+        """The named subproblem's result; the infeasible result for "none"."""
+        if self.winning_subproblem == "constrained":
+            return self.constrained
+        return self.overflow if self.winning_subproblem == "overflow" else _INFEASIBLE
+
+    @property
+    def status(self) -> str:
+        """The winner's status: "optimal", or "infeasible" for "none"."""
+        return self.winner.status
 
 
-def _policy_from(raw: np.ndarray) -> PolicyVector:
-    # vertices are accepted up to CONSTRAINT_TOL; clip and renormalize
-    clipped = np.clip(raw, 0.0, None)
+def _vertex(solution: LPSolution) -> PolicyVector | None:
+    """The solution's policy, None when the program is infeasible. Vertices
+    are accepted up to CONSTRAINT_TOL, so the point is clipped and
+    renormalized."""
+    if solution.status != "optimal":
+        return None
+    clipped = np.clip(solution.x, 0.0, None)
     return PolicyVector(tuple(clipped / clipped.sum()))
+
+
+def _result(scenario: Scenario, policy: PolicyVector | None) -> SubproblemResult:
+    """The subproblem's answer at its vertex, evaluated once with ``analyze``."""
+    if policy is None:
+        return _INFEASIBLE
+    return SubproblemResult("optimal", policy, analyze(scenario, policy))
 
 
 def solve_constrained_subproblem(scenario: Scenario) -> SubproblemResult:
@@ -81,11 +101,7 @@ def solve_constrained_subproblem(scenario: Scenario) -> SubproblemResult:
         cap * lam_se * d - (cap - lam_p) * w,   # licensed queue stays stable
         -w,                                      # regime: consumption covers harvest
     ])
-    solution = solve_lp(numerator, w, rows, [0.0, -lam_se])
-    if solution.status != "optimal":
-        return _INFEASIBLE
-    policy = _policy_from(solution.x)
-    return SubproblemResult("optimal", policy, analyze(scenario, policy))
+    return _result(scenario, _vertex(solve_lp(numerator, w, rows, [0.0, -lam_se])))
 
 
 def solve_overflow_subproblem(scenario: Scenario) -> SubproblemResult:
@@ -103,17 +119,11 @@ def solve_overflow_subproblem(scenario: Scenario) -> SubproblemResult:
     ones = np.ones(scenario.num_durations)
     primary_row = (cap * d)[None, :]
     primary_rhs = cap - scenario.lambda_p
-    solution = solve_lp(c, ones, primary_row, [primary_rhs])
-    if solution.status != "optimal":
-        return _INFEASIBLE
-    policy = _policy_from(solution.x)
-    if float(w @ policy.as_array()) > scenario.lambda_se + _REGIME_TOL:
-        solution = solve_lp(c, ones, np.vstack([primary_row, w]),
-                            [primary_rhs, scenario.lambda_se])
-        if solution.status != "optimal":
-            return _INFEASIBLE
-        policy = _policy_from(solution.x)
-    return SubproblemResult("optimal", policy, analyze(scenario, policy))
+    policy = _vertex(solve_lp(c, ones, primary_row, [primary_rhs]))
+    if policy is not None and float(w @ policy.as_array()) > scenario.lambda_se + _REGIME_TOL:
+        policy = _vertex(solve_lp(c, ones, np.vstack([primary_row, w]),
+                                  [primary_rhs, scenario.lambda_se]))
+    return _result(scenario, policy)
 
 
 def solve(scenario: Scenario) -> OptimizationOutcome:
@@ -129,15 +139,13 @@ def solve(scenario: Scenario) -> OptimizationOutcome:
     """
     constrained = solve_constrained_subproblem(scenario)
     overflow = solve_overflow_subproblem(scenario)
-    if constrained.status != "optimal" and overflow.status != "optimal":
-        return OptimizationOutcome(
-            "infeasible", None, 0.0, "none", constrained, overflow, None)
     if constrained.status == "optimal" and (
             overflow.status != "optimal" or (
                 constrained.value > overflow.value
                 and constrained.rates.mu_se > scenario.lambda_se + _REGIME_TOL)):
-        winner, side = constrained, "constrained"
+        side = "constrained"
+    elif overflow.status == "optimal":
+        side = "overflow"
     else:
-        winner, side = overflow, "overflow"
-    return OptimizationOutcome(
-        "optimal", winner.policy, winner.value, side, constrained, overflow, winner.rates)
+        side = "none"
+    return OptimizationOutcome(side, constrained, overflow)

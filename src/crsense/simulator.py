@@ -98,9 +98,9 @@ class QueueState(NamedTuple):
 class SimConfig:
     scenario: Scenario
     policy: PolicyVector
-    mode: str = "dominant"
-    horizon: int = 100_000
-    seed: int = 0
+    mode: str
+    horizon: int
+    seed: int
     warmup: int = 0
 
     def __post_init__(self):

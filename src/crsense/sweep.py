@@ -120,7 +120,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         comparison = None
         if spec.simulate and outcome.status == "optimal":
             comparison = compare_sim_vs_analytic(
-                scenario, outcome.best_policy, spec.horizon,
+                scenario, outcome.winner.policy, spec.horizon,
                 spec.seed + k, spec.warmup)
         rows.append(SweepRow(value, outcome, comparison))
     return rows
@@ -161,12 +161,13 @@ def rows_to_csv(spec: SweepSpec, rows: list[SweepRow]) -> str:
     out.write(csv_header(m, spec.simulate) + "\n")
     for row in rows:
         cells = [_fmt(row.swept_value)]
-        if row.outcome.status == "optimal":
-            rates = row.outcome.rates
+        winner = row.outcome.winner
+        if winner.status == "optimal":
+            rates = winner.rates
             cells += ["optimal", _fmt(rates.mu_s), _fmt(rates.mu_p),
                       _fmt(rates.mu_se), _fmt(rates.x_se_capped),
                       row.outcome.winning_subproblem]
-            cells += _format_policy(row.outcome.best_policy)
+            cells += _format_policy(winner.policy)
         else:
             cells += ["infeasible", _fmt(0.0), _fmt(0.0), _fmt(0.0), _fmt(0.0), "none"]
             cells += [_fmt(0.0)] * m

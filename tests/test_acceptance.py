@@ -32,14 +32,18 @@ that it provably lacks:
 
 from dataclasses import fields, replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from crsense import acceptance as acc
 from crsense import sweep
-from crsense.analytics import PolicyVector, analyze
+from crsense.analytics import PolicyVector, Scenario, analyze
+from crsense.channel import SensingOption
 from crsense.simulator import SlotTrace
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _check(result):
@@ -71,22 +75,17 @@ def test_criterion_6_plateau(table_scenario):
     _check(acc.criterion_6_plateau(table_scenario))
 
 
-def test_criterion_7a_mu_s_nonincreasing_in_lambda_p(table_scenario):
-    issue = acc.frontier_mu_s_vs_lambda_p(table_scenario)
-    print(f"criterion 7a [mu_s vs lambda_p] {'PASS' if issue is None else 'FAIL: ' + issue}")
-    assert issue is None, issue
+def test_criterion_7_frontier(table_scenario, monkeypatch):
+    solved = []
+    real = sweep.solve
 
+    def counting(scenario):
+        solved.append(scenario)
+        return real(scenario)
 
-def test_criterion_7b_mu_s_nondecreasing_in_lambda_se(table_scenario):
-    issue = acc.frontier_mu_s_vs_lambda_se(table_scenario)
-    print(f"criterion 7b [mu_s vs lambda_se] {'PASS' if issue is None else 'FAIL: ' + issue}")
-    assert issue is None, issue
-
-
-def test_criterion_7c_mu_p_nondecreasing_in_lambda_pe(table_scenario):
-    issue = acc.frontier_mu_p_vs_lambda_pe(table_scenario)
-    print(f"criterion 7c [mu_p vs lambda_pe] {'PASS' if issue is None else 'FAIL: ' + issue}")
-    assert issue is None, issue
+    monkeypatch.setattr(sweep, "solve", counting)
+    _check(acc.criterion_7_frontier(table_scenario))
+    assert len(solved) == 3 * 101           # each of the three sweeps runs once
 
 
 def test_criterion_8_dominance(table_scenario):
@@ -98,14 +97,17 @@ def test_criterion_9_determinism(table_scenario):
 
 
 def test_criterion_7b_reports_the_forced_drop(table_scenario):
-    drops = acc.lambda_se_drops(table_scenario)
-    assert [d.lambda_p for d in drops] == [pytest.approx(0.27)]
-    drop = drops[0]
-    assert drop.forced and not drop.high_feasible
-    assert drop.mu_s_low == pytest.approx(0.112592, abs=1e-6)
-    assert drop.mu_p_reach == pytest.approx(0.26972, abs=1e-5)
-    detail = acc.criterion_7_frontier(table_scenario).detail
-    assert "lambda_p=0.27" in detail and "forced by licensed stability" in detail
+    # the line the grid-criteria golden file pins: one drop, at lambda_p=0.27,
+    # from 0.112592 to infeasible, forced because no policy reaches
+    # mu_p=0.27 at lambda_se=0.4
+    pinned = (GOLDEN / "table1_check_5_6_7.txt").read_text().splitlines()[2]
+    result = acc.criterion_7_frontier(table_scenario)
+    assert acc.format_result(result) == pinned
+    forced = result.detail.split("; forced drops in (b): ", 1)[1]
+    assert forced == (
+        "lambda_p=0.27: mu_s 0.112592 at lambda_se=0.2 -> 0.000000 at 0.4, forced by "
+        "licensed stability (the 0.2 optimum gives mu_p=0.260000 at 0.4, best reachable "
+        "mu_p=0.269725)")
 
 
 def _rigged_solve(monkeypatch, lambda_p, rig):
@@ -122,25 +124,44 @@ def _rigged_solve(monkeypatch, lambda_p, rig):
     monkeypatch.setattr(sweep, "solve", solve)
 
 
+def _scaled_winner(outcome, factor):
+    winner = outcome.winner
+    rates = replace(winner.rates, mu_s=factor * winner.rates.mu_s)
+    return replace(outcome, **{outcome.winning_subproblem: replace(winner, rates=rates)})
+
+
 def test_criterion_7b_catches_drop_where_low_optimum_stays_feasible(
         table_scenario, monkeypatch):
     # at lambda_p=0.10 the lambda_se=0.2 optimum keeps mu_p=0.2313 at 0.4
-    _rigged_solve(monkeypatch, 0.10,
-                  lambda o: replace(o, best_mu_s=0.25 * o.best_mu_s))
-    issue = acc.frontier_mu_s_vs_lambda_se(table_scenario)
-    assert issue is not None and "lambda_p=0.10" in issue and "optimizer fault" in issue
-    assert not acc.criterion_7_frontier(table_scenario).passed
+    _rigged_solve(monkeypatch, 0.10, lambda o: _scaled_winner(o, 0.25))
+    result = acc.criterion_7_frontier(table_scenario)
+    assert not result.passed
+    assert "(b) lambda_p=0.10: " in result.detail
+    assert "optimizer fault" in result.detail
 
 
 def test_criterion_7b_catches_infeasible_verdict_with_reachable_mu_p(
         table_scenario, monkeypatch):
     # at lambda_p=0.26 the low optimum fails at 0.4, but other policies reach
     # mu_p=0.2697, so declaring the point infeasible is an optimizer fault
-    _rigged_solve(monkeypatch, 0.26,
-                  lambda o: replace(o, status="infeasible", best_policy=None,
-                                    best_mu_s=0.0, rates=None))
-    issue = acc.frontier_mu_s_vs_lambda_se(table_scenario)
-    assert issue is not None and "lambda_p=0.26" in issue
+    _rigged_solve(monkeypatch, 0.26, lambda o: replace(o, winning_subproblem="none"))
+    result = acc.criterion_7_frontier(table_scenario)
+    assert not result.passed
+    assert "(b) lambda_p=0.26: " in result.detail
+    assert "-> 0.000000 at 0.4, optimizer fault" in result.detail
+
+
+_LOW_CONSUMPTION = Scenario(0.05, 0.1, 0.4, 0.4, 0.1, (
+    SensingOption(1, 0.95, 0.95, 0.1), SensingOption(2, 0.96, 0.96, 0.2)))
+
+
+def test_criterion_3_gives_up_where_no_policy_consumes_enough():
+    # every consumption weight is 0.05 for any lambda_pe, below the 0.12
+    # the occupancy scenarios need
+    result = acc.criterion_3_occupancy(_LOW_CONSUMPTION)
+    assert not result.passed
+    assert result.detail == (f"scenario 0: no drawn policy reached mu_se >= 0.12 "
+                             f"in {acc._OCCUPANCY_DRAWS} draws")
 
 
 def exact_best_mu_p(scenario) -> Fraction:

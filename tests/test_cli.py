@@ -193,5 +193,20 @@ class TestCheck:
         assert "criterion 9" in out and "PASS" in out
         assert "1/1 criteria passed" in out
 
+    def test_repeated_criterion_runs_once(self, scenario_file, capsys):
+        assert main(["check", scenario_file, "--criteria", "1", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("criterion 1 [") == 1
+        assert out.endswith("1/1 criteria passed\n")
+
+    def test_full_primary_outage_fails_criterion_5(self, scenario_file, capsys):
+        code = main(["check", scenario_file, "--primary-outage", "1", "--criteria", "5"])
+        out, err = capsys.readouterr()
+        assert code == 1 and not err
+        assert out.splitlines()[0] == (
+            "criterion 5 [infeasibility threshold] FAIL: 101 lambda_pe points at step 0.01; "
+            "infeasible at all 101, as primary_outage = 1 puts the threshold out of reach: "
+            "True; first feasible grid point None")
+
     def test_unknown_criterion(self, scenario_file, capsys):
         assert main(["check", scenario_file, "--criteria", "12"]) == 1

@@ -20,7 +20,7 @@ from scenario_strategies import SETTINGS, hundredths, scenarios
 
 
 def assert_policy_feasible(scenario, outcome):
-    policy = outcome.best_policy
+    policy = outcome.winner.policy
     assert sum(policy.probs) == pytest.approx(1.0, abs=1e-9)
     rates = analyze(scenario, policy)
     assert scenario.lambda_p <= rates.mu_p + CONSTRAINT_TOL
@@ -125,7 +125,7 @@ class TestMasterSolve:
             sensing_table=(table_scenario.sensing_table[0],))
         outcome = solve(scenario)
         assert outcome.status == "optimal"
-        assert outcome.best_policy.probs == (1.0,)
+        assert outcome.winner.policy.probs == (1.0,)
         infeasible = solve(replace(scenario, lambda_p=0.3))
         assert infeasible.status == "infeasible"
 
@@ -133,8 +133,8 @@ class TestMasterSolve:
         # mu_p can never exceed lambda_pe * (1 - primary_outage) = 0.14
         outcome = solve(replace(table_scenario, lambda_p=0.5, lambda_pe=0.2))
         assert outcome.status == "infeasible"
-        assert outcome.best_policy is None
-        assert outcome.best_mu_s == 0.0
+        assert outcome.winner.policy is None
+        assert outcome.winner.value == 0.0
         assert outcome.winning_subproblem == "none"
 
     def test_reference_point_matches_exact(self, sub3_scenario):
@@ -143,7 +143,7 @@ class TestMasterSolve:
         outcome = solve(scenario)
         exact = max(v for v in exact_subproblems(scenario) if v is not None)
         assert outcome.status == "optimal"
-        assert abs(Fraction(outcome.best_mu_s) - exact) <= 1e-12
+        assert abs(Fraction(outcome.winner.value) - exact) <= 1e-12
         assert_policy_feasible(scenario, outcome)
 
     def test_best_of_both_subproblems(self, table_scenario):
@@ -161,7 +161,7 @@ class TestMasterSolve:
             if outcome.status == "infeasible":
                 assert not feasible_values
                 continue
-            assert outcome.best_mu_s == max(feasible_values)
+            assert outcome.winner.value == max(feasible_values)
             assert_policy_feasible(scenario, outcome)
 
     def test_tie_goes_to_overflow(self, table_scenario):
@@ -175,8 +175,8 @@ class TestMasterSolve:
         # drain regime's value can lead by round-off only
         outcome = solve(replace(table_scenario, lambda_pe=0.78))
         assert outcome.winning_subproblem == "overflow"
-        assert outcome.rates.x_se_capped == 1.0
-        assert outcome.best_policy.probs == pytest.approx(
+        assert outcome.winner.rates.x_se_capped == 1.0
+        assert outcome.winner.policy.probs == pytest.approx(
             [0.742515, 0, 0, 0, 0, 0, 0.257485, 0, 0, 0], abs=1e-6)
         # here the drain regime does lead, by 2.8e-17, with mu_se 1.1e-16
         # below lambda_se: a lead on the boundary goes to the saturated regime
@@ -203,7 +203,7 @@ class TestMasterSolve:
             hi = solve(replace(scenario, lambda_p=lam_hi))
             if hi.status == "optimal":
                 assert lo.status == "optimal"
-                assert lo.best_mu_s >= hi.best_mu_s - 1e-10
+                assert lo.winner.value >= hi.winner.value - 1e-10
 
     def test_infeasible_beyond_energy_limit(self, table_scenario):
         rng = np.random.default_rng(12)
@@ -321,8 +321,8 @@ class TestVertexTieRule:
     def test_zero_objective_takes_first_point_mass(self, table_scenario, field, value):
         # every feasible policy gives mu_s = 0; the first candidate, e_1, wins
         outcome = solve(replace(table_scenario, **{field: value}))
-        assert outcome.best_mu_s == 0.0
-        assert outcome.best_policy == PolicyVector.point_mass(10, 0)
+        assert outcome.winner.value == 0.0
+        assert outcome.winner.policy == PolicyVector.point_mass(10, 0)
 
 
 class TestLargeTables:
@@ -333,7 +333,7 @@ class TestLargeTables:
         outcome = solve(scenario)
         assert outcome.status == "optimal"
         assert_policy_feasible(scenario, outcome)
-        assert sum(p > 0.0 for p in outcome.best_policy.probs) <= 3
+        assert sum(p > 0.0 for p in outcome.winner.policy.probs) <= 3
 
     def test_past_the_bound_raises_before_enumerating(self, table_scenario, monkeypatch):
         monkeypatch.setattr(crsense.lp, "_supports", None)      # never reached
@@ -346,7 +346,8 @@ class TestLargeTables:
 
 class TestRatesPassThrough:
     """Each returned policy is evaluated once, by ``analyze``, and its rates
-    reach the outcome unchanged."""
+    reach the outcome unchanged: the winner is the very subproblem result
+    that ``winning_subproblem`` names."""
 
     @settings(max_examples=300, **SETTINGS)
     @given(scenarios(1, 10))
@@ -362,11 +363,12 @@ class TestRatesPassThrough:
             else:
                 assert result.policy is None and result.rates is None
                 assert result.value == 0.0
-        if outcome.status == "optimal":
-            assert outcome.rates == analyze(scenario, outcome.best_policy)
-            assert outcome.best_mu_s == outcome.rates.mu_s
-        else:
-            assert outcome.rates is None
+        named = {"constrained": outcome.constrained, "overflow": outcome.overflow,
+                 "none": optimizer._INFEASIBLE}
+        assert outcome.winner is named[outcome.winning_subproblem]
+        assert outcome.status == outcome.winner.status
+        feasible = "optimal" in (outcome.constrained.status, outcome.overflow.status)
+        assert outcome.status == ("optimal" if feasible else "infeasible")
 
     @pytest.mark.parametrize("lam_p, lam_pe, lam_se, statuses", [
         (0.0, 0.2, 0.8, ("optimal", "optimal")),      # overflow row added, LP re-solved
