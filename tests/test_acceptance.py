@@ -88,6 +88,31 @@ def test_criterion_7_frontier(table_scenario, monkeypatch):
     assert len(solved) == 3 * 101           # each of the three sweeps runs once
 
 
+@pytest.fixture(scope="module")
+def frontier(table_scenario):
+    return acc.criterion_7_frontier(table_scenario)
+
+
+def _frontier_part(result, part, label):
+    """The issues criterion 7 reports under ``(part)``, printed as one line."""
+    issues = [issue for issue in result.detail.split("; forced drops in (b): ", 1)[0]
+              .split("; ") if issue.startswith(f"({part}) ")]
+    print(f"criterion 7{part} [{label}] {'FAIL: ' + '; '.join(issues) if issues else 'PASS'}")
+    return issues
+
+
+def test_criterion_7a_mu_s_nonincreasing_in_lambda_p(frontier):
+    assert not _frontier_part(frontier, "a", "mu_s vs lambda_p")
+
+
+def test_criterion_7b_mu_s_nondecreasing_in_lambda_se(frontier):
+    assert not _frontier_part(frontier, "b", "mu_s vs lambda_se")
+
+
+def test_criterion_7c_mu_p_nondecreasing_in_lambda_pe(frontier):
+    assert not _frontier_part(frontier, "c", "mu_p vs lambda_pe")
+
+
 def test_criterion_8_dominance(table_scenario):
     _check(acc.criterion_8_dominance(table_scenario))
 
