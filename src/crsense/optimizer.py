@@ -37,9 +37,13 @@ _REGIME_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SubproblemResult:
-    status: str                      # "optimal" | "infeasible"
-    policy: PolicyVector | None
+    policy: PolicyVector | None      # None when the subproblem is infeasible
     rates: AnalyticRates | None      # closed-form rates at the policy
+
+    @property
+    def status(self) -> str:
+        """The result's status: "optimal", or "infeasible" without a policy."""
+        return "infeasible" if self.policy is None else "optimal"
 
     @property
     def value(self) -> float:
@@ -47,7 +51,7 @@ class SubproblemResult:
         return self.rates.mu_s if self.rates is not None else 0.0
 
 
-_INFEASIBLE = SubproblemResult("infeasible", None, None)
+_INFEASIBLE = SubproblemResult(None, None)
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ def _result(scenario: Scenario, policy: PolicyVector | None) -> SubproblemResult
     """The subproblem's answer at its vertex, evaluated once with ``analyze``."""
     if policy is None:
         return _INFEASIBLE
-    return SubproblemResult("optimal", policy, analyze(scenario, policy))
+    return SubproblemResult(policy, analyze(scenario, policy))
 
 
 def solve_constrained_subproblem(scenario: Scenario) -> SubproblemResult:

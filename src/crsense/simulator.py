@@ -32,10 +32,16 @@ duration at all. Each chunk takes one of three paths:
   q_pe), the data queues given q_pe and q_se. So each queue is a Lindley
   recursion with known service, computed exactly by one cumsum and one
   running maximum; a span whose start level keeps the queue from ever being
-  served while empty skips the running maximum. Beside the four levels the
-  kernel returns the transmissions and all six service indicators it builds
-  on the way, so one vectorised statement of the slot rule serves every
-  mode. With all-ones flags this is the saturated system;
+  served while empty skips the running maximum, and a span served in every
+  slot from a level of at most 1 needs neither, since ``max(q - 1, 0) + a
+  = a`` once ``q <= 1``: its levels are the start level and then the
+  arrivals. That is every chunk of the saturated licensed energy queue. An
+  n-slot span's arithmetic is int32 unless its start level is within
+  ``n + 1`` of 2**31, and int64 then; occupancy sums and ``SlotTrace``
+  columns are int64. Beside the four levels the kernel returns the
+  transmissions and all six service indicators it builds on the way, so
+  one vectorised statement of the slot rule serves every mode. With
+  all-ones flags this is the saturated system;
 * fixpoint passes of the kernel for the original system, whose nodes stay
   silent on empty data buffers, over windows of ``_WINDOW`` slots. A pass
   starts from all-ones flags, recomputes them as ``q_p > 0`` and
@@ -110,6 +116,8 @@ class SimConfig:
             raise ValueError("horizon and warmup must be integers")
         if not self.horizon > self.warmup >= 0:
             raise ValueError(f"need horizon > warmup >= 0, got {self.horizon}, {self.warmup}")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if len(self.policy) != self.scenario.num_durations:
             raise ValueError("policy length does not match the sensing table")
 
@@ -260,17 +268,31 @@ def _draw_chunks(scenario: Scenario, policy: PolicyVector, horizon: int, seed: i
 def _lindley(q0: int, arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
     """Levels at slots 0..n of ``q' = max(q - r, 0) + a`` from ``q0``, exactly.
 
-    Unrolled, ``q_t = S_t + max(q0, max_{k<t} (a_k - S_{k+1}))`` with ``S``
-    the partial sums of ``a - r``: one cumsum and one running maximum. Where
-    ``q0 >= a_k - S_{k+1}`` for every slot k of the span (one max reduction),
-    the queue cannot empty, the running maximum is ``q0`` throughout, and the
-    levels are ``q0 + S`` without the scan.
+    A queue served in every slot from ``q0 <= 1`` holds ``[q0, a_0, ...,
+    a_{n-1}]``: ``max(q - 1, 0) + a = a`` once ``q <= 1``, and every later
+    level is an arrival indicator. ``q0`` is tested first, so a span that
+    starts higher pays nothing for the test. Otherwise, unrolled, ``q_t =
+    S_t + max(q0, max_{k<t} (a_k - S_{k+1}))`` with ``S`` the partial sums of
+    ``a - r``: one cumsum and one running maximum. Where ``q0 >= a_k -
+    S_{k+1}`` for every slot k of the span (one max reduction), the queue
+    cannot empty, the running maximum is ``q0`` throughout, and the levels
+    are ``q0 + S`` without the scan.
+
+    Every value computed lies in [-n, q0 + n], so the partial sums, the
+    running maximum and the levels are int32 where ``q0 + n + 1 < 2**31``
+    and int64 otherwise; the always-served levels are int32.
     """
     n = arrivals.size
-    total = np.zeros(n + 1, dtype=np.int64)
+    if q0 <= 1 and service.all():
+        level = np.empty(n + 1, dtype=np.int32)
+        level[0] = q0
+        level[1:] = arrivals
+        return level
+    dtype = np.int32 if q0 + n + 1 < 2**31 else np.int64
+    total = np.zeros(n + 1, dtype=dtype)
     np.cumsum(np.subtract(arrivals.view(np.int8), service.view(np.int8)),
-              dtype=np.int64, out=total[1:])
-    level = np.empty(n + 1, dtype=np.int64)
+              dtype=dtype, out=total[1:])
+    level = np.empty(n + 1, dtype=dtype)
     level[0] = q0
     np.subtract(arrivals, total[1:], out=level[1:])
     if level.max() <= q0:
@@ -482,7 +504,7 @@ def _run(config: SimConfig, trace: bool):
         first = lo + (warmup - t0 - lo) % stride     # drift samples: t - warmup = 0 mod stride
         for k, (q, r) in enumerate(zip(levels, service[2:])):
             svc[k] += int(np.count_nonzero(r[lo:]))
-            qsum[k] += int(q[lo:n].sum())
+            qsum[k] += int(q[lo:n].sum(dtype=np.int64))   # int32 chunk levels, summed wide
             drift_samples[k].append(q[first:n:stride].copy())     # a view would keep the chunk
         pe_nonempty += int(np.count_nonzero(levels[2][lo:n]))
         se_nonempty += int(np.count_nonzero(levels[3][lo:n]))
@@ -517,6 +539,7 @@ def _run(config: SimConfig, trace: bool):
     if not trace:
         return report
     columns = [np.concatenate(col) for col in zip(*parts)]
+    columns[:4] = [col.astype(np.int64, copy=False) for col in columns[:4]]
     columns[10:] = [col.astype(np.int64) for col in columns[10:]]
     return report, SlotTrace(*columns)
 

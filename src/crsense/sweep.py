@@ -51,6 +51,9 @@ class SweepSpec:
             raise ValueError(
                 f"simulated sweep needs horizon > warmup >= 0, got --horizon "
                 f"{self.horizon} and --warmup {self.warmup}")
+        if self.simulate and not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError(
+                f"simulated sweep needs a non-negative integer --seed, got {self.seed!r}")
 
     def _last_index(self) -> float:
         """Largest k of the grid, as a float: a step too small for the span

@@ -101,6 +101,16 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "--horizon 5000" in err and "--warmup 10000" in err
 
+    def test_negative_seed_fails_before_solving(self, scenario_file, capsys, monkeypatch):
+        monkeypatch.setattr(sweep_module, "solve", None)   # never reached
+        code = main(["sweep", scenario_file, "--param", "lambda_p",
+                     "--from", "0", "--to", "0.1", "--step", "0.05",
+                     "--simulate", "--seed", "-5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_clean_error(err)
+        assert "--seed, got -5" in err
+
     def test_warmup_passed_through(self, scenario_file, capsys, monkeypatch):
         seen = []
         real = sweep_module.compare_sim_vs_analytic
@@ -161,6 +171,14 @@ class TestSimulate:
                      "--policy", "optimal", "--horizon", "20000",
                      "--warmup", "1000"])
         assert code == 0
+
+    def test_negative_seed_exit_one(self, scenario_file, capsys):
+        code = main(["simulate", scenario_file, "--policy", "optimal",
+                     "--horizon", "100", "--warmup", "0", "--seed", "-1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_clean_error(err)
+        assert "seed must be a non-negative integer, got -1" in err
 
     def test_optimal_policy_infeasible(self, scenario_file, capsys):
         code = main(["simulate", scenario_file, "--lambda-p", "0.9",

@@ -55,6 +55,9 @@ class TestBasics:
             SimConfig(table_scenario, pol, "original", 1000, 0, warmup=1000)
         with pytest.raises(ValueError):
             SimConfig(table_scenario, PolicyVector.uniform(3), "original", 1000, 0)
+        for seed in (-1, 1.0, "3"):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                SimConfig(table_scenario, pol, "original", 1000, seed)
 
     def test_rng_is_documented(self, table_scenario):
         report = simulate(SimConfig(table_scenario, PolicyVector.uniform(10),

@@ -340,20 +340,20 @@ class TestLindley:
     """The kernel's recursion against ``max(q - r, 0) + a`` slot by slot, from
     a start level on, just below, just above and far above the lowest one
     from which the queue is never served while empty; from there on the
-    running maximum is skipped."""
+    running maximum is skipped. A queue served in every slot from a start
+    level of at most 1 takes the closed form, with no scan. The levels are
+    int32 unless ``q0 + n + 1`` reaches 2**31."""
 
-    @settings(max_examples=300, **_SETTINGS)
-    @given(slots=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=300),
-           offset=st.sampled_from([-1, 0, 1, 1_000]))
-    @example(slots=[], offset=0)
-    @example(slots=[(False, True)], offset=-1)
-    @example(slots=[(True, False), (False, True), (False, True), (False, True)], offset=0)
-    def test_matches_slot_by_slot(self, slots, offset):
+    @staticmethod
+    def _boundary(slots):
+        """The lowest start level from which the queue is never served empty."""
         boundary = total = 0            # total: the level's rise when never served empty
         for a, r in slots:
             boundary = max(boundary, r - total)
             total += a - r
-        q0 = max(boundary + offset, 0)
+        return boundary
+
+    def _check(self, q0, slots):
         want = [q0]
         for a, r in slots:
             want.append(max(want[-1] - r, 0) + a)
@@ -363,9 +363,27 @@ class TestLindley:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "np", counter)
             got = simulator._lindley(q0, arrivals, service)
-        assert got.dtype == np.int64
+        always_served = q0 <= 1 and all(r for _, r in slots)
+        assert got.dtype == (np.int32 if q0 + len(slots) + 1 < 2**31 else np.int64)
         assert got.tolist() == want
-        assert counter.scans == (q0 < boundary)
+        assert counter.scans == (q0 < self._boundary(slots) and not always_served)
+
+    @settings(max_examples=300, **_SETTINGS)
+    @given(slots=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=300),
+           offset=st.sampled_from([-1, 0, 1, 1_000]))
+    @example(slots=[], offset=0)
+    @example(slots=[(False, True)], offset=-1)
+    @example(slots=[(True, False), (False, True), (False, True), (False, True)], offset=0)
+    @example(slots=[(True, False)] * 3, offset=2**31 - 3)      # levels leave int32
+    def test_matches_slot_by_slot(self, slots, offset):
+        self._check(max(self._boundary(slots) + offset, 0), slots)
+
+    @settings(max_examples=200, **_SETTINGS)
+    @given(arrivals=st.lists(st.booleans(), max_size=300),
+           q0=st.sampled_from([0, 1, 2, 1_000]))
+    @example(arrivals=[True] * 3, q0=2**31 - 3)
+    def test_always_served(self, arrivals, q0):
+        self._check(q0, [(a, True) for a in arrivals])
 
 
 def _first_chunk(config):
