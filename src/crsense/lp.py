@@ -15,6 +15,16 @@ support with one active row (closed form) and every three-point support
 with both rows active (a 2x2 system) in one pass over a cached table of
 supports. A linear objective is the special case ``denominator = ones``.
 
+One solve gathers the side rows over that table for every candidate's
+weights, then the whole program for every candidate's sums, all under one
+``np.errstate`` block: a singular or overflowing system gives NaN or
+infinite weights, which the feasibility test rejects. Input is checked
+before any arithmetic, with ``ValueError`` and never ``assert``: the
+numerator and denominator are vectors of one length M, 1 <= M <=
+``MAX_DURATIONS``; ``a_ub`` holds one row of M entries per entry of the
+vector ``b_ub`` (an empty ``a_ub`` for no rows), at most two rows; and every
+entry is finite.
+
 The tests hold ``solve_lp`` against ``acceptance.exact_ratio_program``, an
 exact oracle in rational arithmetic that enumerates the bases of the
 Charnes-Cooper lift and does not use the support bound above.
@@ -31,7 +41,7 @@ import numpy as np
 
 CONSTRAINT_TOL = 1e-8        # constraint slack accepted on returned points
 # Largest number of entries accepted: one solve scores all C(M, 3)
-# three-point supports at once, 35-37 ms with a 27 MB allocation peak at
+# three-point supports at once, 14-18 ms with a 27 MB allocation peak at
 # M = 100 on a 2-core Xeon, and both grow as M**3. The paper's tables have
 # at most ten durations (0.1 ms, 0.04 MB).
 MAX_DURATIONS = 100
@@ -62,35 +72,83 @@ def _supports(m: int, rows: int) -> np.ndarray:
     return support
 
 
-def _solve_or_nan(top: np.ndarray, det: np.ndarray) -> np.ndarray:
-    # a singular system fixes no point: NaN fails every feasibility test, as
-    # does the infinity a near-singular one can overflow to
-    with np.errstate(over="ignore"):
-        return np.divide(top, det, out=np.full_like(top, np.nan), where=det != 0.0)
-
-
-def _weights(a: np.ndarray, b: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Each candidate's weights on its support, zero on the padding."""
-    rows, m = a.shape
-    pairs = rows * m * (m - 1) // 2
-    weights = np.zeros(support.shape)
-    weights[:m, 0] = 1.0
+def _program(numerator, denominator, a_ub, b_ub) -> np.ndarray:
+    """The whole program in one ``(rows + 2, M + 2)`` array, so that one
+    test finds any non-finite entry: the numerator, the denominator and the
+    side rows over the M entries, then the zero column that the support
+    padding reads, then the right-hand sides (zero on the two objective
+    rows). Malformed or non-finite input raises ``ValueError``."""
+    try:
+        num, den, a, b = (np.asarray(v, dtype=float)
+                          for v in (numerator, denominator, a_ub, b_ub))
+    except ValueError as err:       # a ragged row, or an entry that is not a number
+        raise ValueError(f"program shapes disagree or an entry is not a number: {err}") from err
+    m = num.size
+    if m > MAX_DURATIONS:
+        raise ValueError(
+            f"{m} durations exceed the bound of {MAX_DURATIONS}: the "
+            f"optimizer scores all C(M, 3) = {math.comb(m, 3)} "
+            f"three-point policies, which grows as M**3")
+    rows = b.size
+    if m == 0:
+        raise ValueError("a program needs at least one entry; the numerator is empty")
+    if num.ndim != 1 or den.shape != (m,) or b.ndim != 1 or (
+            a.shape != (rows, m) and not (rows == 0 and a.size == 0)):
+        raise ValueError(
+            f"program shapes disagree: numerator {num.shape} and denominator "
+            f"{den.shape} need one common length M, a_ub {a.shape} needs one "
+            f"row of M entries per entry of b_ub {b.shape}")
+    # a vertex has at most rows + 1 non-zero entries; a third row would need
+    # four-point supports, which are not enumerated
+    if rows > 2:
+        raise ValueError(f"support enumeration covers at most 2 side rows, got {rows}")
+    program = np.zeros((rows + 2, m + 2), order="F")
+    program[0, :m] = num
+    program[1, :m] = den
     if rows:
-        i, j = support[m:m + pairs:rows, :2].T
-        far = a[:, j].T                               # (pairs, rows)
-        t = _solve_or_nan(b - far, a[:, i].T - far).ravel()
-        weights[m:m + pairs, :2] = np.column_stack([t, 1.0 - t])
+        program[2:, :m] = a
+        program[2:, m + 1] = b
+    if not np.isfinite(program).all():
+        for name, values in (("numerator", num), ("denominator", den),
+                             ("a_ub", a), ("b_ub", b)):
+            bad = np.argwhere(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"{name}{bad[0].tolist()} = {values[tuple(bad[0])]} is not finite")
+    return program
+
+
+def _weights(side: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """Each candidate's weights on its support, zero on the padding.
+    ``side[c, s, r]`` holds side row ``r`` at the ``s``-th entry of
+    candidate ``c``'s support, and ``b`` the right-hand sides.
+
+    Run under ``np.errstate``: a singular system fixes no point and gives
+    NaN weights, and a near-singular one can overflow to infinite weights;
+    both fail every feasibility test. Every operation reads one-dimensional
+    views, which numpy runs far faster than broadcast ones at these sizes."""
+    count, _, rows = side.shape
+    pairs = rows * m * (m - 1) // 2
+    weights = np.zeros((count, 3))
+    weights[:m, 0] = 1.0
+    for r in range(rows):
+        active = slice(m + r, m + pairs, rows)      # the pairs with row r active
+        near, far = side[active, 0, r], side[active, 1, r]
+        gap = near - far
+        gap[gap == 0.0] = math.nan
+        t = np.divide(b[r] - far, gap, out=weights[active, 0])
+        np.subtract(1.0, t, out=weights[active, 1])
     if rows == 2:
         # eliminate the third entry through sum(P) == 1, then Cramer's rule
-        triples = support[m + pairs:]
-        last = a[:, triples[:, 2]]
-        x = a[:, triples[:, 0]] - last
-        y = a[:, triples[:, 1]] - last
-        rhs = b[:, None] - last
-        det = x[0] * y[1] - y[0] * x[1]
-        p = _solve_or_nan(rhs[0] * y[1] - y[0] * rhs[1], det)
-        q = _solve_or_nan(x[0] * rhs[1] - rhs[0] * x[1], det)
-        weights[m + pairs:] = np.column_stack([p, q, 1.0 - p - q])
+        (i0, j0, k0), (i1, j1, k1) = side[m + pairs:].T
+        x0, y0, rhs0 = i0 - k0, j0 - k0, b[0] - k0
+        x1, y1, rhs1 = i1 - k1, j1 - k1, b[1] - k1
+        det = x0 * y1 - y0 * x1
+        det[det == 0.0] = math.nan
+        out = weights[m + pairs:]
+        p = np.divide(rhs0 * y1 - y0 * rhs1, det, out=out[:, 0])
+        q = np.divide(x0 * rhs1 - rhs0 * x1, det, out=out[:, 1])
+        np.subtract(1.0, p, out=out[:, 2])
+        out[:, 2] -= q
     return weights
 
 
@@ -115,40 +173,35 @@ def solve_lp(numerator, denominator, a_ub, b_ub) -> LPSolution:
     denominator, reads as +inf or -inf under that order, without a warning;
     if every feasible ratio is -inf, the first feasible candidate wins with
     value -inf. The status is "infeasible" only when no candidate is
-    feasible, and "optimal" otherwise. More than ``MAX_DURATIONS`` entries,
-    or a non-finite entry, raise ``ValueError``.
+    feasible, and "optimal" otherwise. Input that breaks the rules of the
+    module docstring (shapes that disagree, no entries or more than
+    ``MAX_DURATIONS``, more than two side rows, a non-finite entry) raises
+    ``ValueError``.
     """
-    numerator = np.asarray(numerator, dtype=float)
-    m = numerator.size
-    if m > MAX_DURATIONS:
-        raise ValueError(
-            f"{m} durations exceed the bound of {MAX_DURATIONS}: the "
-            f"optimizer scores all C(M, 3) = {math.comb(m, 3)} "
-            f"three-point policies, which grows as M**3")
-    a = np.asarray(a_ub, dtype=float).reshape(-1, m)
-    b = np.asarray(b_ub, dtype=float).reshape(-1)
-    # a vertex has at most rows + 1 non-zero entries; a third row would need
-    # four-point supports, which are not enumerated
-    assert a.shape[0] <= 2, f"support enumeration covers at most 2 side rows, got {a.shape[0]}"
-    coef = np.vstack([numerator, denominator, a])
-    for name, values in (("numerator", numerator), ("denominator", coef[1]),
-                         ("a_ub", a), ("b_ub", b)):
-        if not np.isfinite(values).all():
-            bad = np.argwhere(~np.isfinite(values))[0]
-            raise ValueError(f"{name}{bad.tolist()} = {values[tuple(bad)]} is not finite")
-    # column m is the zero column the padding reads: each candidate's sums
-    # are those over its own support, and x keeps its own entries only
-    coef = np.column_stack([coef, np.zeros(len(coef))])
-
-    support = _supports(m, a.shape[0])
-    weights = _weights(a, b, support)
-    values = np.einsum("cns,ns->cn", coef[:, support], weights)
-    num, den = values[0], values[1]
-    slack = CONSTRAINT_TOL * den
-    feasible = ((slack > 0.0) & (weights >= -slack[:, None]).all(axis=1)
-                & (values[2:] - b[:, None] <= slack).all(axis=0))
-    with np.errstate(over="ignore"):
-        ratio = np.divide(num, den, out=np.full_like(num, -math.inf), where=feasible)
+    program = _program(numerator, denominator, a_ub, b_ub)
+    rows, m = program.shape[0] - 2, program.shape[1] - 2
+    support = _supports(m, rows)
+    # The side rows gathered over every support give the weights. The whole
+    # program gathered next gives every candidate's sums, as the padding
+    # reads column m, which is zero. Taken along the entries of the
+    # Fortran-ordered program, that gather is laid out as (candidates, 3,
+    # rows + 2) in memory: einsum's order of addition follows the layout,
+    # and the golden CSVs pin the sums of this one. Each gather is freed
+    # once used, which bounds the peak at M = MAX_DURATIONS.
+    b = program[2:, m + 1]
+    with np.errstate(all="ignore"):
+        weights = _weights(program[2:].T.take(support, axis=0), b, m)
+        values = np.einsum("cns,ns->cn", program.T.take(support, axis=0).transpose(2, 0, 1),
+                           weights)
+        num, den = values[0], values[1]
+        slack = CONSTRAINT_TOL * den
+        # each candidate's worst violation: its most negative weight, or its
+        # largest excess over a side row; a NaN anywhere reads as NaN
+        worst = -np.minimum(np.minimum(weights[:, 0], weights[:, 1]), weights[:, 2])
+        for r in range(rows):
+            worst = np.maximum(worst, values[2 + r] - b[r])
+        feasible = (slack > 0.0) & (worst <= slack)
+        ratio = np.where(feasible, num / den, -math.inf)
     k = int(np.argmax(ratio))                         # first occurrence of the max
     if ratio[k] == -math.inf:                         # infeasible candidates read -inf too
         k = int(np.argmax(feasible))

@@ -79,8 +79,8 @@ def _vertex(solution: LPSolution) -> PolicyVector | None:
     renormalized."""
     if solution.status != "optimal":
         return None
-    clipped = np.clip(solution.x, 0.0, None)
-    return PolicyVector(tuple(clipped / clipped.sum()))
+    clipped = np.maximum(solution.x, 0.0)
+    return PolicyVector(tuple((clipped / clipped.sum()).tolist()))
 
 
 def _result(scenario: Scenario, policy: PolicyVector | None) -> SubproblemResult:
@@ -101,7 +101,7 @@ def solve_constrained_subproblem(scenario: Scenario) -> SubproblemResult:
     w, u, d, cap = scenario.coefficients
     lam_p, lam_se = scenario.lambda_p, scenario.lambda_se
     numerator = lam_se * (1.0 - scenario.lambda_pe) * u
-    rows = np.vstack([
+    rows = np.array([
         cap * lam_se * d - (cap - lam_p) * w,   # licensed queue stays stable
         -w,                                      # regime: consumption covers harvest
     ])
@@ -121,12 +121,11 @@ def solve_overflow_subproblem(scenario: Scenario) -> SubproblemResult:
     w, u, d, cap = scenario.coefficients
     c = (1.0 - scenario.lambda_pe) * u
     ones = np.ones(scenario.num_durations)
-    primary_row = (cap * d)[None, :]
-    primary_rhs = cap - scenario.lambda_p
-    policy = _vertex(solve_lp(c, ones, primary_row, [primary_rhs]))
+    rows = np.array([cap * d, w])               # licensed stability, then the regime
+    rhs = [cap - scenario.lambda_p, scenario.lambda_se]
+    policy = _vertex(solve_lp(c, ones, rows[:1], rhs[:1]))
     if policy is not None and float(w @ policy.as_array()) > scenario.lambda_se + _REGIME_TOL:
-        policy = _vertex(solve_lp(c, ones, np.vstack([primary_row, w]),
-                                  [primary_rhs, scenario.lambda_se]))
+        policy = _vertex(solve_lp(c, ones, rows, rhs))
     return _result(scenario, policy)
 
 

@@ -69,6 +69,19 @@ class TestValidation:
             exact_ratio_program([1.0, 2.0], [1.0, 1.0], [[1.0]], [1.0])
         with pytest.raises(ValueError, match="shapes disagree"):
             exact_ratio_program([1.0, 2.0], [1.0, 1.0], [[1.0, 1.0]], [1.0, 2.0])
+        # solve_lp names the same mismatches, not a numpy error from inside
+        for program in ([[1.0, 2.0], [1.0], no_rows, []],                    # short denominator
+                        [[1.0, 2.0], [1.0, 1.0], [[1.0]], [1.0]],            # short row
+                        [[1.0, 2.0], [1.0, 1.0], [1.0, 1.0], [1.0]],         # row not 2-D
+                        [[1.0, 2.0], [1.0, 1.0], [[1.0, 1.0]], [1.0, 2.0]],  # long b_ub
+                        [np.ones(3), np.ones(3), np.ones((3, 3)), np.ones(6)],  # long b_ub
+                        [[[1.0, 2.0]], [1.0, 1.0], no_rows, []],             # 2-D numerator
+                        [[1.0, 2.0], [1.0, 1.0], [[1.0, 1.0]], [[1.0]]],     # 2-D b_ub
+                        [[1.0, 2.0], [1.0, 1.0], [[1.0], [1.0, 2.0]], [1.0, 2.0]]):  # ragged
+            with pytest.raises(ValueError, match="shapes disagree"):
+                enumerate_lp(*program)
+        with pytest.raises(ValueError, match="at least one entry"):
+            enumerate_lp([], [], np.zeros((0, 0)), [])
 
     def test_nonfinite_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
@@ -158,7 +171,7 @@ class TestVertexEnumerator:
         assert list(sol.x) == [0.0, 1.0, 0.0]
 
     def test_more_than_two_rows_rejected(self):
-        with pytest.raises(AssertionError, match="at most 2 side rows"):
+        with pytest.raises(ValueError, match="at most 2 side rows"):
             enumerate_lp(np.ones(3), np.ones(3), np.eye(3), np.ones(3))
 
     def test_matches_exact_oracle(self):
