@@ -27,7 +27,8 @@ import numpy as np
 
 from .analytics import PolicyVector, Scenario, analyze
 from .channel import PhysicalLink, verify_outage_monotonicity
-from .optimizer import CONSTRAINT_TOL, solve_constrained_subproblem, solve_overflow_subproblem
+from .lp import CONSTRAINT_TOL
+from .optimizer import solve_constrained_subproblem, solve_overflow_subproblem
 from .simulator import SimConfig, SlotTrace, simulate, simulate_traced
 from .sweep import SweepSpec, rows_to_csv, run_sweep
 

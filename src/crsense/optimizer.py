@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import AnalyticRates, PolicyVector, Scenario, analyze
-from .lp import CONSTRAINT_TOL, LPSolution, solve_lp  # noqa: F401  (CONSTRAINT_TOL is re-exported)
+from .lp import LPSolution, solve_lp
 
 _REGIME_TOL = 1e-12
 

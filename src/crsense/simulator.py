@@ -23,7 +23,7 @@ stays O(chunk) for an untraced run. The duration draw is the policy's
 inverse CDF; a cumulative threshold at or below 0 is passed by every draw
 and one at or above 1 by none, so only the thresholds strictly inside
 (0, 1) cost a pass, and a point mass (none inside) needs no per-slot
-duration at all. Each chunk takes one of three paths:
+duration at all. Each chunk takes one of two paths:
 
 * the flagged kernel. Given flags saying in which slots each node holds a
   packet, every service indicator is exogenous or depends only on an energy
@@ -42,24 +42,22 @@ duration at all. Each chunk takes one of three paths:
   transmissions and all six service indicators it builds on the way, so
   one vectorised statement of the slot rule serves every mode. With
   all-ones flags this is the saturated system;
-* fixpoint passes of the kernel for the original system, whose nodes stay
-  silent on empty data buffers, over windows of ``_WINDOW`` slots. A pass
-  starts from all-ones flags, recomputes them as ``q_p > 0`` and
-  ``q_s > 0`` from its levels, and the next pass restarts at the first
-  slot whose flag changed, under the recomputed flags. This is exact by
-  causality: levels at slot t + 1 depend only on flags at slots up to t,
-  and indicators at slot t only on the flags and levels at t, so the levels
-  up to the first changed flag, that flag, and the indicators before it are
-  already the true ones. Every pass settles at least one more flag, and a
-  pass that changes no flag has computed the one true trajectory;
-* a per-slot loop of the original system, as the bounded fallback: it takes
-  the rest of a window still unsettled after ``_PASSES`` passes, from the
-  settled state, and records only the flags; one more kernel call under
-  them gives the levels and indicators, exact by the same causality. After
-  a window falls back, the run sends the next 1, 2, 4 ... ``_BACKOFF``
-  windows straight to the loop, so runs near the stability boundary, whose
-  data queues empty every few slots, do not pay for passes that rarely
-  settle; a window that settles resets the count.
+* kernel passes for the original system, whose nodes stay silent on empty
+  data buffers, over windows of ``_WINDOW`` slots. The first pass assumes
+  all-ones flags; each pass recomputes them as ``q_p > 0`` and ``q_s > 0``
+  from its levels, and the next pass restarts at the first slot whose flag
+  changed, under the recomputed flags. This is exact by causality: levels
+  at slot t + 1 depend only on flags at slots up to t, and indicators at
+  slot t only on the flags and levels at t, so the levels up to the first
+  changed flag, that flag, and the indicators before it are already the
+  true ones. Every pass settles at least one more flag, and a pass that
+  changes no flag has computed the one true trajectory. A window still
+  unsettled after ``_PASSES`` passes gets a last pass under the true flags
+  of its rest, which a per-slot loop records from the settled state. After
+  such a hand-off the next 1, 2, 4 ... ``_BACKOFF`` windows get only that
+  last pass, so runs near the stability boundary, whose data queues empty
+  every few slots, do not pay for passes that rarely settle; a window that
+  settles resets the count.
 
 In ``coupled`` mode the original and the saturated twin (kernel) take the
 same chunk, so the pair sees identical randomness even in slots where one
@@ -334,49 +332,46 @@ def _part(d: _Draws, lo: int, hi: int | None = None) -> _Draws:
     return _Draws(*(x[lo:hi] for x in d))
 
 
-def _settle(d: _Draws, out: np.ndarray, service: np.ndarray) -> int:
+def _settle(d: _Draws, out: np.ndarray, service: np.ndarray, passes: int) -> bool:
     """Levels and indicators of the original system over one window, by
-    fixpoint passes of the kernel; returns how many slots settled.
+    kernel passes; returns whether the first ``passes`` passes settled it.
 
     ``out`` is a (4, n + 1) array whose first column holds the state at the
-    window's start, ``service`` a (6, n) array for the ``_Service`` rows. A
-    pass runs the kernel under assumed flags ``has_p`` and ``has_s`` (all
-    ones at first) and recomputes them as ``q_p > 0`` and ``q_s > 0`` from
-    its levels. Levels at slot t + 1 depend only on the flags of slots up to
-    t, and indicators at slot t only on the flags and levels at t, so if the
-    first recomputed flag that differs from the assumed one is at slot j,
-    the levels of slots up to j are the true ones, and so are the flag at j
-    and the indicators before it. The next pass starts there under the
-    recomputed flags, so every pass settles at least one more flag, and a
-    pass that changes no flag has computed the true trajectory. After
-    ``_PASSES`` passes ``out`` holds the true levels up to the returned slot
-    and ``service`` the true indicators before it.
+    window's start, ``service`` a (6, n) array for the ``_Service`` rows; on
+    return they hold the window's true levels and indicators. Each pass runs
+    the kernel from the first slot whose flag is not yet known true, under
+    assumed flags ``has_p`` and ``has_s`` (all ones at first, then the
+    previous pass's ``q_p > 0`` and ``q_s > 0``), and keeps the levels up to
+    and the indicators before the first flag its levels contradict (see the
+    module docstring). After ``passes`` passes that leave the window
+    unsettled, a last pass takes the true flags of the rest from ``_loop``.
     """
-    n = d.det.size
-    has_p = np.ones(n, dtype=bool)
-    has_s = np.ones(n, dtype=bool)
+    has_p = has_s = np.ones(d.det.size, dtype=bool)
     start = 0
-    for _ in range(_PASSES):
-        levels, svc = _kernel(_part(d, start), QueueState(*out[:, start].tolist()),
-                              has_p[start:], has_s[start:])
-        flag_p, flag_s = levels[0][:-1] > 0, levels[1][:-1] > 0
-        changed = (flag_p != has_p[start:]) | (flag_s != has_s[start:])
-        j = int(changed.argmax())
-        if not changed[j]:
-            out[:, start:] = levels
-            service[:, start:] = svc
-            return n
-        out[:, start:start + j + 1] = [q[:j + 1] for q in levels]
-        service[:, start:start + j] = [r[:j] for r in svc]
-        has_p[start:] = flag_p
-        has_s[start:] = flag_s
-        start += j
-    return start
+    for k in range(passes + 1):
+        rest, entry = _part(d, start), QueueState(*out[:, start].tolist())
+        if k == passes:
+            has_p, has_s = _loop(rest, entry)
+        levels, svc = _kernel(rest, entry, has_p, has_s)
+        if k < passes:
+            flag_p, flag_s = levels[0][:-1] > 0, levels[1][:-1] > 0
+            changed = (flag_p != has_p) | (flag_s != has_s)
+            j = int(changed.argmax())
+            if changed[j]:
+                out[:, start:start + j + 1] = [q[:j + 1] for q in levels]
+                service[:, start:start + j] = [r[:j] for r in svc]
+                has_p, has_s = flag_p[j:], flag_s[j:]
+                start += j
+                continue
+        out[:, start:] = levels
+        service[:, start:] = svc
+        return k < passes
 
 
 def _loop(d: _Draws, state: QueueState) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk of the original system, slot by slot: its flags ``q_p > 0``
-    and ``q_s > 0`` at slots 0..n-1, which give its levels by ``_kernel``.
+    """The rest of a window of the original system, slot by slot, from
+    ``state``: its flags ``q_p > 0`` and ``q_s > 0`` at slots 0..n-1, which
+    give its levels by ``_kernel``.
 
     The slot rules of ``_kernel``, split on whether the licensed node
     transmits. If it does, the sensor reads the detection draw and the
@@ -407,48 +402,25 @@ def _loop(d: _Draws, state: QueueState) -> tuple[np.ndarray, np.ndarray]:
     return np.frombuffer(has_p, dtype=bool), np.frombuffer(has_s, dtype=bool)
 
 
-class _Original:
-    """The original system, chunk by chunk, with one run's loop backoff.
-
-    Each window of ``_WINDOW`` slots settles by ``_settle``; what is left
-    unsettled after its passes runs through ``_loop``, whose flags give the
-    levels and indicators by one more ``_kernel`` call: under the true flags
-    the kernel computes the true trajectory. Near the stability boundary the
-    data queues empty so often that passes rarely settle a window, so after
-    a window falls back the next 1, 2, 4 ... ``_BACKOFF`` windows go straight
-    to the loop; a window that settles resets the count.
-    """
-
-    def __init__(self):
-        self.skip = 0           # windows left to send straight to the loop
-        self.backoff = 1        # windows to skip after the next fallback
-
-    def levels(self, d: _Draws, state: QueueState) -> tuple[np.ndarray, _Service]:
-        """The (4, n + 1) levels and the indicators of one chunk from ``state``."""
-        n = d.det.size
-        out = np.empty((4, n + 1), dtype=np.int64)
-        out[:, 0] = state
-        service = np.empty((6, n), dtype=bool)
-        for w0 in range(0, n, _WINDOW):
-            w1 = min(w0 + _WINDOW, n)
-            window = _part(d, w0, w1)
-            if self.skip:
-                self.skip -= 1
-                settled = 0
-            else:
-                settled = _settle(window, out[:, w0:w1 + 1], service[:, w0:w1])
-                if settled == w1 - w0:
-                    self.backoff = 1
-                else:
-                    self.skip = self.backoff
-                    self.backoff = min(2 * self.backoff, _BACKOFF)
-            if w0 + settled < w1:
-                rest = _part(window, settled)
-                entry = QueueState(*out[:, w0 + settled].tolist())
-                levels, svc = _kernel(rest, entry, *_loop(rest, entry))
-                out[:, w0 + settled:w1 + 1] = levels
-                service[:, w0 + settled:w1] = svc
-        return out, _Service(*service)
+def _original(d: _Draws, state: QueueState, skip: int, backoff: int):
+    """The original system's (4, n + 1) levels and indicators over one chunk
+    from ``state``, window by window, and the run's backoff counters after
+    it: ``skip``, the windows left to settle by the loop's pass alone, and
+    ``backoff``, the windows to skip after the next hand-off."""
+    n = d.det.size
+    out = np.empty((4, n + 1), dtype=np.int64)
+    out[:, 0] = state
+    service = np.empty((6, n), dtype=bool)
+    for w0 in range(0, n, _WINDOW):
+        w1 = min(w0 + _WINDOW, n)
+        if _settle(_part(d, w0, w1), out[:, w0:w1 + 1], service[:, w0:w1],
+                   0 if skip else _PASSES):
+            backoff = 1
+        elif skip:
+            skip -= 1
+        else:
+            skip, backoff = backoff, min(2 * backoff, _BACKOFF)
+    return out, _Service(*service), skip, backoff
 
 
 def _drifts(samples: list[np.ndarray], stride: int) -> list[float]:
@@ -485,14 +457,14 @@ def _run(config: SimConfig, trace: bool):
     violations = 0
     drift_samples: list[list[np.ndarray]] = [[], [], [], []]
     parts: list[tuple] = []
-    original = _Original()
+    skip, backoff = 0, 1                    # the original system's backoff, see _original
 
     for t0, d in _draw_chunks(config.scenario, config.policy, horizon, config.seed):
         ones = np.ones(d.det.size, dtype=bool)
         if mode == "dominant":
             levels, service = _kernel(d, state, ones, ones)
         else:
-            levels, service = original.levels(d, state)
+            levels, service, skip, backoff = _original(d, state, skip, backoff)
             if mode == "coupled":
                 twin_levels = _kernel(d, twin, ones, ones)[0]
                 twin = _end(twin_levels)

@@ -10,12 +10,8 @@ from crsense import optimizer
 from crsense.acceptance import exact_subproblems
 from crsense.analytics import PolicyVector, Scenario, analyze
 from crsense.channel import SensingOption
-from crsense.optimizer import (
-    CONSTRAINT_TOL,
-    solve,
-    solve_constrained_subproblem,
-    solve_overflow_subproblem,
-)
+from crsense.lp import CONSTRAINT_TOL
+from crsense.optimizer import solve, solve_constrained_subproblem, solve_overflow_subproblem
 from scenario_strategies import SETTINGS, hundredths, scenarios
 
 

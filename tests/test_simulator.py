@@ -93,6 +93,16 @@ class TestDeterministicSlotLogic:
         assert report.mu_p == 0.0
         assert report.prob_pe_empty == 1.0
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_occupancy_sum_past_int32(self, mode):
+        # the opportunistic channel is always in outage, so q_s never
+        # drains and holds exactly t at slot t: its occupancy sum over
+        # 150 000 slots is 11 249 925 000, past 2**31
+        table = (SensingOption(1, 0.5, 0.5, 1.0),)
+        scenario = Scenario(0.0, 1.0, 0.5, 0.5, 0.0, table)
+        report = simulate(SimConfig(scenario, PolicyVector.uniform(1), mode, 150_000, 5))
+        assert report.mean_q_s == 74999.5
+
 
 class TestInvariants:
     @pytest.mark.parametrize("mode", ["original", "dominant"])

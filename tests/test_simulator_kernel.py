@@ -426,10 +426,10 @@ class TestKernelUnderFlags:
 
 
 class TestSettledPath:
-    """The original system's fixpoint passes and its loop's flags against the
+    """The original system's kernel passes and its loop's flags against the
     reference's levels and indicators, window by window, from any start
     state, and whole runs against the reference; a pass cap of 0 or 1 forces
-    the hand-off to the loop from a settled prefix."""
+    the hand-off to the loop's pass from a settled prefix."""
 
     @settings(max_examples=80, **_SETTINGS)
     @given(data=st.data(), state=states)
@@ -444,20 +444,17 @@ class TestSettledPath:
 
     @settings(max_examples=80, **_SETTINGS)
     @given(data=st.data(), state=states, passes=st.sampled_from([0, 1, 2, 6]))
-    def test_settled_prefix_equals_loop(self, table_scenario, data, state, passes):
+    def test_settle_equals_reference(self, table_scenario, data, state, passes):
         config = data.draw(configs(table_scenario, modes=("original",)))
         d = _first_chunk(config)
         want, want_service = _chunk_reference(d, state)
         out = np.empty_like(want)
         out[:, 0] = state
         service = np.empty_like(want_service)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulator, "_PASSES", passes)
-            settled = simulator._settle(d, out, service)
-        assert 0 <= settled <= d.det.size
-        assert passes > 0 or settled == 0
-        assert np.array_equal(out[:, :settled + 1], want[:, :settled + 1])
-        assert np.array_equal(service[:, :settled], want_service[:, :settled])
+        settled = simulator._settle(d, out, service, passes)
+        assert passes > 0 or not settled
+        assert np.array_equal(out, want)
+        assert np.array_equal(service, want_service)
 
     @settings(max_examples=80, **_SETTINGS)
     @given(data=st.data(), state=states, window=st.sampled_from([1, 3, 16, 64]),
@@ -466,12 +463,12 @@ class TestSettledPath:
         config = data.draw(configs(table_scenario, modes=("original",)))
         d = _first_chunk(config)
         want, want_service = _chunk_reference(d, state)
-        original = simulator._Original()
+        skip, backoff = 0, 1
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "_WINDOW", window)
             mp.setattr(simulator, "_PASSES", passes)
             for _ in range(2):          # the second chunk starts with the run's backoff
-                levels, service = original.levels(d, state)
+                levels, service, skip, backoff = simulator._original(d, state, skip, backoff)
                 assert np.array_equal(levels, want)
                 assert np.array_equal(np.array(service), want_service)
 
@@ -494,16 +491,18 @@ class TestSettledPath:
     @pytest.mark.parametrize("window", [simulator._WINDOW, 512])
     def test_near_critical_replication(self, table_scenario, window, monkeypatch):
         """At 0.97 mu_s(P) the passes settle almost no window, so the run
-        hands off to the loop mid-window and skips windows by its backoff."""
+        hands off to the loop's pass mid-window and skips windows by its
+        backoff."""
         scenario, policy = _replication_63(table_scenario, 0.97)
         assert scenario.lambda_s == pytest.approx(0.97 * 0.13413, abs=1e-5)
         config = SimConfig(scenario, policy, "original", 5 * simulator._WINDOW + 17, 1)
-        handed_off = []
+        handed_off = []                 # per window that ran passes
         settle = simulator._settle
 
-        def counted(d, out, service):
-            settled = settle(d, out, service)
-            handed_off.append(settled < d.det.size)
+        def counted(d, out, service, passes):
+            settled = settle(d, out, service, passes)
+            if passes:
+                handed_off.append(not settled)
             return settled
 
         monkeypatch.setattr(simulator, "_WINDOW", window)
