@@ -393,33 +393,6 @@ def criterion_6_plateau(scenario: Scenario) -> CriterionResult:
                 if not issues else "; ".join(issues)))
 
 
-class HarvestDrop(NamedTuple):
-    """A licensed load at which the optimum is lower at lambda_se=0.4 than at 0.2."""
-
-    lambda_p: float
-    mu_s_low: float       # optimum at lambda_se = 0.2
-    mu_s_high: float      # optimum at lambda_se = 0.4, zero when infeasible
-    mu_p_kept: float      # mu_p of the lambda_se = 0.2 optimum at lambda_se = 0.4
-    mu_p_reach: float     # best mu_p any policy reaches at lambda_se = 0.4
-    high_feasible: bool
-
-    @property
-    def forced(self) -> bool:
-        """Licensed stability explains the drop: the lower rate's optimum no
-        longer keeps the licensed queue stable and, if the higher rate was
-        declared infeasible, no other policy does either."""
-        if self.mu_p_kept >= self.lambda_p - CONSTRAINT_TOL:
-            return False
-        return self.high_feasible or self.mu_p_reach < self.lambda_p + CONSTRAINT_TOL
-
-    def describe(self) -> str:
-        cause = "forced by licensed stability" if self.forced else "optimizer fault"
-        return (f"lambda_p={self.lambda_p:.2f}: mu_s {self.mu_s_low:.6f} at "
-                f"lambda_se=0.2 -> {self.mu_s_high:.6f} at 0.4, {cause} "
-                f"(the 0.2 optimum gives mu_p={self.mu_p_kept:.6f} at 0.4, "
-                f"best reachable mu_p={self.mu_p_reach:.6f})")
-
-
 def criterion_7_frontier(scenario: Scenario) -> CriterionResult:
     """Monotone frontier shapes: (a) mu_s falls with lambda_p; (b) mu_s at
     lambda_se=0.4 is at least mu_s at 0.2 wherever the 0.2 optimum stays
@@ -442,7 +415,9 @@ def criterion_7_frontier(scenario: Scenario) -> CriterionResult:
     lambda_p=0.27 the best reachable mu_p at lambda_se=0.4 is 0.26972, and the
     optimum drops from 0.112592 to infeasible. Such forced drops are listed
     in the detail, with the best reachable mu_p, and do not fail the
-    criterion.
+    criterion. A drop is forced when the 0.2 optimum no longer keeps the
+    licensed queue stable at 0.4 and, if the 0.4 point was declared
+    infeasible, no other policy does either.
     """
     low, high = (run_sweep(SweepSpec(replace(scenario, lambda_pe=0.4, lambda_se=lam_se),
                                      "lambda_p", 0.0, 1.0, 0.01)) for lam_se in (0.2, 0.4))
@@ -454,24 +429,27 @@ def criterion_7_frontier(scenario: Scenario) -> CriterionResult:
         if after > before + 1e-10:
             issues.append(f"(a) mu_s rose with lambda_p at {row.swept_value:.2f}")
             break
-    drops = []
+    forced, faults = [], []
     for lo, hi in zip(low, high):
-        lo_win, hi_win = lo.outcome.winner, hi.outcome.winner
+        lo_win, hi_win, lam_p = lo.outcome.winner, hi.outcome.winner, hi.swept_value
         if hi_win.value < lo_win.value - 1e-10:
-            hi_case = replace(scenario, lambda_pe=0.4, lambda_se=0.4, lambda_p=hi.swept_value)
-            drops.append(HarvestDrop(
-                hi.swept_value, lo_win.value, hi_win.value,
-                analyze(hi_case, lo_win.policy).mu_p,
-                best_reachable_mu_p(hi_case), hi_win.status == "optimal"))
-    if unforced := "; ".join(d.describe() for d in drops if not d.forced):
-        issues.append(f"(b) {unforced}")
+            hi_case = replace(scenario, lambda_pe=0.4, lambda_se=0.4, lambda_p=lam_p)
+            kept, reach = analyze(hi_case, lo_win.policy).mu_p, best_reachable_mu_p(hi_case)
+            is_forced = kept < lam_p - CONSTRAINT_TOL and (
+                hi_win.status == "optimal" or reach < lam_p + CONSTRAINT_TOL)
+            cause = "forced by licensed stability" if is_forced else "optimizer fault"
+            (forced if is_forced else faults).append(
+                f"lambda_p={lam_p:.2f}: mu_s {lo_win.value:.6f} at lambda_se=0.2 -> "
+                f"{hi_win.value:.6f} at 0.4, {cause} (the 0.2 optimum gives "
+                f"mu_p={kept:.6f} at 0.4, best reachable mu_p={reach:.6f})")
+    if faults:
+        issues.append("(b) " + "; ".join(faults))
     mu_p = [row.outcome.winner.rates.mu_p if row.outcome.status == "optimal" else 0.0
             for row in licensed]
     for row, before, after in zip(licensed[1:], mu_p, mu_p[1:]):
         if after < before - 1e-10:
             issues.append(f"(c) mu_p fell with lambda_pe at {row.swept_value:.2f}")
             break
-    forced = [d.describe() for d in drops if d.forced]
     detail = ("; ".join(issues) if issues else
               "mu_s nonincreasing in lambda_p; mu_s at lambda_se=0.4 >= at 0.2 "
               "wherever the 0.2 optimum stays feasible; mu_p nondecreasing in lambda_pe")

@@ -17,13 +17,13 @@ supports. A linear objective is the special case ``denominator = ones``.
 
 One solve gathers the side rows over that table for every candidate's
 weights, then the whole program for every candidate's sums, all under one
-``np.errstate`` block: a singular or overflowing system gives NaN or
-infinite weights, which the feasibility test rejects. Input is checked
-before any arithmetic, with ``ValueError`` and never ``assert``: the
-numerator and denominator are vectors of one length M, 1 <= M <=
-``MAX_DURATIONS``; ``a_ub`` holds one row of M entries per entry of the
-vector ``b_ub`` (an empty ``a_ub`` for no rows), at most two rows; and every
-entry is finite.
+``np.errstate`` block: a singular system divides by zero and an overflowing
+one leaves float range, and either gives NaN or infinite weights, which the
+feasibility test rejects. Input is checked before any arithmetic, with
+``ValueError`` and never ``assert``: the numerator and denominator are
+vectors of one length M, 1 <= M <= ``MAX_DURATIONS``; ``a_ub`` holds one
+row of M entries per entry of the vector ``b_ub`` (an empty ``a_ub`` for no
+rows), at most two rows; and every entry is finite.
 
 The tests hold ``solve_lp`` against ``acceptance.exact_ratio_program``, an
 exact oracle in rational arithmetic that enumerates the bases of the
@@ -122,10 +122,11 @@ def _weights(side: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     ``side[c, s, r]`` holds side row ``r`` at the ``s``-th entry of
     candidate ``c``'s support, and ``b`` the right-hand sides.
 
-    Run under ``np.errstate``: a singular system fixes no point and gives
-    NaN weights, and a near-singular one can overflow to infinite weights;
-    both fail every feasibility test. Every operation reads one-dimensional
-    views, which numpy runs far faster than broadcast ones at these sizes."""
+    Run under ``np.errstate``: a singular system fixes no point, and its
+    division by zero gives NaN or infinite weights, as a near-singular one
+    can by overflow; a weight that is NaN or infinite fails every
+    feasibility test. Every operation reads one-dimensional views, which
+    numpy runs far faster than broadcast ones at these sizes."""
     count, _, rows = side.shape
     pairs = rows * m * (m - 1) // 2
     weights = np.zeros((count, 3))
@@ -133,9 +134,7 @@ def _weights(side: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     for r in range(rows):
         active = slice(m + r, m + pairs, rows)      # the pairs with row r active
         near, far = side[active, 0, r], side[active, 1, r]
-        gap = near - far
-        gap[gap == 0.0] = math.nan
-        t = np.divide(b[r] - far, gap, out=weights[active, 0])
+        t = np.divide(b[r] - far, near - far, out=weights[active, 0])
         np.subtract(1.0, t, out=weights[active, 1])
     if rows == 2:
         # eliminate the third entry through sum(P) == 1, then Cramer's rule
@@ -143,7 +142,6 @@ def _weights(side: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
         x0, y0, rhs0 = i0 - k0, j0 - k0, b[0] - k0
         x1, y1, rhs1 = i1 - k1, j1 - k1, b[1] - k1
         det = x0 * y1 - y0 * x1
-        det[det == 0.0] = math.nan
         out = weights[m + pairs:]
         p = np.divide(rhs0 * y1 - y0 * rhs1, det, out=out[:, 0])
         q = np.divide(x0 * rhs1 - rhs0 * x1, det, out=out[:, 1])

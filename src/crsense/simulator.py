@@ -110,11 +110,11 @@ class SimConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (isinstance(self.horizon, int) and isinstance(self.warmup, int)):
+        if not (type(self.horizon) is int and type(self.warmup) is int):
             raise ValueError("horizon and warmup must be integers")
         if not self.horizon > self.warmup >= 0:
             raise ValueError(f"need horizon > warmup >= 0, got {self.horizon}, {self.warmup}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (type(self.seed) is int and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if len(self.policy) != self.scenario.num_durations:
             raise ValueError("policy length does not match the sensing table")

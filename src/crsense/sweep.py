@@ -47,11 +47,12 @@ class SweepSpec:
             raise ValueError(
                 f"--step {self.step!r} makes {points:.0f} grid points from {self.start} "
                 f"to {self.stop}; at most {MAX_GRID_POINTS} are allowed")
-        if self.simulate and not self.horizon > self.warmup >= 0:
+        if self.simulate and not (type(self.horizon) is int and type(self.warmup) is int
+                                  and self.horizon > self.warmup >= 0):
             raise ValueError(
-                f"simulated sweep needs horizon > warmup >= 0, got --horizon "
-                f"{self.horizon} and --warmup {self.warmup}")
-        if self.simulate and not (isinstance(self.seed, int) and self.seed >= 0):
+                f"simulated sweep needs integers horizon > warmup >= 0, got --horizon "
+                f"{self.horizon!r} and --warmup {self.warmup!r}")
+        if self.simulate and not (type(self.seed) is int and self.seed >= 0):
             raise ValueError(
                 f"simulated sweep needs a non-negative integer --seed, got {self.seed!r}")
 

@@ -10,7 +10,7 @@ from crsense import optimizer
 from crsense.acceptance import exact_subproblems
 from crsense.analytics import PolicyVector, Scenario, analyze
 from crsense.channel import SensingOption
-from crsense.lp import CONSTRAINT_TOL
+from crsense.lp import CONSTRAINT_TOL, solve_lp
 from crsense.optimizer import solve, solve_constrained_subproblem, solve_overflow_subproblem
 from scenario_strategies import SETTINGS, hundredths, scenarios
 
@@ -105,6 +105,33 @@ class TestOverflowSubproblem:
                 assert abs(Fraction(result.value) - exact) <= 1e-12
                 compared += 1
         assert compared > 10
+
+    @pytest.mark.parametrize("past_knee", [0.0, 1e-12, 1e-9, None])
+    def test_licensed_row_optimum_holds_from_its_own_consumption(self, past_knee):
+        # R, the optimum under the licensed row alone, is the answer at every
+        # lambda_se from its own consumption w @ R on (None: lambda_se = 1).
+        # One two-row solve is not: a pair with the regime row active can sit
+        # up to CONSTRAINT_TOL outside the licensed row and beat R, which
+        # breaks criterion 6's exact plateau just past the knee
+        rng = np.random.default_rng(18)
+        compared = 0
+        for _ in range(300):
+            m = int(rng.integers(1, 11))
+            lam_p, lam_pe, p_out = map(float, rng.uniform([0.0, 0.05, 0.0], [0.3, 0.95, 0.5]))
+            scenario = Scenario(lam_p, 0.1, lam_pe, 0.5, p_out, random_table(rng, m))
+            w, u, d, cap = scenario.coefficients
+            relaxed = optimizer._vertex(solve_lp((1.0 - lam_pe) * u, np.ones(m),
+                                                 np.array([cap * d]), [cap - lam_p]))
+            if relaxed is None:
+                continue
+            knee = float(w @ relaxed.as_array())
+            lam_se = 1.0 if past_knee is None else knee + past_knee
+            if lam_se > 1.0:
+                continue
+            result = solve_overflow_subproblem(replace(scenario, lambda_se=lam_se))
+            assert result.policy == relaxed
+            compared += 1
+        assert compared > 100
 
     def test_solution_is_sparse_vertex(self, table_scenario):
         # one equality and two inequalities leave at most three basic entries

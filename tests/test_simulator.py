@@ -59,6 +59,13 @@ class TestBasics:
             with pytest.raises(ValueError, match="seed must be a non-negative integer"):
                 SimConfig(table_scenario, pol, "original", 1000, seed)
 
+    @pytest.mark.parametrize("field", ["horizon", "warmup", "seed"])
+    def test_boolean_setting_rejected(self, table_scenario, field):
+        # bool is a subclass of int, so an isinstance test takes True for 1
+        settings = dict(horizon=1000, warmup=0, seed=0) | {field: True}
+        with pytest.raises(ValueError, match=f"{field}.*integer"):
+            SimConfig(table_scenario, PolicyVector.uniform(10), "original", **settings)
+
     def test_rng_is_documented(self, table_scenario):
         report = simulate(SimConfig(table_scenario, PolicyVector.uniform(10),
                                     "original", 2_000, 0))

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from crsense import sweep
 from crsense.analytics import PolicyVector
 from crsense.sweep import (
     SweepSpec,
@@ -39,6 +40,16 @@ class TestSpec:
         SweepSpec(table_scenario, "lambda_p", 0.0, 0.1, 0.05, horizon=5_000)
         SweepSpec(table_scenario, "lambda_p", 0.0, 0.1, 0.05,
                   simulate=True, horizon=5_000, warmup=1_000)
+
+    @pytest.mark.parametrize("field, value", [("horizon", True), ("warmup", 10.0),
+                                              ("seed", True)])
+    def test_non_integer_simulation_setting_fails_before_solving(
+            self, table_scenario, monkeypatch, field, value):
+        monkeypatch.setattr(sweep, "solve", None)       # never reached
+        settings = dict(horizon=20_000, warmup=0, seed=0) | {field: value}
+        with pytest.raises(ValueError, match=f"--{field} {value!r}|--{field}, got {value!r}"):
+            run_sweep(SweepSpec(table_scenario, "lambda_p", 0.0, 0.1, 0.05,
+                                simulate=True, **settings))
 
     def test_validation(self, table_scenario):
         with pytest.raises(ValueError):
