@@ -134,7 +134,9 @@ class PolicyVector:
 
     @classmethod
     def uniform(cls, m: int) -> "PolicyVector":
-        return cls(tuple([1.0 / m] * m))
+        """Equal mass on each of ``m`` durations; ``m < 1`` leaves no entry
+        and raises ``ValueError``."""
+        return cls(tuple(1.0 / m for _ in range(m)))
 
     @classmethod
     def point_mass(cls, m: int, position: int) -> "PolicyVector":

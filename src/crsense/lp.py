@@ -25,6 +25,12 @@ vectors of one length M, 1 <= M <= ``MAX_DURATIONS``; ``a_ub`` holds one
 row of M entries per entry of the vector ``b_ub`` (an empty ``a_ub`` for no
 rows), at most two rows; and every entry is finite.
 
+A stack of G programs of one size, each input with a leading axis G, is
+scored by the same code in one pass, with the stack as one more leading
+axis on every array; each answer is bit for bit the one its program gets
+alone. A sweep solves its drain-regime programs this way, which spreads
+numpy's per-call cost over the stack.
+
 The tests hold ``solve_lp`` against ``acceptance.exact_ratio_program``, an
 exact oracle in rational arithmetic that enumerates the bases of the
 Charnes-Cooper lift and does not use the support bound above.
@@ -60,16 +66,18 @@ def _supports(m: int, rows: int) -> np.ndarray:
     with a side row the pairs i < j once per row in (i, j, row) order, then
     with two rows the triples i < j < k in lexicographic order. Each is
     padded to three entries with index ``m``, which reads a zero column.
-    Read-only, as every call shares it, and in the smallest integer dtype."""
+    Read-only, as every call shares it, and in the smallest integer dtype.
+    The table is the transpose of a C-ordered ``(3, candidates)`` array, so
+    the gathers read each support position as one contiguous row."""
     dtype = np.min_scalar_type(m)
     points = np.column_stack([np.arange(m), np.full((m, 2), m)])
     pairs = np.repeat(np.column_stack(np.triu_indices(m, 1)), rows, axis=0)
     pairs = np.column_stack([pairs, np.full(len(pairs), m)])
     combos = itertools.combinations(range(m), 3) if rows == 2 else ()
     triples = np.fromiter(itertools.chain.from_iterable(combos), dtype).reshape(-1, 3)
-    support = np.concatenate([points, pairs, triples]).astype(dtype)
+    support = np.concatenate([points, pairs, triples]).T.astype(dtype, order="C")
     support.setflags(write=False)
-    return support
+    return support.T
 
 
 def _program(numerator, denominator, a_ub, b_ub) -> np.ndarray:
@@ -77,38 +85,45 @@ def _program(numerator, denominator, a_ub, b_ub) -> np.ndarray:
     test finds any non-finite entry: the numerator, the denominator and the
     side rows over the M entries, then the zero column that the support
     padding reads, then the right-hand sides (zero on the two objective
-    rows). Malformed or non-finite input raises ``ValueError``."""
+    rows). A stack of G programs, each input with a leading axis G, gives a
+    ``(G, rows + 2, M + 2)`` array. Malformed or non-finite input raises
+    ``ValueError``; in a stack, the message names the first program at
+    fault."""
     try:
         num, den, a, b = (np.asarray(v, dtype=float)
                           for v in (numerator, denominator, a_ub, b_ub))
     except ValueError as err:       # a ragged row, or an entry that is not a number
+        _check_each(numerator, denominator, a_ub, b_ub)
         raise ValueError(f"program shapes disagree or an entry is not a number: {err}") from err
-    m = num.size
+    lead, m = num.shape[:-1], num.shape[-1] if num.ndim else 1
     if m > MAX_DURATIONS:
         raise ValueError(
             f"{m} durations exceed the bound of {MAX_DURATIONS}: the "
             f"optimizer scores all C(M, 3) = {math.comb(m, 3)} "
             f"three-point policies, which grows as M**3")
-    rows = b.size
     if m == 0:
         raise ValueError("a program needs at least one entry; the numerator is empty")
-    if num.ndim != 1 or den.shape != (m,) or b.ndim != 1 or (
-            a.shape != (rows, m) and not (rows == 0 and a.size == 0)):
+    rows = b.shape[-1] if b.ndim == num.ndim else -1
+    if num.ndim not in (1, 2) or den.shape != num.shape or b.shape[:-1] != lead or (
+            a.shape != (*lead, rows, m) and not (rows == 0 and a.size == 0)):
+        _check_each(numerator, denominator, a_ub, b_ub)
         raise ValueError(
             f"program shapes disagree: numerator {num.shape} and denominator "
             f"{den.shape} need one common length M, a_ub {a.shape} needs one "
-            f"row of M entries per entry of b_ub {b.shape}")
+            f"row of M entries per entry of b_ub {b.shape}"
+            + (", over one leading axis G for a stack" if lead else ""))
     # a vertex has at most rows + 1 non-zero entries; a third row would need
     # four-point supports, which are not enumerated
     if rows > 2:
         raise ValueError(f"support enumeration covers at most 2 side rows, got {rows}")
-    program = np.zeros((rows + 2, m + 2), order="F")
-    program[0, :m] = num
-    program[1, :m] = den
+    program = np.zeros((*lead, rows + 2, m + 2))
+    program[..., 0, :m] = num
+    program[..., 1, :m] = den
     if rows:
-        program[2:, :m] = a
-        program[2:, m + 1] = b
+        program[..., 2:, :m] = a
+        program[..., 2:, m + 1] = b
     if not np.isfinite(program).all():
+        _check_each(numerator, denominator, a_ub, b_ub)
         for name, values in (("numerator", num), ("denominator", den),
                              ("a_ub", a), ("b_ub", b)):
             bad = np.argwhere(~np.isfinite(values))
@@ -117,40 +132,102 @@ def _program(numerator, denominator, a_ub, b_ub) -> np.ndarray:
     return program
 
 
+def _check_each(numerator, denominator, a_ub, b_ub) -> None:
+    """For a stack, whose numerator holds vectors: check each program alone,
+    and raise the first one's error with its index."""
+    try:
+        stacked = np.ndim(numerator[0]) == 1
+    except (TypeError, IndexError, ValueError):
+        return
+    if stacked:
+        for g, program in enumerate(zip(numerator, denominator, a_ub, b_ub)):
+            try:
+                _program(*program)
+            except ValueError as err:
+                raise ValueError(f"program {g} of the stack: {err}") from None
+
+
 def _weights(side: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Each candidate's weights on its support, zero on the padding.
-    ``side[c, s, r]`` holds side row ``r`` at the ``s``-th entry of
-    candidate ``c``'s support, and ``b`` the right-hand sides.
+    """Each candidate's weights on its support, zero on the padding, as a
+    ``(..., 3, candidates)`` array. ``side[..., r, s, c]`` holds side row
+    ``r`` at the ``s``-th entry of candidate ``c``'s support, and
+    ``b[..., r]`` its right-hand side; the leading axis, if any, is a stack.
 
     Run under ``np.errstate``: a singular system fixes no point, and its
     division by zero gives NaN or infinite weights, as a near-singular one
     can by overflow; a weight that is NaN or infinite fails every
-    feasibility test. Every operation reads one-dimensional views, which
-    numpy runs far faster than broadcast ones at these sizes."""
-    count, _, rows = side.shape
+    feasibility test. For one program every operation reads
+    one-dimensional views, which numpy runs far faster than broadcast ones
+    at these sizes."""
+    *lead, rows, _, count = side.shape
     pairs = rows * m * (m - 1) // 2
-    weights = np.zeros((count, 3))
-    weights[:m, 0] = 1.0
+    weights = np.zeros((*lead, 3, count))
+    weights[..., 0, :m] = 1.0
     for r in range(rows):
         active = slice(m + r, m + pairs, rows)      # the pairs with row r active
-        near, far = side[active, 0, r], side[active, 1, r]
-        t = np.divide(b[r] - far, near - far, out=weights[active, 0])
-        np.subtract(1.0, t, out=weights[active, 1])
+        near, far = side[..., r, 0, active], side[..., r, 1, active]
+        t = np.divide(b[..., r, None] - far, near - far, out=weights[..., 0, active])
+        np.subtract(1.0, t, out=weights[..., 1, active])
     if rows == 2:
         # eliminate the third entry through sum(P) == 1, then Cramer's rule
-        (i0, j0, k0), (i1, j1, k1) = side[m + pairs:].T
-        x0, y0, rhs0 = i0 - k0, j0 - k0, b[0] - k0
-        x1, y1, rhs1 = i1 - k1, j1 - k1, b[1] - k1
+        triples = slice(m + pairs, None)
+        (i0, j0, k0), (i1, j1, k1) = ([side[..., r, s, triples] for s in range(3)]
+                                      for r in range(2))
+        x0, y0, rhs0 = i0 - k0, j0 - k0, b[..., 0, None] - k0
+        x1, y1, rhs1 = i1 - k1, j1 - k1, b[..., 1, None] - k1
         det = x0 * y1 - y0 * x1
-        out = weights[m + pairs:]
-        p = np.divide(rhs0 * y1 - y0 * rhs1, det, out=out[:, 0])
-        q = np.divide(x0 * rhs1 - rhs0 * x1, det, out=out[:, 1])
-        np.subtract(1.0, p, out=out[:, 2])
-        out[:, 2] -= q
+        p = np.divide(rhs0 * y1 - y0 * rhs1, det, out=weights[..., 0, triples])
+        q = np.divide(x0 * rhs1 - rhs0 * x1, det, out=weights[..., 1, triples])
+        third = np.subtract(1.0, p, out=weights[..., 2, triples])
+        third -= q
     return weights
 
 
-def solve_lp(numerator, denominator, a_ub, b_ub) -> LPSolution:
+def _pick(ratio: np.ndarray, feasible: np.ndarray, weights: np.ndarray,
+          support: np.ndarray, m: int) -> LPSolution:
+    """One program's answer from its scored candidates: the first maximum
+    of the ratio, or the first feasible candidate if every feasible ratio
+    is -inf."""
+    k = int(ratio.argmax())                           # first occurrence of the max
+    if ratio[k] == -math.inf:                         # infeasible candidates read -inf too
+        k = int(feasible.argmax())
+        if not feasible[k]:
+            return LPSolution("infeasible")
+    x = np.zeros(m + 1)
+    x[support[k]] = weights[:, k]
+    return LPSolution("optimal", x[:m], float(ratio[k]))
+
+
+def _score(program: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every vertex candidate's ratio (-inf where infeasible), feasibility
+    and weights, over the support table, for one program or along the
+    leading axis of a stack."""
+    rows, m = program.shape[-2] - 2, program.shape[-1] - 2
+    # The side rows gathered over every support give the weights. The whole
+    # program gathered next gives every candidate's sums, as the padding
+    # reads column m, which is zero. Laid out (..., rows + 2, 3, candidates),
+    # that gather has einsum add each sum's three terms left to right, the
+    # order the golden CSVs pin. A stack is gathered and scored at once,
+    # along its leading axis; the gathers are freed once used, which bounds
+    # the peak at M = MAX_DURATIONS.
+    b = program[..., 2:, m + 1]
+    with np.errstate(all="ignore"):
+        weights = _weights(program[..., 2:, :].take(support.T, axis=-1), b, m)
+        values = np.einsum("...nsc,...sc->...nc", program.take(support.T, axis=-1), weights)
+        num, den = values[..., 0, :], values[..., 1, :]
+        slack = CONSTRAINT_TOL * den
+        # each candidate's worst violation: its most negative weight, or its
+        # largest excess over a side row; a NaN anywhere reads as NaN
+        worst = -np.minimum(np.minimum(weights[..., 0, :], weights[..., 1, :]),
+                            weights[..., 2, :])
+        for r in range(rows):
+            worst = np.maximum(worst, values[..., 2 + r, :] - b[..., r, None])
+        feasible = (slack > 0.0) & (worst <= slack)
+        ratio = np.where(feasible, num / den, -math.inf)
+    return ratio, feasible, weights
+
+
+def solve_lp(numerator, denominator, a_ub, b_ub) -> LPSolution | list[LPSolution]:
     """Maximize ``(numerator @ P) / (denominator @ P)`` over the probability
     simplex subject to ``a_ub @ P <= b_ub`` (at most two rows).
 
@@ -175,36 +252,18 @@ def solve_lp(numerator, denominator, a_ub, b_ub) -> LPSolution:
     module docstring (shapes that disagree, no entries or more than
     ``MAX_DURATIONS``, more than two side rows, a non-finite entry) raises
     ``ValueError``.
+
+    A stack of G programs of one size (numerator and denominator of shape
+    ``(G, M)``, ``a_ub`` of shape ``(G, rows, M)``, ``b_ub`` of shape
+    ``(G, rows)``) gives a list of G solutions, each bit for bit the one its
+    program gets alone. A program of a stack that breaks the rules raises
+    ``ValueError`` naming its index.
     """
     program = _program(numerator, denominator, a_ub, b_ub)
-    rows, m = program.shape[0] - 2, program.shape[1] - 2
-    support = _supports(m, rows)
-    # The side rows gathered over every support give the weights. The whole
-    # program gathered next gives every candidate's sums, as the padding
-    # reads column m, which is zero. Taken along the entries of the
-    # Fortran-ordered program, that gather is laid out as (candidates, 3,
-    # rows + 2) in memory: einsum's order of addition follows the layout,
-    # and the golden CSVs pin the sums of this one. Each gather is freed
-    # once used, which bounds the peak at M = MAX_DURATIONS.
-    b = program[2:, m + 1]
-    with np.errstate(all="ignore"):
-        weights = _weights(program[2:].T.take(support, axis=0), b, m)
-        values = np.einsum("cns,ns->cn", program.T.take(support, axis=0).transpose(2, 0, 1),
-                           weights)
-        num, den = values[0], values[1]
-        slack = CONSTRAINT_TOL * den
-        # each candidate's worst violation: its most negative weight, or its
-        # largest excess over a side row; a NaN anywhere reads as NaN
-        worst = -np.minimum(np.minimum(weights[:, 0], weights[:, 1]), weights[:, 2])
-        for r in range(rows):
-            worst = np.maximum(worst, values[2 + r] - b[r])
-        feasible = (slack > 0.0) & (worst <= slack)
-        ratio = np.where(feasible, num / den, -math.inf)
-    k = int(np.argmax(ratio))                         # first occurrence of the max
-    if ratio[k] == -math.inf:                         # infeasible candidates read -inf too
-        k = int(np.argmax(feasible))
-        if not feasible[k]:
-            return LPSolution("infeasible")
-    x = np.zeros(m + 1)
-    x[support[k]] = weights[k]
-    return LPSolution("optimal", x[:m], float(ratio[k]))
+    m = program.shape[-1] - 2
+    support = _supports(m, program.shape[-2] - 2)
+    if program.ndim == 2:
+        return _pick(*_score(program, support), support, m)
+    if len(program) == 1:       # scored alone, on one-dimensional views: same bits, faster
+        return [_pick(*_score(program[0], support), support, m)]
+    return [_pick(*scored, support, m) for scored in zip(*_score(program, support))]

@@ -21,10 +21,18 @@ builds once and ``analytics.analyze`` reads too; each subproblem evaluates
 the policy it returns once, with ``analyze``. The outcome keeps both
 subproblem results and the winner's name; its policy, mu_s and rates are
 those of ``outcome.winner``.
+
+The drain-regime program of many scenarios can be solved at once:
+``solve_constrained_subproblems`` stacks them into one ``solve_lp`` call,
+and ``solve(scenario, constrained)`` takes such a result instead of solving
+it again. A sweep does this a block of ``stack_size(M)`` points at a time.
+The saturated-regime program is always solved per scenario.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +41,11 @@ from .analytics import AnalyticRates, PolicyVector, Scenario, analyze
 from .lp import LPSolution, solve_lp
 
 _REGIME_TOL = 1e-12
+# Memory budget of one stacked drain-regime solve. Scoring a program holds
+# about 23 floats per vertex candidate at its peak (the gathered program, the
+# weights, the sums and the masks), so at M = 10, with 220 candidates per
+# program, a stack holds 12 programs.
+_STACK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -90,22 +103,49 @@ def _result(scenario: Scenario, policy: PolicyVector | None) -> SubproblemResult
     return SubproblemResult(policy, analyze(scenario, policy))
 
 
-def solve_constrained_subproblem(scenario: Scenario) -> SubproblemResult:
-    """Best policy while the energy buffer drains (lambda_se <= mu_se).
+def stack_size(num_durations: int) -> int:
+    """Drain-regime programs of ``num_durations`` entries that one stacked
+    ``solve_lp`` call scores within ``_STACK_BYTES``, at least one."""
+    m = num_durations
+    candidates = m + 2 * math.comb(m, 2) + math.comb(m, 3)
+    return max(1, _STACK_BYTES // (23 * 8 * candidates))
+
+
+def solve_constrained_subproblems(scenarios: Sequence[Scenario]) -> list[SubproblemResult]:
+    """Best policy while the energy buffer drains (lambda_se <= mu_se), for
+    each of ``scenarios``, which share one table size.
 
     The throughput is (lambda_se / mu_se(P)) * (1 - lambda_pe) * (u @ P).
     Multiplying the licensed-stability constraint through by the positive
     denominator makes it affine in P, so the whole problem is a
-    linear-fractional program over the simplex with two side rows.
+    linear-fractional program over the simplex with two side rows. Each
+    scenario's program is written out alone, and all of them are solved in
+    one stacked ``solve_lp`` call, so a caller keeps the list within
+    ``stack_size(M)`` to bound its memory.
     """
-    w, u, d, cap = scenario.coefficients
-    lam_p, lam_se = scenario.lambda_p, scenario.lambda_se
-    numerator = lam_se * (1.0 - scenario.lambda_pe) * u
-    rows = np.array([
-        cap * lam_se * d - (cap - lam_p) * w,   # licensed queue stays stable
-        -w,                                      # regime: consumption covers harvest
-    ])
-    return _result(scenario, _vertex(solve_lp(numerator, w, rows, [0.0, -lam_se])))
+    if not scenarios:
+        return []
+    sizes = sorted({scenario.num_durations for scenario in scenarios})
+    if len(sizes) > 1:
+        raise ValueError(f"stacked scenarios need one table size, got {sizes} durations")
+    programs = []
+    for scenario in scenarios:
+        w, u, d, cap = scenario.coefficients
+        lam_p, lam_se = scenario.lambda_p, scenario.lambda_se
+        programs.append((
+            lam_se * (1.0 - scenario.lambda_pe) * u,
+            w,
+            (cap * lam_se * d - (cap - lam_p) * w,   # licensed queue stays stable
+             -w),                                     # regime: consumption covers harvest
+            (0.0, -lam_se)))
+    stack = [np.array(part) for part in zip(*programs)]
+    return [_result(scenario, _vertex(solution))
+            for scenario, solution in zip(scenarios, solve_lp(*stack))]
+
+
+def solve_constrained_subproblem(scenario: Scenario) -> SubproblemResult:
+    """``solve_constrained_subproblems`` for one scenario."""
+    return solve_constrained_subproblems([scenario])[0]
 
 
 def solve_overflow_subproblem(scenario: Scenario) -> SubproblemResult:
@@ -129,8 +169,12 @@ def solve_overflow_subproblem(scenario: Scenario) -> SubproblemResult:
     return _result(scenario, policy)
 
 
-def solve(scenario: Scenario) -> OptimizationOutcome:
+def solve(scenario: Scenario,
+          constrained: SubproblemResult | None = None) -> OptimizationOutcome:
     """Run both regime subproblems and keep the better feasible answer.
+    ``constrained`` is the drain-regime result when the caller has already
+    solved it, as ``sweep.run_sweep`` does for a grid in stacked solves;
+    None solves it here.
 
     Infeasible overall means no policy keeps the licensed queue stable, which
     happens exactly when lambda_p exceeds the best reachable mu_p. Ties
@@ -140,7 +184,8 @@ def solve(scenario: Scenario) -> OptimizationOutcome:
     boundary the saturated problem's feasible set holds the same policy, so
     a lead there is round-off.
     """
-    constrained = solve_constrained_subproblem(scenario)
+    if constrained is None:
+        constrained = solve_constrained_subproblem(scenario)
     overflow = solve_overflow_subproblem(scenario)
     if constrained.status == "optimal" and (
             overflow.status != "optimal" or (

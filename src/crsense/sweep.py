@@ -1,7 +1,10 @@
 """Parameter sweeps, analytic-vs-simulated comparison, and CSV output.
 
 A sweep re-solves the policy optimization on a grid of one arrival rate and
-emits one CSV row per grid point. Output is schema-stable and deterministic:
+emits one CSV row per grid point. The grid's drain-regime programs are
+solved in stacks, a block of points per ``solve_lp`` call, and ``solve``
+then runs once per point with its point's result. Output is schema-stable
+and deterministic:
 fixed header, fixed six-decimal formatting, grid order, and per-point
 simulation seeds derived from the base seed, so identical inputs reproduce
 identical bytes.
@@ -14,7 +17,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .analytics import AnalyticRates, PolicyVector, Scenario, analyze
-from .optimizer import OptimizationOutcome, solve
+from .optimizer import (OptimizationOutcome, solve, solve_constrained_subproblems,
+                        stack_size)
 from .simulator import SimConfig, SimReport, simulate
 
 SWEEPABLE = ("lambda_p", "lambda_pe", "lambda_se")
@@ -117,16 +121,29 @@ def compare_sim_vs_analytic(scenario: Scenario, policy: PolicyVector,
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+    """Solve every grid point, and simulate its optimum when asked.
+
+    The grid goes a block of ``stack_size(M)`` points at a time: the
+    block's drain-regime programs are solved in one stacked solve
+    (``solve_constrained_subproblems``), then ``solve`` runs once per point
+    with that point's drain result. Only one block's scenarios are held at
+    a time.
+    """
     rows = []
-    for k, value in enumerate(spec.grid()):
-        scenario = replace(spec.scenario, **{spec.param: value})
-        outcome = solve(scenario)
-        comparison = None
-        if spec.simulate and outcome.status == "optimal":
-            comparison = compare_sim_vs_analytic(
-                scenario, outcome.winner.policy, spec.horizon,
-                spec.seed + k, spec.warmup)
-        rows.append(SweepRow(value, outcome, comparison))
+    grid = spec.grid()
+    block = stack_size(spec.scenario.num_durations)
+    for start in range(0, len(grid), block):
+        scenarios = [replace(spec.scenario, **{spec.param: value})
+                     for value in grid[start:start + block]]
+        drained = solve_constrained_subproblems(scenarios)
+        for k, (scenario, constrained) in enumerate(zip(scenarios, drained), start):
+            outcome = solve(scenario, constrained)
+            comparison = None
+            if spec.simulate and outcome.status == "optimal":
+                comparison = compare_sim_vs_analytic(
+                    scenario, outcome.winner.policy, spec.horizon,
+                    spec.seed + k, spec.warmup)
+            rows.append(SweepRow(grid[k], outcome, comparison))
     return rows
 
 

@@ -79,9 +79,9 @@ def test_criterion_7_frontier(table_scenario, monkeypatch):
     solved = []
     real = sweep.solve
 
-    def counting(scenario):
+    def counting(scenario, constrained=None):
         solved.append(scenario)
-        return real(scenario)
+        return real(scenario, constrained)
 
     monkeypatch.setattr(sweep, "solve", counting)
     _check(acc.criterion_7_frontier(table_scenario))
@@ -140,8 +140,8 @@ def _rigged_solve(monkeypatch, lambda_p, rig):
     the sweeps criterion 7 reads."""
     real = sweep.solve
 
-    def solve(scenario):
-        outcome = real(scenario)
+    def solve(scenario, constrained=None):
+        outcome = real(scenario, constrained)
         if scenario.lambda_se == 0.4 and abs(scenario.lambda_p - lambda_p) < 1e-9:
             return rig(outcome)
         return outcome

@@ -175,6 +175,11 @@ class TestPolicyVector:
     def test_uniform(self):
         assert sum(PolicyVector.uniform(7).probs) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_uniform_without_entries_rejected(self, m):
+        with pytest.raises(ValueError, match="policy must have at least one entry"):
+            PolicyVector.uniform(m)
+
 
 class TestScenario:
     def test_rates_validated(self, table_scenario):

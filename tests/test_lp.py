@@ -203,6 +203,77 @@ class TestVertexEnumerator:
                 assert not support.flags.writeable
 
 
+def random_program(rng, m, rows):
+    """A program of M entries and ``rows`` side rows, often with ties, an
+    infeasible row, repeated columns or a 1e-310 denominator."""
+    num = rng.uniform(-1.0, 1.0, m)
+    den = rng.uniform(0.05, 1.0, m)
+    a = rng.normal(size=(rows, m))
+    b = rng.uniform(-0.5, 1.0, rows)
+    kind = rng.integers(5)
+    if kind == 0:                                   # ties
+        num, den, a, b = num.round(1), den.round(1), a.round(1), b.round(1)
+    elif kind == 1:                                 # repeated columns
+        pick = rng.integers(0, m, m)
+        num, den, a = num[pick], den[pick], a[:, pick]
+    elif kind == 2:                                 # ratios past float range
+        den = den * 1e-310
+    elif kind == 3 and rows:                        # often infeasible
+        b = b - 2.0
+    return num, den, a, b
+
+
+def same_solution(one, other):
+    """Equal status, and equal bytes of ``x`` and ``value``."""
+    def raw(solution):
+        return (solution.status, None if solution.x is None else solution.x.tobytes(),
+                None if solution.value is None else np.float64(solution.value).tobytes())
+    return raw(one) == raw(other)
+
+
+class TestStack:
+    """A stack of programs with a leading axis G: each answer must be bit
+    for bit the one its program gets alone."""
+
+    def test_stack_matches_single_solves(self):
+        rng = np.random.default_rng(19)
+        statuses = {"optimal": 0, "infeasible": 0}
+        for m in range(1, 11):
+            for rows in range(3):
+                for size in (1, 2, 7, 23):
+                    programs = [random_program(rng, m, rows) for _ in range(size)]
+                    stacked = enumerate_lp(*(np.array(part) for part in zip(*programs)))
+                    assert isinstance(stacked, list) and len(stacked) == size
+                    for program, got in zip(programs, stacked):
+                        assert same_solution(got, enumerate_lp(*program)), program
+                        statuses[got.status] += 1
+        assert statuses["optimal"] > 500 and statuses["infeasible"] > 100
+
+    def test_empty_stack(self):
+        assert enumerate_lp(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 2, 3)),
+                            np.zeros((0, 2))) == []
+
+    @pytest.mark.parametrize("name, index", [("numerator", (2, 1)), ("denominator", (2, 0)),
+                                             ("a_ub", (2, 0, 1)), ("b_ub", (2, 0))])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_program_named(self, name, index, bad):
+        program = dict(numerator=np.ones((4, 2)), denominator=np.ones((4, 2)),
+                       a_ub=np.ones((4, 1, 2)), b_ub=np.ones((4, 1)))
+        program[name][index] = bad
+        at = list(index[1:])
+        with pytest.raises(ValueError, match=re.escape(
+                f"program 2 of the stack: {name}{at} = {bad} is not finite")):
+            enumerate_lp(**program)
+
+    def test_malformed_program_named(self):
+        rows = [[[1.0, 1.0]], [[1.0, 1.0]], [[1.0]], [[1.0, 1.0]]]          # a short row
+        with pytest.raises(ValueError, match="program 2 of the stack: program shapes disagree"):
+            enumerate_lp(np.ones((4, 2)), np.ones((4, 2)), rows, np.ones((4, 1)))
+        # stacks of unequal length are named by their shapes
+        with pytest.raises(ValueError, match="shapes disagree.*leading axis G"):
+            enumerate_lp(np.ones((4, 2)), np.ones((3, 2)), np.ones((4, 1, 2)), np.ones((4, 1)))
+
+
 class TestMemory:
     def test_solve_at_the_bound_peaks_within_32_mb(self):
         """One solve at M = MAX_DURATIONS scores all C(M, 3) three-point

@@ -73,6 +73,27 @@ class TestConstrainedSubproblem:
         assert analyze(scaled, base.policy).mu_s == pytest.approx(result.value, rel=1e-9)
 
 
+class TestStackedConstrainedSubproblems:
+    def test_stack_matches_single_solves(self, table_scenario):
+        rng = np.random.default_rng(19)
+        scenarios = [replace(table_scenario, lambda_p=rng.uniform(0.0, 0.3),
+                             lambda_pe=rng.uniform(0.0, 1.0), lambda_se=rng.uniform(0.0, 1.0))
+                     for _ in range(40)]
+        stacked = optimizer.solve_constrained_subproblems(scenarios)
+        assert stacked == [solve_constrained_subproblem(s) for s in scenarios]
+        assert {r.status for r in stacked} == {"optimal", "infeasible"}
+        assert optimizer.solve_constrained_subproblems([]) == []
+
+    def test_one_table_size_per_stack(self, table_scenario, sub3_scenario):
+        with pytest.raises(ValueError, match=r"one table size, got \[3, 10\] durations"):
+            optimizer.solve_constrained_subproblems([table_scenario, sub3_scenario])
+
+    def test_stack_size_within_budget(self):
+        assert optimizer.stack_size(10) == 12
+        assert optimizer.stack_size(2) > 100
+        assert optimizer.stack_size(crsense.lp.MAX_DURATIONS) == 1
+
+
 class TestOverflowSubproblem:
     def test_always_energized_licensed_gives_zero(self, table_scenario):
         scenario = replace(table_scenario, lambda_p=0.0, lambda_pe=1.0, lambda_se=0.9)

@@ -1,16 +1,23 @@
+import math
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from crsense import sweep
+from crsense import optimizer, sweep
 from crsense.analytics import PolicyVector
+from crsense.optimizer import solve, stack_size
 from crsense.sweep import (
+    SWEEPABLE,
     SweepSpec,
     compare_sim_vs_analytic,
     csv_header,
     rows_to_csv,
     run_sweep,
 )
+from scenario_strategies import SETTINGS, hundredths, scenarios
 
 
 class TestSpec:
@@ -126,6 +133,50 @@ class TestCsv:
         values = [float(line.split(",")[2])
                   for line in rows_to_csv(spec, run_sweep(spec)).strip().splitlines()[1:]]
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
+
+
+class TestStackedDrainSolves:
+    """``run_sweep`` solves its drain-regime programs a block at a time in
+    stacked ``solve_lp`` calls, and must give what a lone ``solve`` gives."""
+
+    @pytest.mark.parametrize("param", SWEEPABLE)
+    @settings(max_examples=40, **SETTINGS)
+    @given(scenario=scenarios(1, 10, prob=hundredths))
+    def test_outcomes_equal_single_solves(self, param, scenario):
+        # 21 points: more than one block at M = 10
+        spec = SweepSpec(scenario, param, 0.0, 1.0, 0.05)
+        rows = run_sweep(spec)
+        assert [row.swept_value for row in rows] == spec.grid()
+        for row in rows:
+            assert row.outcome == solve(replace(scenario, **{param: row.swept_value}))
+
+    def test_drain_programs_reach_solve_lp_in_stacks(self, table_scenario, monkeypatch):
+        stacks, singles = [], []
+        real = optimizer.solve_lp
+
+        def recording(numerator, *args):
+            (stacks if np.ndim(numerator) == 2 else singles).append(len(numerator))
+            return real(numerator, *args)
+
+        monkeypatch.setattr(optimizer, "solve_lp", recording)
+        rows = run_sweep(SweepSpec(table_scenario, "lambda_p", 0.0, 1.0, 0.01))
+        block = stack_size(10)
+        assert len(rows) == 101 and block > 1
+        assert len(stacks) == math.ceil(101 / block)
+        assert sum(stacks) == 101 and max(stacks) == block
+        # the rest are the saturated-regime programs: one or two per point
+        assert 101 <= len(singles) <= 2 * 101
+
+    def test_peak_memory_within_stack_budget(self, table_scenario):
+        spec = SweepSpec(table_scenario, "lambda_pe", 0.0, 1.0, 0.01)
+        run_sweep(spec)                 # build the cached support tables first
+        tracemalloc.start()
+        try:
+            run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= optimizer._STACK_BYTES + 256 * 1024, peak
 
 
 class TestComparison:
