@@ -93,7 +93,9 @@ def secondary_outage(link: PhysicalLink, tau: float) -> float:
 
     computed through ``expm1`` so that near-zero probabilities keep full
     precision. Past float range the SNR threshold is infinite and the outage
-    exactly 1: no channel gain carries the packet in that window.
+    exactly 1: no channel gain carries the packet in that window. Below it,
+    where ``gain_variance * snr`` underflows to zero, the outage is 1 for a
+    positive threshold and 0 for a zero one.
     """
     _check_sensing_time(link, tau)
     window = link.slot_duration - tau
@@ -102,7 +104,10 @@ def secondary_outage(link: PhysicalLink, tau: float) -> float:
         threshold = 2.0 ** (link.bits_per_packet / (link.bandwidth * window)) - 1.0
     except OverflowError:
         threshold = math.inf
-    return -math.expm1(-threshold / (link.gain_variance * snr))
+    mean_snr = link.gain_variance * snr
+    if mean_snr == 0.0:
+        return 1.0 if threshold > 0.0 else 0.0
+    return -math.expm1(-threshold / mean_snr)
 
 
 def primary_outage(link: PhysicalLink) -> float:

@@ -21,7 +21,7 @@ from .analytics import PROBABILITIES, PolicyVector, Scenario
 from .optimizer import solve
 from .scenario_io import parse_scenario
 from .simulator import MODES, SimConfig, SimReport, simulate
-from .sweep import SWEEPABLE, SweepSpec, rows_to_csv, run_sweep
+from .sweep import SWEEPABLE, SweepSpec, _format_policy, rows_to_csv, run_sweep
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
@@ -48,7 +48,7 @@ def _print_outcome(outcome) -> None:
     for name, value in (("mu_s", rates.mu_s), ("mu_p", rates.mu_p),
                         ("mu_se", rates.mu_se), ("x_tilde_se", rates.x_se_capped)):
         print(f"{name} {value:.6f}")
-    print("policy " + " ".join(f"{p:.6f}" for p in outcome.winner.policy.probs))
+    print("policy " + " ".join(_format_policy(outcome.winner.policy)))
 
 
 def _cmd_solve(args) -> int:

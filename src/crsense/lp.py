@@ -26,10 +26,10 @@ row of M entries per entry of the vector ``b_ub`` (an empty ``a_ub`` for no
 rows), at most two rows; and every entry is finite.
 
 A stack of G programs of one size, each input with a leading axis G, is
-scored by the same code in one pass, with the stack as one more leading
-axis on every array; each answer is bit for bit the one its program gets
-alone. A sweep solves its drain-regime programs this way, which spreads
-numpy's per-call cost over the stack.
+scored by the same code in passes of at most ``_STACK_BYTES`` (one program
+at least), each pass one more leading axis on every array; each answer is
+bit for bit the one its program gets alone. A sweep solves its drain-regime
+programs this way, which spreads numpy's per-call cost over the stack.
 
 The tests hold ``solve_lp`` against ``acceptance.exact_ratio_program``, an
 exact oracle in rational arithmetic that enumerates the bases of the
@@ -51,6 +51,11 @@ CONSTRAINT_TOL = 1e-8        # constraint slack accepted on returned points
 # M = 100 on a 2-core Xeon, and both grow as M**3. The paper's tables have
 # at most ten durations (0.1 ms, 0.04 MB).
 MAX_DURATIONS = 100
+# Memory budget of one scoring pass over a stack. Scoring holds about 23
+# floats per vertex candidate at its peak (the gathered program, the
+# weights, the sums and the masks), so at M = 10 with two rows, 220
+# candidates per program, a pass holds 12 programs.
+_STACK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -256,14 +261,20 @@ def solve_lp(numerator, denominator, a_ub, b_ub) -> LPSolution | list[LPSolution
     A stack of G programs of one size (numerator and denominator of shape
     ``(G, M)``, ``a_ub`` of shape ``(G, rows, M)``, ``b_ub`` of shape
     ``(G, rows)``) gives a list of G solutions, each bit for bit the one its
-    program gets alone. A program of a stack that breaks the rules raises
+    program gets alone, whatever G is: memory is bounded by scoring the
+    stack in passes. A program of a stack that breaks the rules raises
     ``ValueError`` naming its index.
     """
     program = _program(numerator, denominator, a_ub, b_ub)
     m = program.shape[-1] - 2
     support = _supports(m, program.shape[-2] - 2)
-    if program.ndim == 2:
-        return _pick(*_score(program, support), support, m)
-    if len(program) == 1:       # scored alone, on one-dimensional views: same bits, faster
-        return [_pick(*_score(program[0], support), support, m)]
-    return [_pick(*scored, support, m) for scored in zip(*_score(program, support))]
+    stack = program if program.ndim == 3 else program[None]
+    size = max(1, _STACK_BYTES // (23 * 8 * len(support)))     # programs per pass
+    answers = []
+    for start in range(0, len(stack), size):
+        part = stack[start:start + size]
+        # a pass of one is scored on one-dimensional views: same bits, faster
+        scored = [_score(part[0], support)] if len(part) == 1 else zip(*_score(part, support))
+        answers += [_pick(*one, support, m) for one in scored]
+        del scored              # freed before the next pass is scored
+    return answers if program.ndim == 3 else answers[0]

@@ -25,13 +25,13 @@ those of ``outcome.winner``.
 The drain-regime program of many scenarios can be solved at once:
 ``solve_constrained_subproblems`` stacks them into one ``solve_lp`` call,
 and ``solve(scenario, constrained)`` takes such a result instead of solving
-it again. A sweep does this a block of ``stack_size(M)`` points at a time.
-The saturated-regime program is always solved per scenario.
+it again. A sweep does this a block of points at a time, and ``lp`` bounds
+the memory of each call. The saturated-regime program is always solved per
+scenario.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -41,11 +41,6 @@ from .analytics import AnalyticRates, PolicyVector, Scenario, analyze
 from .lp import LPSolution, solve_lp
 
 _REGIME_TOL = 1e-12
-# Memory budget of one stacked drain-regime solve. Scoring a program holds
-# about 23 floats per vertex candidate at its peak (the gathered program, the
-# weights, the sums and the masks), so at M = 10, with 220 candidates per
-# program, a stack holds 12 programs.
-_STACK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -103,14 +98,6 @@ def _result(scenario: Scenario, policy: PolicyVector | None) -> SubproblemResult
     return SubproblemResult(policy, analyze(scenario, policy))
 
 
-def stack_size(num_durations: int) -> int:
-    """Drain-regime programs of ``num_durations`` entries that one stacked
-    ``solve_lp`` call scores within ``_STACK_BYTES``, at least one."""
-    m = num_durations
-    candidates = m + 2 * math.comb(m, 2) + math.comb(m, 3)
-    return max(1, _STACK_BYTES // (23 * 8 * candidates))
-
-
 def solve_constrained_subproblems(scenarios: Sequence[Scenario]) -> list[SubproblemResult]:
     """Best policy while the energy buffer drains (lambda_se <= mu_se), for
     each of ``scenarios``, which share one table size.
@@ -120,8 +107,7 @@ def solve_constrained_subproblems(scenarios: Sequence[Scenario]) -> list[Subprob
     denominator makes it affine in P, so the whole problem is a
     linear-fractional program over the simplex with two side rows. Each
     scenario's program is written out alone, and all of them are solved in
-    one stacked ``solve_lp`` call, so a caller keeps the list within
-    ``stack_size(M)`` to bound its memory.
+    one stacked ``solve_lp`` call, which bounds its own scoring memory.
     """
     if not scenarios:
         return []

@@ -113,7 +113,8 @@ class SimConfig:
         if not (type(self.horizon) is int and type(self.warmup) is int):
             raise ValueError("horizon and warmup must be integers")
         if not self.horizon > self.warmup >= 0:
-            raise ValueError(f"need horizon > warmup >= 0, got {self.horizon}, {self.warmup}")
+            raise ValueError(f"need horizon > warmup >= 0, got horizon {self.horizon} "
+                             f"and warmup {self.warmup}")
         if not (type(self.seed) is int and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if len(self.policy) != self.scenario.num_durations:

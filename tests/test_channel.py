@@ -98,6 +98,18 @@ class TestOutage:
         assert primary_outage(link) == 1.0
         assert secondary_outage(link, 0.5e-3) == 1.0
 
+    def test_snr_below_float_range_is_certain_outage(self):
+        # gain_variance * snr = 1e-200 * 1e-197 underflows to 0, threshold 1
+        link = PhysicalLink(1000.0, 1e-3, 1e6, 1e-200, 1e-200, 1.0)
+        assert primary_outage(link) == 1.0
+        assert secondary_outage(link, 0.5e-3) == 1.0
+
+    def test_zero_threshold_at_zero_snr_is_no_outage(self):
+        # b / (W T) = 1e-597 makes the threshold 0, and the SNR underflows too
+        link = PhysicalLink(1e-300, 1e-3, 1e300, 1e-320, 1e-320, 1e300)
+        assert primary_outage(link) == 0.0
+        assert secondary_outage(link, 0.5e-3) == 0.0
+
 
 class TestMonotonicityCertificate:
     def test_equispaced_grid(self):

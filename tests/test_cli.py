@@ -53,6 +53,41 @@ class TestSolve:
         assert main(["solve", str(path)]) == 0
         assert "mu_s 0.000000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("link, mu_s", [
+        # gain_variance * snr underflows to 0 against a threshold of 1: outage 1
+        ("1000 1e-3 1e6 1e-200 1e-200 1.0", "0.000000"),
+        # both the threshold and the SNR product are 0: no outage
+        ("1e-300 1e-3 1e300 1e-320 1e-320 1e300", "0.370732")])
+    def test_snr_below_float_range_solves(self, tmp_path, capsys, link, mu_s):
+        names = ("bits_per_packet", "slot_duration", "bandwidth", "gain_variance",
+                 "energy_per_packet", "noise_power")
+        path = tmp_path / "faint.scn"
+        path.write_text("mode physical\nlambda_p 0.0\nlambda_s 0.1\nlambda_pe 0.2\n"
+                        "lambda_se 0.4\n"
+                        + "".join(f"{name} {value}\n" for name, value in zip(names, link.split()))
+                        + "duration 1 0.00005 0.70 0.05\n")
+        assert main(["solve", str(path)]) == 0
+        assert f"mu_s {mu_s}" in capsys.readouterr().out
+
+    def test_policy_printed_as_the_csv_row(self, tmp_path, capsys):
+        # six-decimal rounding of each entry sums to 0.999999 here; the
+        # sweep's row, which sums to exactly 1, is printed instead
+        table = [(0.07, 0.99, 0.03), (0.21, 0.94, 0.22), (0.38, 0.92, 0.38),
+                 (0.38, 0.89, 0.62), (0.39, 0.66, 0.64), (0.40, 0.64, 0.71),
+                 (0.44, 0.52, 0.79), (0.51, 0.23, 0.82), (0.81, 0.16, 0.88)]
+        path = tmp_path / "nine.scn"
+        path.write_text("lambda_p 0.13\nlambda_s 0.1\nlambda_pe 0.28\nlambda_se 0.67\n"
+                        "primary_outage 0.3\n"
+                        + "".join(f"duration {k} {det} {fa} {out}\n"
+                                  for k, (det, fa, out) in enumerate(table, 1)))
+        assert main(["solve", str(path)]) == 0
+        policy = capsys.readouterr().out.splitlines()[-1]
+        assert policy.endswith(" 0.015320 0.000000 0.000000 0.467667 0.517013")
+        assert main(["sweep", str(path), "--param", "lambda_p", "--from", "0.13",
+                     "--to", "0.13", "--step", "0.1"]) == 0
+        row = capsys.readouterr().out.splitlines()[-1]
+        assert policy == "policy " + " ".join(row.split(",")[-9:])
+
     def test_too_many_durations_exit_one(self, tmp_path, capsys):
         path = tmp_path / "wide.scn"
         rows = "".join(f"duration {k} 0.9 0.1 0.2\n" for k in range(1, 102))
@@ -135,6 +170,15 @@ class TestSweep:
         err = capsys.readouterr().err
         assert_clean_error(err)
         assert "--step 1e-12" in err and "1000000000001 grid points" in err
+
+    def test_infinite_step_exit_one(self, scenario_file, capsys, monkeypatch):
+        monkeypatch.setattr(sweep_module, "solve", None)   # never reached
+        code = main(["sweep", scenario_file, "--param", "lambda_p",
+                     "--from", "0", "--to", "1", "--step", "inf"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_clean_error(err)
+        assert "step must be positive and finite, got inf" in err
 
     def test_directory_as_output_exit_one(self, scenario_file, tmp_path, capsys):
         code = main(["sweep", scenario_file, "--param", "lambda_p",

@@ -231,6 +231,29 @@ def same_solution(one, other):
     return raw(one) == raw(other)
 
 
+def pass_size(m, rows):
+    """Programs per scoring pass: the budget over 23 floats per candidate."""
+    return max(1, crsense.lp._STACK_BYTES // (23 * 8 * len(crsense.lp._supports(m, rows))))
+
+
+def stack_of(programs):
+    return [np.array(part) for part in zip(*programs)]
+
+
+@pytest.fixture
+def score_passes(monkeypatch):
+    """The leading shape of each scoring pass ``solve_lp`` makes, in order:
+    ``(G,)`` for a pass of G programs, ``()`` for a one-program pass."""
+    passes, real = [], crsense.lp._score
+
+    def recording(program, support):
+        passes.append(program.shape[:-2])
+        return real(program, support)
+
+    monkeypatch.setattr(crsense.lp, "_score", recording)
+    return passes
+
+
 class TestStack:
     """A stack of programs with a leading axis G: each answer must be bit
     for bit the one its program gets alone."""
@@ -248,6 +271,43 @@ class TestStack:
                         assert same_solution(got, enumerate_lp(*program)), program
                         statuses[got.status] += 1
         assert statuses["optimal"] > 500 and statuses["infeasible"] > 100
+
+    @pytest.mark.parametrize("m", [2, 5, 10])
+    @pytest.mark.parametrize("rows", [0, 1, 2])
+    def test_stacks_across_pass_boundaries_match_single_solves(self, m, rows, score_passes):
+        rng = np.random.default_rng(20 + 3 * m + rows)
+        size = pass_size(m, rows)
+        programs = [random_program(rng, m, rows) for _ in range(2 * size + 1)]
+        alone = [enumerate_lp(*program) for program in programs]
+        statuses = {solution.status for solution in alone}
+        assert "optimal" in statuses and (rows == 0 or "infeasible" in statuses)
+        for count in (size - 1, size, size + 1, 2 * size + 1):
+            score_passes.clear()
+            stacked = enumerate_lp(*stack_of(programs[:count]))
+            assert len(stacked) == count
+            for k, (got, want) in enumerate(zip(stacked, alone)):
+                assert same_solution(got, want), (count, k, programs[k])
+            # full passes, then the rest; a rest of one reads one-dimensional views
+            full, rest = divmod(count, size)
+            assert score_passes == [(size,)] * full + [(rest,) if rest > 1 else ()] * (rest > 0)
+
+    def test_pass_size_within_budget(self, score_passes):
+        # a lone program is a one-program pass
+        rng = np.random.default_rng(12)
+        assert isinstance(enumerate_lp(*random_program(rng, 10, 2)), LPSolution)
+        assert score_passes == [()]
+        # 220 candidates at M = 10 with two rows: 12 programs per pass
+        score_passes.clear()
+        enumerate_lp(*stack_of(random_program(rng, 10, 2) for _ in range(25)))
+        assert score_passes == [(12,), (12,), ()]
+        score_passes.clear()
+        enumerate_lp(*stack_of(random_program(rng, 2, 2) for _ in range(713)))
+        assert score_passes == [(712,), ()]
+        # one program's candidates fill the budget at the bound
+        score_passes.clear()
+        m = crsense.lp.MAX_DURATIONS
+        enumerate_lp(*stack_of(random_program(rng, m, 2) for _ in range(2)))
+        assert score_passes == [(), ()]
 
     def test_empty_stack(self):
         assert enumerate_lp(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 2, 3)),
@@ -292,6 +352,40 @@ class TestMemory:
             tracemalloc.stop()
         assert sol.status == "optimal"
         assert peak <= 32e6, peak
+
+    @pytest.mark.parametrize("g, m", [(2000, 10), (40, 60)])
+    def test_large_stack_peaks_within_pass_budget(self, g, m):
+        """A stack of any length is scored in passes: its peak is one pass,
+        the budget or one program's candidates, plus a small multiple of
+        the stack's input (its program array and its answers)."""
+        rng = np.random.default_rng(g)
+        stack = stack_of(random_program(rng, m, 2) for _ in range(g))
+        enumerate_lp(*(part[:1] for part in stack))         # build the support table
+        tracemalloc.start()
+        try:
+            solutions = enumerate_lp(*stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(solutions) == g
+        one_pass = max(crsense.lp._STACK_BYTES, 23 * 8 * len(crsense.lp._supports(m, 2)))
+        assert peak <= one_pass + 4 * sum(part.nbytes for part in stack), peak
+
+    @pytest.mark.parametrize("m, rows", [(2, 0), (2, 1), (2, 2), (5, 0), (5, 1), (5, 2),
+                                         (10, 0), (10, 1), (10, 2), (60, 1), (100, 2)])
+    def test_scoring_pass_within_23_floats_per_candidate(self, m, rows):
+        support = crsense.lp._supports(m, rows)
+        size = pass_size(m, rows)
+        rng = np.random.default_rng(m + rows)
+        program = crsense.lp._program(*stack_of(random_program(rng, m, rows)
+                                                for _ in range(size)))
+        tracemalloc.start()
+        try:
+            crsense.lp._score(program if size > 1 else program[0], support)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 23 * 8 * len(support) * size, peak / (8 * len(support) * size)
 
     def test_support_cache_within_20_mb(self):
         # the largest tables the cache can hold at once: every M up to the

@@ -88,11 +88,6 @@ class TestStackedConstrainedSubproblems:
         with pytest.raises(ValueError, match=r"one table size, got \[3, 10\] durations"):
             optimizer.solve_constrained_subproblems([table_scenario, sub3_scenario])
 
-    def test_stack_size_within_budget(self):
-        assert optimizer.stack_size(10) == 12
-        assert optimizer.stack_size(2) > 100
-        assert optimizer.stack_size(crsense.lp.MAX_DURATIONS) == 1
-
 
 class TestOverflowSubproblem:
     def test_always_energized_licensed_gives_zero(self, table_scenario):

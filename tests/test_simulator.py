@@ -51,8 +51,10 @@ class TestBasics:
         pol = PolicyVector.uniform(10)
         with pytest.raises(ValueError):
             SimConfig(table_scenario, pol, "nonsense", 1000, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got horizon 1000 and warmup 1000"):
             SimConfig(table_scenario, pol, "original", 1000, 0, warmup=1000)
+        with pytest.raises(ValueError, match="got horizon 3000 and warmup 10000"):
+            SimConfig(table_scenario, pol, "original", 3000, 0, warmup=10_000)
         with pytest.raises(ValueError):
             SimConfig(table_scenario, PolicyVector.uniform(3), "original", 1000, 0)
         for seed in (-1, 1.0, "3"):

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from dataclasses import replace
 
@@ -6,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import crsense.lp
 from crsense import optimizer, sweep
 from crsense.analytics import PolicyVector
-from crsense.optimizer import solve, stack_size
+from crsense.optimizer import solve
 from crsense.sweep import (
     SWEEPABLE,
     SweepSpec,
@@ -67,6 +67,8 @@ class TestSpec:
             SweepSpec(table_scenario, "lambda_p", 0.0, 1.2, 0.1)
         with pytest.raises(ValueError):
             SweepSpec(table_scenario, "lambda_p", 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="step must be positive and finite, got inf"):
+            SweepSpec(table_scenario, "lambda_p", 0.0, 1.0, float("inf"))
 
     def test_grid_size_bounded_before_building(self, table_scenario, monkeypatch):
         monkeypatch.setattr(SweepSpec, "grid", None)     # never reached
@@ -143,7 +145,7 @@ class TestStackedDrainSolves:
     @settings(max_examples=40, **SETTINGS)
     @given(scenario=scenarios(1, 10, prob=hundredths))
     def test_outcomes_equal_single_solves(self, param, scenario):
-        # 21 points: more than one block at M = 10
+        # 21 points: more than one scoring pass at M = 10
         spec = SweepSpec(scenario, param, 0.0, 1.0, 0.05)
         rows = run_sweep(spec)
         assert [row.swept_value for row in rows] == spec.grid()
@@ -151,21 +153,33 @@ class TestStackedDrainSolves:
             assert row.outcome == solve(replace(scenario, **{param: row.swept_value}))
 
     def test_drain_programs_reach_solve_lp_in_stacks(self, table_scenario, monkeypatch):
-        stacks, singles = [], []
-        real = optimizer.solve_lp
+        calls, passes = [], []
+        real_solve, real_score = optimizer.solve_lp, crsense.lp._score
 
-        def recording(numerator, *args):
-            (stacks if np.ndim(numerator) == 2 else singles).append(len(numerator))
-            return real(numerator, *args)
+        def solving(numerator, *args):
+            first = len(passes)
+            result = real_solve(numerator, *args)
+            calls.append((np.shape(numerator)[:-1], passes[first:]))
+            return result
 
-        monkeypatch.setattr(optimizer, "solve_lp", recording)
+        def scoring(program, support):
+            passes.append(program.shape[:-2])
+            return real_score(program, support)
+
+        monkeypatch.setattr(optimizer, "solve_lp", solving)
+        monkeypatch.setattr(crsense.lp, "_score", scoring)
         rows = run_sweep(SweepSpec(table_scenario, "lambda_p", 0.0, 1.0, 0.01))
-        block = stack_size(10)
-        assert len(rows) == 101 and block > 1
-        assert len(stacks) == math.ceil(101 / block)
-        assert sum(stacks) == 101 and max(stacks) == block
-        # the rest are the saturated-regime programs: one or two per point
+        assert len(rows) == 101 and sweep._BLOCK_POINTS == 64
+        # one drain call per 64-point block, which lp scores 12 programs a pass
+        stacks = [call for call in calls if call[0]]
+        assert stacks == [((64,), [(12,)] * 5 + [(4,)]), ((37,), [(12,)] * 3 + [()])]
+        # the rest are the saturated-regime programs: one or two per point,
+        # each a one-program pass
+        singles = [call for call in calls if not call[0]]
         assert 101 <= len(singles) <= 2 * 101
+        assert all(scored == [()] for _, scored in singles)
+        assert [row.outcome for row in rows] == [
+            solve(replace(table_scenario, lambda_p=row.swept_value)) for row in rows]
 
     def test_peak_memory_within_stack_budget(self, table_scenario):
         spec = SweepSpec(table_scenario, "lambda_pe", 0.0, 1.0, 0.01)
@@ -176,7 +190,7 @@ class TestStackedDrainSolves:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= optimizer._STACK_BYTES + 256 * 1024, peak
+        assert peak <= crsense.lp._STACK_BYTES + 256 * 1024, peak
 
 
 class TestComparison:
