@@ -257,7 +257,7 @@ def criterion_2_sim_vs_analytics(scenario: Scenario) -> CriterionResult:
     policy = PolicyVector.point_mass(base.num_durations, 0)
     rates = analyze(base, policy)
     report = simulate(SimConfig(base, policy, "dominant", _SIM_HORIZON, _SIM_SEED,
-                                warmup=10_000))
+                                warmup=10_000), data_queues=False)
     mu_s_ref, mu_p_ref, pe_ref = 0.33366, 0.11951, 0.8
     analytic_ok = (abs(rates.mu_s - mu_s_ref) < 1e-4
                    and abs(rates.mu_p - mu_p_ref) < 1e-4
@@ -302,7 +302,7 @@ def criterion_3_occupancy(scenario: Scenario) -> CriterionResult:
         lam_se = rng.uniform(0.02, min(mu_se - 0.05, 0.75 * mu_se))
         case = replace(scenario, lambda_pe=lam_pe, lambda_se=lam_se)
         report = simulate(SimConfig(case, policy, "dominant", _OCCUPANCY_HORIZON, 100 + i,
-                                    warmup=20_000))
+                                    warmup=20_000), data_queues=False)
         worst = max(worst, abs(report.prob_se_nonempty - lam_se / mu_se))
     return CriterionResult(
         3, "energy occupancy formula", worst <= 0.01,

@@ -95,19 +95,48 @@ def secondary_outage(link: PhysicalLink, tau: float) -> float:
     precision. Past float range the SNR threshold is infinite and the outage
     exactly 1: no channel gain carries the packet in that window. Below it,
     where ``gain_variance * snr`` underflows to zero, the outage is 1 for a
-    positive threshold and 0 for a zero one.
+    positive threshold and 0 for a zero one. Where the threshold and the
+    mean SNR both overflow, or a denominator underflows to zero, the ratio
+    is taken in logs (``_outage_in_logs``).
     """
     _check_sensing_time(link, tau)
     window = link.slot_duration - tau
-    snr = link.energy_per_packet / (window * link.noise_power)
     try:
-        threshold = 2.0 ** (link.bits_per_packet / (link.bandwidth * window)) - 1.0
+        snr = link.energy_per_packet / (window * link.noise_power)
+        exponent = link.bits_per_packet / (link.bandwidth * window)
+    except ZeroDivisionError:
+        return _outage_in_logs(link, window)
+    try:
+        threshold = 2.0 ** exponent - 1.0
     except OverflowError:
         threshold = math.inf
     mean_snr = link.gain_variance * snr
     if mean_snr == 0.0:
         return 1.0 if threshold > 0.0 else 0.0
+    if threshold == mean_snr == math.inf:
+        return _outage_in_logs(link, window)
     return -math.expm1(-threshold / mean_snr)
+
+
+def _outage_in_logs(link: PhysicalLink, window: float) -> float:
+    """The outage ``1 - exp(-threshold / mean_snr)`` with the ratio formed as
+    ``exp(ln threshold - ln mean_snr)``. Every field is positive and finite,
+    so ``ln mean_snr = ln(gain_variance) + ln(E) - ln(T - tau) - ln(N)`` is
+    finite. So is ``ln threshold``: ``x ln 2`` for an exponent ``x`` past
+    1000, where the ``- 1`` is below 2**-1000 of ``2**x``, and
+    ``ln(2**x - 1)`` below. An exponent past ``e**709`` is held there, as its
+    outage is 1 either way, and one that underflows to zero makes a zero
+    threshold and no outage.
+    """
+    log, ln2 = math.log, math.log(2.0)
+    exponent = math.exp(min(log(link.bits_per_packet) - log(link.bandwidth) - log(window),
+                            709.0))
+    if exponent == 0.0:
+        return 0.0
+    ln_threshold = exponent * ln2 if exponent > 1000.0 else log(math.expm1(exponent * ln2))
+    ln_mean_snr = (log(link.gain_variance) + log(link.energy_per_packet) - log(window)
+                   - log(link.noise_power))
+    return -math.expm1(-math.exp(min(ln_threshold - ln_mean_snr, 709.0)))
 
 
 def primary_outage(link: PhysicalLink) -> float:

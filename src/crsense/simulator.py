@@ -12,7 +12,11 @@ leave before slot t+1.
 
 In ``dominant`` mode both nodes are saturated: they send dummy packets when
 their data buffers are empty, which costs energy and causes collisions but
-never serves the real data queues.
+never serves the real data queues. No service indicator of that system
+reads a data queue, so ``simulate(config, data_queues=False)`` runs only
+the energy half of the kernel and leaves the two data-arrival draws
+uncompared: every rate, energy statistic and collision count is the full
+run's, bit for bit, and the report's data-queue fields are ``None``.
 
 All randomness comes from one seeded PCG64 stream, nine uniforms per slot in
 a fixed order (arrivals, duration, sensing, channels), drawn in chunks of
@@ -127,7 +131,11 @@ class SimReport:
 
     In coupled mode the rate and occupancy fields describe the original
     system; ``dominance_violations`` counts (slot, queue) pairs where an
-    original data queue exceeded its saturated twin.
+    original data queue exceeded its saturated twin, and is ``None`` in the
+    other modes. ``mean_q_p``, ``mean_q_s``, ``drift_p`` and ``drift_s`` are
+    ``None`` exactly for a dominant run made without its data queues
+    (``simulate(config, data_queues=False)``); the service rates stay, as
+    saturated nodes are served whatever their data queues hold.
     """
 
     mode: str
@@ -141,12 +149,12 @@ class SimReport:
     mu_se: float
     prob_pe_empty: float
     prob_se_nonempty: float
-    mean_q_p: float
-    mean_q_s: float
+    mean_q_p: float | None
+    mean_q_s: float | None
     mean_q_pe: float
     mean_q_se: float
-    drift_p: float
-    drift_s: float
+    drift_p: float | None
+    drift_s: float | None
     drift_pe: float
     drift_se: float
     collisions: int
@@ -174,7 +182,8 @@ class SlotTrace:
 
 
 class _Draws(NamedTuple):
-    """Per-slot indicator draws of one chunk, as boolean arrays."""
+    """Per-slot indicator draws of one chunk, as boolean arrays; a run
+    without data queues leaves ``arr_p`` and ``arr_s`` ``None``."""
 
     arr_p: np.ndarray
     arr_s: np.ndarray
@@ -221,15 +230,17 @@ def _levels_passed(levels: list[float], pick: np.ndarray) -> np.ndarray:
     return passed
 
 
-def _indicators(scenario: Scenario, u: np.ndarray, det, fal, good_s) -> _Draws:
+def _indicators(scenario: Scenario, u: np.ndarray, det, fal, good_s,
+                data_queues: bool) -> _Draws:
     """The indicator draws of one chunk of uniforms, given each slot's
     detection, false-alarm and opportunistic-channel probabilities (arrays,
     or scalars when every slot has the same duration). Passed as arguments,
     the per-slot arrays are freed before the chunk is consumed, instead of
-    staying alive in the generator's frame."""
+    staying alive in the generator's frame. Without ``data_queues`` the
+    data arrivals are ``None``."""
     return _Draws(
-        u[:, 0] < scenario.lambda_p,
-        u[:, 1] < scenario.lambda_s,
+        u[:, 0] < scenario.lambda_p if data_queues else None,
+        u[:, 1] < scenario.lambda_s if data_queues else None,
         u[:, 2] < scenario.lambda_pe,
         u[:, 3] < scenario.lambda_se,
         u[:, 5] < det,
@@ -239,7 +250,8 @@ def _indicators(scenario: Scenario, u: np.ndarray, det, fal, good_s) -> _Draws:
     )
 
 
-def _draw_chunks(scenario: Scenario, policy: PolicyVector, horizon: int, seed: int):
+def _draw_chunks(scenario: Scenario, policy: PolicyVector, horizon: int, seed: int,
+                 data_queues: bool = True):
     """Yield ``(t0, draws)`` for consecutive chunks of at most ``_CHUNK`` slots.
 
     All chunks come from one PCG64 stream, nine uniforms per slot in the
@@ -248,7 +260,8 @@ def _draw_chunks(scenario: Scenario, policy: PolicyVector, horizon: int, seed: i
     reproduce the stream of a single full-horizon draw. The duration
     column costs one pass per distinct threshold strictly inside (0, 1);
     a policy without one (a point mass) compares the sensing and channel
-    draws with scalars.
+    draws with scalars. Without ``data_queues`` the two data-arrival columns
+    are drawn, to keep the stream, but not compared.
     """
     rng = np.random.default_rng(seed)
     levels, index = _duration_levels(policy)
@@ -258,10 +271,10 @@ def _draw_chunks(scenario: Scenario, policy: PolicyVector, horizon: int, seed: i
     for t0 in range(0, horizon, _CHUNK):
         u = rng.random(out=buffer[:min(_CHUNK, horizon - t0)])
         if not levels:
-            yield t0, _indicators(scenario, u, *(t[0] for t in tables))
+            yield t0, _indicators(scenario, u, *(t[0] for t in tables), data_queues)
         else:
             m = _levels_passed(levels, u[:, 4].copy())     # contiguous: one read per pass
-            yield t0, _indicators(scenario, u, *(t.take(m) for t in tables))
+            yield t0, _indicators(scenario, u, *(t.take(m) for t in tables), data_queues)
 
 
 def _lindley(q0: int, arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
@@ -302,9 +315,10 @@ def _lindley(q0: int, arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
     return level
 
 
-def _kernel(d: _Draws, state: QueueState, has_p: np.ndarray, has_s: np.ndarray):
+def _energy(d: _Draws, state: QueueState, has_p: np.ndarray, has_s: np.ndarray):
     """One chunk of the system whose nodes hold a packet in the slots flagged
-    by ``has_p`` and ``has_s``, without a per-slot loop.
+    by ``has_p`` and ``has_s``, short of its data queues: the energy levels
+    (slots 0..n), in the order pe, se, and the chunk's ``_Service``.
 
     Given the flags, every service indicator is exogenous or depends only on
     an energy queue computed before it: q_pe is served where ``has_p``, q_se
@@ -312,9 +326,7 @@ def _kernel(d: _Draws, state: QueueState, has_p: np.ndarray, has_s: np.ndarray):
     licensed transmission, the false-alarm draw in silence), the data queues
     from q_pe and q_se. All-ones flags give the saturated system. The
     indicators are the service-process values: own-queue emptiness is
-    deliberately excluded, the max() in the update masks it. Returns the four
-    level arrays (slots 0..n), in the order p, s, pe, se, and the chunk's
-    ``_Service``.
+    deliberately excluded, the max() in the update masks it.
     """
     q_pe = _lindley(state.q_pe, d.arr_pe, has_p)
     pe_on = q_pe[:-1] > 0
@@ -324,9 +336,18 @@ def _kernel(d: _Draws, state: QueueState, has_p: np.ndarray, has_s: np.ndarray):
     se_on = q_se[:-1] > 0
     r_p = ~(has_s & se_on & ~d.det) & d.chan_p & pe_on
     r_s = ~pu_tx & se_on & ~d.fa & d.chan_s
-    levels = (_lindley(state.q_p, d.arr_p, r_p), _lindley(state.q_s, d.arr_s, r_s),
+    return q_pe, q_se, _Service(pu_tx, r_se & se_on, r_p, r_s, has_p, r_se)
+
+
+def _kernel(d: _Draws, state: QueueState, has_p: np.ndarray, has_s: np.ndarray):
+    """One chunk of the flagged system, without a per-slot loop: the four
+    level arrays (slots 0..n), in the order p, s, pe, se, and the chunk's
+    ``_Service``. ``_energy`` gives the energy levels and every indicator;
+    the data queues then follow from ``r_p`` and ``r_s``."""
+    q_pe, q_se, svc = _energy(d, state, has_p, has_s)
+    levels = (_lindley(state.q_p, d.arr_p, svc.r_p), _lindley(state.q_s, d.arr_s, svc.r_s),
               q_pe, q_se)
-    return levels, _Service(pu_tx, r_se & se_on, r_p, r_s, has_p, r_se)
+    return levels, svc
 
 
 def _part(d: _Draws, lo: int, hi: int | None = None) -> _Draws:
@@ -440,16 +461,19 @@ def _drifts(samples: list[np.ndarray], stride: int) -> list[float]:
 
 
 def _end(levels) -> QueueState:
-    return QueueState(*(int(q[-1]) for q in levels))
+    return QueueState(*(0 if q is None else int(q[-1]) for q in levels))
 
 
-def _run(config: SimConfig, trace: bool):
+def _run(config: SimConfig, trace: bool, data_queues: bool = True):
     """One run, chunk by chunk; the statistics describe the original system
-    in ``original`` and ``coupled`` mode and the saturated one otherwise."""
+    in ``original`` and ``coupled`` mode and the saturated one otherwise.
+    Without ``data_queues`` (dominant mode only) the chunks run ``_energy``
+    alone, and the data queues' levels, sums and drifts are never formed."""
     mode, horizon, warmup = config.mode, config.horizon, config.warmup
     measured = horizon - warmup
     stride = max(1, measured // _DRIFT_SAMPLES)
     state = twin = QueueState()
+    queues = (0, 1, 2, 3) if data_queues else (2, 3)    # levels summed and sampled
 
     svc = [0, 0, 0, 0]                      # service-indicator sums, order p,s,pe,se
     qsum = [0, 0, 0, 0]
@@ -460,9 +484,13 @@ def _run(config: SimConfig, trace: bool):
     parts: list[tuple] = []
     skip, backoff = 0, 1                    # the original system's backoff, see _original
 
-    for t0, d in _draw_chunks(config.scenario, config.policy, horizon, config.seed):
+    for t0, d in _draw_chunks(config.scenario, config.policy, horizon, config.seed,
+                              data_queues):
         ones = np.ones(d.det.size, dtype=bool)
-        if mode == "dominant":
+        if not data_queues:
+            q_pe, q_se, service = _energy(d, state, ones, ones)
+            levels = (None, None, q_pe, q_se)
+        elif mode == "dominant":
             levels, service = _kernel(d, state, ones, ones)
         else:
             levels, service, skip, backoff = _original(d, state, skip, backoff)
@@ -475,8 +503,10 @@ def _run(config: SimConfig, trace: bool):
         n = d.det.size
         lo = min(max(warmup - t0, 0), n)
         first = lo + (warmup - t0 - lo) % stride     # drift samples: t - warmup = 0 mod stride
-        for k, (q, r) in enumerate(zip(levels, service[2:])):
+        for k, r in enumerate(service[2:]):
             svc[k] += int(np.count_nonzero(r[lo:]))
+        for k in queues:
+            q = levels[k]
             qsum[k] += int(q[lo:n].sum(dtype=np.int64))   # int32 chunk levels, summed wide
             drift_samples[k].append(q[first:n:stride].copy())     # a view would keep the chunk
         pe_nonempty += int(np.count_nonzero(levels[2][lo:n]))
@@ -485,7 +515,9 @@ def _run(config: SimConfig, trace: bool):
         if trace:
             parts.append(tuple(q[:-1] for q in levels) + d[:4] + service)
 
-    drift = _drifts([np.concatenate(s) for s in drift_samples], stride)
+    mean = {k: qsum[k] / measured for k in queues}
+    drift = dict(zip(queues, _drifts([np.concatenate(drift_samples[k]) for k in queues],
+                                     stride)))
     report = SimReport(
         mode=mode,
         horizon=horizon,
@@ -498,14 +530,14 @@ def _run(config: SimConfig, trace: bool):
         mu_se=svc[3] / measured,
         prob_pe_empty=(measured - pe_nonempty) / measured,
         prob_se_nonempty=se_nonempty / measured,
-        mean_q_p=qsum[0] / measured,
-        mean_q_s=qsum[1] / measured,
-        mean_q_pe=qsum[2] / measured,
-        mean_q_se=qsum[3] / measured,
-        drift_p=drift[0],
-        drift_s=drift[1],
-        drift_pe=drift[2],
-        drift_se=drift[3],
+        mean_q_p=mean.get(0),
+        mean_q_s=mean.get(1),
+        mean_q_pe=mean.get(2),
+        mean_q_se=mean.get(3),
+        drift_p=drift.get(0),
+        drift_s=drift.get(1),
+        drift_pe=drift.get(2),
+        drift_se=drift.get(3),
         collisions=collisions,
         dominance_violations=violations if mode == "coupled" else None,
     )
@@ -517,9 +549,19 @@ def _run(config: SimConfig, trace: bool):
     return report, SlotTrace(*columns)
 
 
-def simulate(config: SimConfig) -> SimReport:
-    """Run one replication and return the empirical report."""
-    return _run(config, trace=False)
+def simulate(config: SimConfig, *, data_queues: bool = True) -> SimReport:
+    """Run one replication and return the empirical report.
+
+    ``data_queues=False`` is for ``dominant`` mode, whose saturated nodes
+    never read their data queues: the run skips the two data-queue
+    recursions, its report's ``mean_q_p``, ``mean_q_s``, ``drift_p`` and
+    ``drift_s`` are ``None``, and every other field equals the full run's
+    bit for bit.
+    """
+    if not data_queues and config.mode != "dominant":
+        raise ValueError(f"data_queues=False needs mode 'dominant', got mode {config.mode!r}, "
+                         f"whose service reads the data queues")
+    return _run(config, trace=False, data_queues=data_queues)
 
 
 def simulate_traced(config: SimConfig) -> tuple[SimReport, SlotTrace]:
@@ -561,6 +603,9 @@ def stability_diagnostic(report: SimReport, scenario: Scenario) -> list[Stabilit
     slot) is reported alongside; for an unstable queue it approaches
     ``lambda - mu``.
     """
+    if report.drift_p is None or report.drift_s is None:
+        raise ValueError("report has no data-queue drifts: it comes from a dominant run "
+                         "made with data_queues=False; simulate with data_queues=True")
     measured = report.horizon - report.warmup
     if measured < MIN_DIAGNOSTIC_SLOTS:
         raise ValueError(

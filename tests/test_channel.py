@@ -110,6 +110,36 @@ class TestOutage:
         assert primary_outage(link) == 0.0
         assert secondary_outage(link, 0.5e-3) == 0.0
 
+    def test_threshold_and_snr_past_float_range_outage_is_certain(self):
+        # 2 ** (b / (W T)) = 2 ** 1e13 and gain_variance * snr = 1e603 both
+        # overflow; in logs, 1e13 ln 2 ~ 6.9e12 dwarfs ln(1e603) ~ 1389
+        link = PhysicalLink(1e10, 1e-3, 1.0, 1.0, 1e300, 1e-300)
+        assert primary_outage(link) == 1.0
+        assert secondary_outage(link, 0.5e-3) == 1.0
+
+    def test_snr_further_past_float_range_outage_is_none(self):
+        # 2 ** 1100 and 1e300 * 1e300 / (1e-3 * 1e-300) both overflow; in
+        # logs, 1100 ln 2 ~ 762 sits far below ln(1e903) ~ 2079. Half the
+        # window doubles the exponent: e ** (2200 ln 2 - ln(2e903)) ~ 9e-242
+        link = PhysicalLink(1.1, 1e-3, 1.0, 1e300, 1e300, 1e-300)
+        assert primary_outage(link) == 0.0
+        assert secondary_outage(link, 0.5e-3) == pytest.approx(
+            math.exp(2200 * math.log(2.0) - math.log(2.0) - 903 * math.log(10.0)), rel=1e-9)
+
+    def test_denominator_below_float_range(self):
+        # (T - tau) * noise = 1e-400 and W * (T - tau) = 1e-400 underflow to
+        # zero; the exponent b / (W T) = 1e200 leaves every gain in outage
+        for link in (PhysicalLink(1.0, 1e-200, 1.0, 1.0, 1.0, 1e-200),
+                     PhysicalLink(1.0, 1e-200, 1e-200, 1.0, 1.0, 1.0)):
+            assert primary_outage(link) == 1.0
+
+    def test_overflowing_ratio_in_logs_keeps_its_value(self):
+        # threshold 2 ** 1024 - 1 and mean SNR 1e610 both overflow; the
+        # outage is their ratio, e ** (1024 ln 2 - ln 1e610)
+        link = PhysicalLink(1024.0, 1.0, 1.0, 1e300, 1e10, 1e-300)
+        expected = math.exp(1024 * math.log(2.0) - 610 * math.log(10.0))
+        assert primary_outage(link) == pytest.approx(expected, rel=1e-9)
+
 
 class TestMonotonicityCertificate:
     def test_equispaced_grid(self):

@@ -1,9 +1,11 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crsense import simulator
 from crsense.acceptance import audit_coupling
@@ -18,6 +20,7 @@ from crsense.simulator import (
     simulate_traced,
     stability_diagnostic,
 )
+from scenario_strategies import SETTINGS
 
 
 def dominant_config(scenario, policy, horizon=300_000, seed=0, warmup=10_000):
@@ -247,6 +250,68 @@ class TestCoupledMode:
         _, original = simulate_traced(SimConfig(scenario, pol, "original", 100_000, 0))
         _, twin = simulate_traced(SimConfig(scenario, pol, "dominant", 100_000, 0))
         assert report.dominance_violations == audit_coupling(original, twin).inversions
+
+
+DATA_QUEUE_FIELDS = ("mean_q_p", "mean_q_s", "drift_p", "drift_s")
+
+
+def _bits(value):
+    """A report field as compared bit for bit: floats by their hex form,
+    which tells -0.0 from 0.0."""
+    return value.hex() if isinstance(value, float) else value
+
+
+@st.composite
+def dominant_configs(draw, table, horizons):
+    """Dominant runs on a prefix of ``table`` with any arrival rates, point
+    masses and mixes alike, and any warmup."""
+    m = draw(st.integers(1, table.num_durations))
+    weights = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)
+                   .filter(lambda w: sum(w) > 0))
+    rates = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                          min_size=4, max_size=4))
+    scenario = replace(table, sensing_table=table.sensing_table[:m], **dict(zip(
+        ("lambda_p", "lambda_s", "lambda_pe", "lambda_se"), rates)))
+    policy = PolicyVector(tuple(w / sum(weights) for w in weights))
+    horizon = draw(horizons)
+    return SimConfig(scenario, policy, "dominant", horizon,
+                     draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, horizon - 1)))
+
+
+class TestWithoutDataQueues:
+    @settings(max_examples=80, **SETTINGS)
+    @given(data=st.data(), chunk=st.sampled_from([1, 7, 64, simulator._CHUNK]))
+    def test_equals_full_run_but_data_queue_fields(self, table_scenario, data, chunk):
+        config = data.draw(dominant_configs(table_scenario,
+                                            st.integers(1, 3 * chunk + 2)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_CHUNK", chunk)
+            full = simulate(config)
+            lite = simulate(config, data_queues=False)
+        for field in fields(SimReport):
+            if field.name in DATA_QUEUE_FIELDS:
+                assert getattr(full, field.name) is not None
+                assert getattr(lite, field.name) is None, field.name
+            else:
+                assert _bits(getattr(lite, field.name)) == _bits(getattr(full, field.name)), \
+                    field.name
+
+    @pytest.mark.parametrize("mode", ["original", "coupled"])
+    def test_other_modes_rejected(self, table_scenario, mode):
+        config = SimConfig(table_scenario, PolicyVector.uniform(10), mode, 1_000, 0)
+        with pytest.raises(ValueError, match=f"got mode '{mode}'"):
+            simulate(config, data_queues=False)
+
+    def test_switch_is_keyword_only(self, table_scenario):
+        config = dominant_config(table_scenario, PolicyVector.uniform(10), 1_000, warmup=0)
+        with pytest.raises(TypeError):
+            simulate(config, False)
+
+    def test_stability_diagnostic_rejects_report(self, table_scenario):
+        config = dominant_config(table_scenario, PolicyVector.uniform(10), 1_000, warmup=0)
+        report = replace(simulate(config, data_queues=False), horizon=2_000_000)
+        with pytest.raises(ValueError, match="data_queues=False"):
+            stability_diagnostic(report, table_scenario)
 
 
 class TestStabilityDiagnostic:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import crsense.lp
 from crsense import optimizer, sweep
 from crsense.analytics import PolicyVector
 from crsense.optimizer import solve
+from crsense.simulator import SimConfig
 from crsense.sweep import (
     SWEEPABLE,
     SweepSpec,
@@ -207,7 +209,35 @@ class TestComparison:
             scenario, PolicyVector.uniform(10), horizon=50_000, seed=3)
         assert record.analytic.mu_p == 0.0
         assert record.report.mu_p == 0.0
+        assert record.deltas["mu_p"] == (0.0, 0.0)
         assert record.passed
+
+    def test_zero_reference_nonzero_delta_is_infinitely_relative(self, table_scenario,
+                                                                 monkeypatch):
+        scenario = replace(table_scenario, lambda_pe=0.0, lambda_se=0.4)
+        real = sweep.simulate
+        monkeypatch.setattr(sweep, "simulate",
+                            lambda *a, **k: replace(real(*a, **k), mu_p=0.001))
+        record = compare_sim_vs_analytic(
+            scenario, PolicyVector.uniform(10), horizon=20_000, seed=3)
+        assert record.deltas["mu_p"] == (0.001, math.inf)
+        assert record.passed
+
+    def test_cross_check_runs_without_data_queues(self, table_scenario, monkeypatch):
+        # the SimConfig stays the first positional argument, as the
+        # benchmark's span tags read it from there
+        calls = []
+        real = sweep.simulate
+        monkeypatch.setattr(sweep, "simulate",
+                            lambda *a, **k: calls.append((a, k)) or real(*a, **k))
+        record = compare_sim_vs_analytic(
+            replace(table_scenario, lambda_pe=0.2, lambda_se=0.4),
+            PolicyVector.uniform(10), horizon=20_000, seed=3, warmup=1_000)
+        [(args, kwargs)] = calls
+        assert isinstance(args[0], SimConfig) and args[0].mode == "dominant"
+        assert kwargs == {"data_queues": False}
+        assert record.report.mean_q_p is record.report.drift_s is None
+        assert record.report.mean_q_pe is not None
 
     def test_uniform_policy_consumption_rate(self, table_scenario):
         scenario = replace(table_scenario, lambda_pe=0.2, lambda_se=0.4)
