@@ -55,13 +55,14 @@ duration at all. Each chunk takes one of two paths:
   slot t only on the flags and levels at t, so the levels up to the first
   changed flag, that flag, and the indicators before it are already the
   true ones. Every pass settles at least one more flag, and a pass that
-  changes no flag has computed the one true trajectory. A window still
-  unsettled after ``_PASSES`` passes gets a last pass under the true flags
-  of its rest, which a per-slot loop records from the settled state. After
-  such a hand-off the next 1, 2, 4 ... ``_BACKOFF`` windows get only that
-  last pass, so runs near the stability boundary, whose data queues empty
-  every few slots, do not pay for passes that rarely settle; a window that
-  settles resets the count.
+  changes no flag has computed the one true trajectory. The first window
+  that ``_PASSES`` passes leave unsettled hands the rest of its chunk, from
+  its first unsettled slot, to a per-slot loop that records the true flags
+  from the settled state, and one more kernel call under those flags fills
+  that rest. So a run near the stability boundary pays for at most one
+  unsettled window of passes per chunk, and only the queue levels cross a
+  chunk boundary. The chunk's levels are int32 under the rule above, taken
+  at its largest start level.
 
 In ``coupled`` mode the original and the saturated twin (kernel) take the
 same chunk, so the pair sees identical randomness even in slots where one
@@ -88,8 +89,7 @@ _DRIFT_SAMPLES = 2000
 _CHUNK = 16_384               # slots per draw: the 9-column draw (1.2 MB) and the
                               # chunk's level arrays stay within a 2 MB L2 cache
 _WINDOW = 4_096               # original-mode slots settled by one set of fixpoint passes
-_PASSES = 6                   # kernel passes per window before the loop takes the rest
-_BACKOFF = 64                 # most windows a run sends straight to the loop in a row
+_PASSES = 6                   # kernel passes per window before the loop takes the chunk's rest
 MIN_DIAGNOSTIC_SLOTS = 1_000_000
 
 
@@ -354,44 +354,42 @@ def _part(d: _Draws, lo: int, hi: int | None = None) -> _Draws:
     return _Draws(*(x[lo:hi] for x in d))
 
 
-def _settle(d: _Draws, out: np.ndarray, service: np.ndarray, passes: int) -> bool:
-    """Levels and indicators of the original system over one window, by
-    kernel passes; returns whether the first ``passes`` passes settled it.
+def _settle(d: _Draws, out: np.ndarray, service: np.ndarray) -> int:
+    """Levels and indicators of the original system over one window, by up
+    to ``_PASSES`` kernel passes; returns how many of its slots they settled.
 
     ``out`` is a (4, n + 1) array whose first column holds the state at the
-    window's start, ``service`` a (6, n) array for the ``_Service`` rows; on
-    return they hold the window's true levels and indicators. Each pass runs
-    the kernel from the first slot whose flag is not yet known true, under
-    assumed flags ``has_p`` and ``has_s`` (all ones at first, then the
-    previous pass's ``q_p > 0`` and ``q_s > 0``), and keeps the levels up to
-    and the indicators before the first flag its levels contradict (see the
-    module docstring). After ``passes`` passes that leave the window
-    unsettled, a last pass takes the true flags of the rest from ``_loop``.
+    window's start, ``service`` a (6, n) array for the ``_Service`` rows. Each
+    pass runs the kernel from the first slot whose flag is not yet known
+    true, under assumed flags ``has_p`` and ``has_s`` (all ones at first,
+    then the previous pass's ``q_p > 0`` and ``q_s > 0``), and keeps the
+    levels up to and the indicators before the first flag its levels
+    contradict (see the module docstring). On a return of ``k``, ``out``
+    holds the true levels at slots 0..k and ``service`` the true indicators
+    at slots before k; ``k == n`` once a pass changes no flag.
     """
-    has_p = has_s = np.ones(d.det.size, dtype=bool)
+    n = d.det.size
+    has_p = has_s = np.ones(n, dtype=bool)
     start = 0
-    for k in range(passes + 1):
-        rest, entry = _part(d, start), QueueState(*out[:, start].tolist())
-        if k == passes:
-            has_p, has_s = _loop(rest, entry)
-        levels, svc = _kernel(rest, entry, has_p, has_s)
-        if k < passes:
-            flag_p, flag_s = levels[0][:-1] > 0, levels[1][:-1] > 0
-            changed = (flag_p != has_p) | (flag_s != has_s)
-            j = int(changed.argmax())
-            if changed[j]:
-                out[:, start:start + j + 1] = [q[:j + 1] for q in levels]
-                service[:, start:start + j] = [r[:j] for r in svc]
-                has_p, has_s = flag_p[j:], flag_s[j:]
-                start += j
-                continue
-        out[:, start:] = levels
-        service[:, start:] = svc
-        return k < passes
+    for _ in range(_PASSES):
+        levels, svc = _kernel(_part(d, start), QueueState(*out[:, start].tolist()),
+                              has_p, has_s)
+        flag_p, flag_s = levels[0][:-1] > 0, levels[1][:-1] > 0
+        changed = (flag_p != has_p) | (flag_s != has_s)
+        j = int(changed.argmax())
+        if not changed[j]:
+            out[:, start:] = levels
+            service[:, start:] = svc
+            return n
+        out[:, start:start + j + 1] = [q[:j + 1] for q in levels]
+        service[:, start:start + j] = [r[:j] for r in svc]
+        has_p, has_s = flag_p[j:], flag_s[j:]
+        start += j
+    return start
 
 
 def _loop(d: _Draws, state: QueueState) -> tuple[np.ndarray, np.ndarray]:
-    """The rest of a window of the original system, slot by slot, from
+    """The rest of a chunk of the original system, slot by slot, from
     ``state``: its flags ``q_p > 0`` and ``q_s > 0`` at slots 0..n-1, which
     give its levels by ``_kernel``.
 
@@ -424,25 +422,25 @@ def _loop(d: _Draws, state: QueueState) -> tuple[np.ndarray, np.ndarray]:
     return np.frombuffer(has_p, dtype=bool), np.frombuffer(has_s, dtype=bool)
 
 
-def _original(d: _Draws, state: QueueState, skip: int, backoff: int):
+def _original(d: _Draws, state: QueueState) -> tuple[np.ndarray, _Service]:
     """The original system's (4, n + 1) levels and indicators over one chunk
-    from ``state``, window by window, and the run's backoff counters after
-    it: ``skip``, the windows left to settle by the loop's pass alone, and
-    ``backoff``, the windows to skip after the next hand-off."""
+    from ``state``. Windows are settled by ``_settle`` until one is left
+    unsettled; ``_loop`` then takes the rest of the chunk from its first
+    unsettled slot, and one kernel call under the loop's flags fills it.
+    The levels are int32 unless the largest start level is within
+    ``n + 1`` of 2**31, as in ``_lindley``."""
     n = d.det.size
-    out = np.empty((4, n + 1), dtype=np.int64)
+    out = np.empty((4, n + 1), dtype=np.int32 if max(state) + n + 1 < 2**31 else np.int64)
     out[:, 0] = state
     service = np.empty((6, n), dtype=bool)
     for w0 in range(0, n, _WINDOW):
         w1 = min(w0 + _WINDOW, n)
-        if _settle(_part(d, w0, w1), out[:, w0:w1 + 1], service[:, w0:w1],
-                   0 if skip else _PASSES):
-            backoff = 1
-        elif skip:
-            skip -= 1
-        else:
-            skip, backoff = backoff, min(2 * backoff, _BACKOFF)
-    return out, _Service(*service), skip, backoff
+        start = w0 + _settle(_part(d, w0, w1), out[:, w0:w1 + 1], service[:, w0:w1])
+        if start < w1:
+            rest, entry = _part(d, start), QueueState(*out[:, start].tolist())
+            out[:, start:], service[:, start:] = _kernel(rest, entry, *_loop(rest, entry))
+            break
+    return out, _Service(*service)
 
 
 def _drifts(samples: list[np.ndarray], stride: int) -> list[float]:
@@ -482,7 +480,6 @@ def _run(config: SimConfig, trace: bool, data_queues: bool = True):
     violations = 0
     drift_samples: list[list[np.ndarray]] = [[], [], [], []]
     parts: list[tuple] = []
-    skip, backoff = 0, 1                    # the original system's backoff, see _original
 
     for t0, d in _draw_chunks(config.scenario, config.policy, horizon, config.seed,
                               data_queues):
@@ -493,7 +490,7 @@ def _run(config: SimConfig, trace: bool, data_queues: bool = True):
         elif mode == "dominant":
             levels, service = _kernel(d, state, ones, ones)
         else:
-            levels, service, skip, backoff = _original(d, state, skip, backoff)
+            levels, service = _original(d, state)
             if mode == "coupled":
                 twin_levels = _kernel(d, twin, ones, ones)[0]
                 twin = _end(twin_levels)

@@ -5,7 +5,9 @@ Each CSV under ``tests/golden`` is the output of ``crsense sweep`` on the
 bundled table with the arguments listed below, each
 ``table1_simulate_<mode>.txt`` the stdout of ``crsense simulate`` on it (its
 ``rng`` line names the numpy release that made it, so that one line is held
-to ``simulator.RNG_DESCRIPTION`` instead), and
+to ``simulator.RNG_DESCRIPTION`` instead), with
+``table1_simulate_original_lambda_s_0.33.txt`` one near the opportunistic
+queue's stability boundary, where every chunk hands its rest to the loop, and
 ``table1_check_5_6_7.txt`` the stdout of ``crsense check`` on it for the grid
 criteria 5, 6 and 7.
 A change that moves any byte shows up here as a failing case, and the golden
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from crsense import simulator
 from crsense.cli import main
 from crsense.scenario_io import bundled_scenario_text
 from crsense.simulator import RNG_DESCRIPTION
@@ -50,12 +53,30 @@ def test_grid_criteria_match_golden_bytes(tmp_path, capsys):
     assert out == (GOLDEN / "table1_check_5_6_7.txt").read_bytes()
 
 
-@pytest.mark.parametrize("mode", ["dominant", "coupled"])
-def test_simulate_matches_golden_bytes(tmp_path, capsys, mode):
+def _assert_simulate_matches(tmp_path, capsys, name, args):
     scenario_file = tmp_path / "table1.scn"
     scenario_file.write_text(bundled_scenario_text())
-    assert main(["simulate", str(scenario_file), *SIMULATE, "--mode", mode]) == 0
+    assert main(["simulate", str(scenario_file), *SIMULATE, *args]) == 0
     out = capsys.readouterr().out.encode()
-    golden = (GOLDEN / f"table1_simulate_{mode}.txt").read_bytes().splitlines(keepends=True)
+    golden = (GOLDEN / name).read_bytes().splitlines(keepends=True)
     rng = f"rng {RNG_DESCRIPTION}\n".encode()
     assert out == b"".join(rng if line.startswith(b"rng ") else line for line in golden)
+
+
+@pytest.mark.parametrize("mode", ["dominant", "coupled", "original"])
+def test_simulate_matches_golden_bytes(tmp_path, capsys, mode):
+    _assert_simulate_matches(tmp_path, capsys, f"table1_simulate_{mode}.txt", ["--mode", mode])
+
+
+def test_near_critical_original_matches_golden_bytes(tmp_path, capsys, monkeypatch):
+    loops = []
+    loop = simulator._loop
+
+    def counted(d, state):
+        loops.append(d.det.size)
+        return loop(d, state)
+
+    monkeypatch.setattr(simulator, "_loop", counted)
+    _assert_simulate_matches(tmp_path, capsys, "table1_simulate_original_lambda_s_0.33.txt",
+                             ["--mode", "original", "--lambda-s", "0.33"])
+    assert len(loops) >= 1

@@ -8,9 +8,10 @@ below is the oracle for all of them: the per-slot simulator that the paths
 replaced, one full-horizon draw, both systems stepped slot by slot in one
 loop. It fixes the reports and traces every seed must keep reproducing. Its
 slot rules, run over one chunk's draws from any start state, are the oracle
-of the kernel under arbitrary flags, and of the passes and the loop's flags
-window by window. The recursion itself is held against a slot-by-slot
-queue, on both sides of the level from which it skips its running maximum.
+of the kernel under arbitrary flags, of the passes window by window, and
+of the loop's flags and hand-off chunk by chunk. The recursion itself is
+held against a slot-by-slot queue, on both sides of the level from which
+it skips its running maximum.
 
 Small chunk sizes push horizons across many chunk boundaries cheaply; a few
 runs use the real chunk size around its boundaries. The duration index the
@@ -427,9 +428,10 @@ class TestKernelUnderFlags:
 
 class TestSettledPath:
     """The original system's kernel passes and its loop's flags against the
-    reference's levels and indicators, window by window, from any start
-    state, and whole runs against the reference; a pass cap of 0 or 1 forces
-    the hand-off to the loop's pass from a settled prefix."""
+    reference's levels and indicators, window by window and chunk by chunk,
+    from any start state, and whole runs against the reference; a pass cap
+    of 0 or 1 forces the hand-off of the chunk's rest to the loop from a
+    settled prefix."""
 
     @settings(max_examples=80, **_SETTINGS)
     @given(data=st.data(), state=states)
@@ -451,26 +453,45 @@ class TestSettledPath:
         out = np.empty_like(want)
         out[:, 0] = state
         service = np.empty_like(want_service)
-        settled = simulator._settle(d, out, service, passes)
-        assert passes > 0 or not settled
-        assert np.array_equal(out, want)
-        assert np.array_equal(service, want_service)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_PASSES", passes)
+            settled = simulator._settle(d, out, service)
+        assert 0 <= settled <= d.det.size and (passes > 0 or settled == 0)
+        assert np.array_equal(out[:, :settled + 1], want[:, :settled + 1])
+        assert np.array_equal(service[:, :settled], want_service[:, :settled])
 
     @settings(max_examples=80, **_SETTINGS)
     @given(data=st.data(), state=states, window=st.sampled_from([1, 3, 16, 64]),
-           passes=st.sampled_from([0, 1, 6]))
+           passes=st.sampled_from([0, 1, 2, 6]))
     def test_chunks_equal_loop(self, table_scenario, data, state, window, passes):
         config = data.draw(configs(table_scenario, modes=("original",)))
         d = _first_chunk(config)
         want, want_service = _chunk_reference(d, state)
-        skip, backoff = 0, 1
+        events = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "_WINDOW", window)
             mp.setattr(simulator, "_PASSES", passes)
-            for _ in range(2):          # the second chunk starts with the run's backoff
-                levels, service, skip, backoff = simulator._original(d, state, skip, backoff)
-                assert np.array_equal(levels, want)
-                assert np.array_equal(np.array(service), want_service)
+            _record_calls(mp, events)
+            levels, service = simulator._original(d, state)
+        assert levels.dtype == np.int32
+        assert np.array_equal(levels, want)
+        assert np.array_equal(np.array(service), want_service)
+        loops = events.count(("loop", None))
+        assert loops <= 1 and (passes > 0 or loops == 1)
+
+    @pytest.mark.parametrize("margin, dtype", [(0, np.int64), (1, np.int32)])
+    def test_levels_leave_int32_at_the_chunk_rule(self, table_scenario, margin, dtype):
+        """The chunk's levels are int32 unless its largest start level plus
+        n + 1 reaches 2**31; both sides of that edge equal the reference."""
+        config = SimConfig(replace(table_scenario, lambda_s=0.9), PolicyVector.uniform(10),
+                           "original", 50, 2)
+        d = _first_chunk(config)
+        state = QueueState(1, 2**31 - d.det.size - 1 - margin, 3, 4)
+        want, want_service = _chunk_reference(d, state)
+        levels, service = simulator._original(d, state)
+        assert levels.dtype == dtype
+        assert np.array_equal(levels, want)
+        assert np.array_equal(np.array(service), want_service)
 
     @settings(max_examples=60, **_SETTINGS)
     @given(data=st.data(), chunk=st.sampled_from([5, 64, 200]),
@@ -490,25 +511,73 @@ class TestSettledPath:
 
     @pytest.mark.parametrize("window", [simulator._WINDOW, 512])
     def test_near_critical_replication(self, table_scenario, window, monkeypatch):
-        """At 0.97 mu_s(P) the passes settle almost no window, so the run
-        hands off to the loop's pass mid-window and skips windows by its
-        backoff."""
+        """At 0.97 mu_s(P) the passes settle almost no window, so each chunk
+        hands its rest to the loop from within its first window."""
         scenario, policy = _replication_63(table_scenario, 0.97)
         assert scenario.lambda_s == pytest.approx(0.97 * 0.13413, abs=1e-5)
         config = SimConfig(scenario, policy, "original", 5 * simulator._WINDOW + 17, 1)
-        handed_off = []                 # per window that ran passes
-        settle = simulator._settle
-
-        def counted(d, out, service, passes):
-            settled = settle(d, out, service, passes)
-            if passes:
-                handed_off.append(not settled)
-            return settled
-
+        events = []
         monkeypatch.setattr(simulator, "_WINDOW", window)
-        monkeypatch.setattr(simulator, "_settle", counted)
+        _record_calls(monkeypatch, events)
         report, trace = simulate_traced(config)
-        assert handed_off[0] and sum(handed_off) >= len(handed_off) - 1
+        chunks = _per_chunk(events)
+        assert len(chunks) == 2
+        assert all(chunk[:2] == [("settle", False), ("loop", None)] for chunk in chunks)
         want_report, want_trace = reference_run(config)
         assert report == want_report
         assert_traces_equal(trace, want_trace)
+
+    def test_hand_off_is_chunk_scoped(self, table_scenario, monkeypatch):
+        """A chunk whose first window the passes leave unsettled calls the loop
+        exactly once, for the rest of that chunk, and the next chunk starts
+        with passes again; a chunk whose windows settle never calls it."""
+        scenario, policy = _replication_63(table_scenario, 0.97)
+        config = SimConfig(scenario, policy, "original", 3 * 4096, 1)
+        events = []
+        monkeypatch.setattr(simulator, "_CHUNK", 4096)
+        monkeypatch.setattr(simulator, "_WINDOW", 1024)
+        _record_calls(monkeypatch, events)
+        report = simulate(config)
+        chunks = _per_chunk(events)
+        assert len(chunks) == 3
+        for chunk in chunks:
+            assert chunk[0][0] == "settle"
+            loops = [k for k, (name, _) in enumerate(chunk) if name == "loop"]
+            unsettled = [k for k, (name, done) in enumerate(chunk) if done is False]
+            assert len(loops) <= 1 and [k + 1 for k in unsettled] == loops
+            assert loops == [] or loops[0] == len(chunk) - 1
+        assert chunks[0] == [("settle", False), ("loop", None)]
+        assert report == reference_run(config)[0]
+
+
+def _record_calls(monkeypatch, events):
+    """Log each ``_original`` chunk, each ``_settle`` window (with whether its
+    passes settled it) and each ``_loop`` hand-off into ``events``."""
+    original, settle, loop = simulator._original, simulator._settle, simulator._loop
+
+    def chunk(d, state):
+        events.append(("chunk", None))
+        return original(d, state)
+
+    def window(d, out, service):
+        settled = settle(d, out, service)
+        events.append(("settle", settled == d.det.size))
+        return settled
+
+    def hand_off(d, state):
+        events.append(("loop", None))
+        return loop(d, state)
+
+    monkeypatch.setattr(simulator, "_original", chunk)
+    monkeypatch.setattr(simulator, "_settle", window)
+    monkeypatch.setattr(simulator, "_loop", hand_off)
+
+
+def _per_chunk(events):
+    chunks = []
+    for event in events:
+        if event[0] == "chunk":
+            chunks.append([])
+        else:
+            chunks[-1].append(event)
+    return chunks
