@@ -11,11 +11,14 @@ sensing the licensed user, so its packet must fit into the remaining
 rate *and* the transmit power (one energy packet is spread over less time),
 and the net effect on the outage probability is strictly upward in ``tau``.
 ``verify_outage_monotonicity`` turns that statement into an executable check.
+The outage is the float formula where that is exact and the same ratio in
+logs on every other link, so a link past float range gets its exact outage.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Iterable
 
@@ -64,14 +67,15 @@ class SensingOption:
     duration: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.index, int) and self.index >= 1):
+        if not (type(self.index) is int and self.index >= 1):
             raise ValueError(f"index must be a positive integer, got {self.index!r}")
         for name in ("detection_prob", "false_alarm_prob", "secondary_outage"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"duration {self.index}: {name} {value!r} outside [0, 1]")
-        if self.duration is not None and not self.duration >= 0.0:
-            raise ValueError(f"duration {self.index}: sensing time {self.duration!r} negative")
+        if self.duration is not None and not 0.0 <= self.duration < math.inf:
+            raise ValueError(f"duration {self.index}: sensing time {self.duration!r} "
+                             "is not a finite number >= 0")
 
 
 def _check_sensing_time(link: PhysicalLink, tau: float) -> None:
@@ -89,51 +93,40 @@ def secondary_outage(link: PhysicalLink, tau: float) -> float:
     SNR at unit gain is ``energy / ((T - tau) * noise)``. With an exponential
     power gain the outage probability is
 
-        1 - exp(-(2 ** (b / (W (T - tau))) - 1) / (gain_variance * snr))
+        1 - exp(-(2 ** x - 1) / (gain_variance * snr)),  x = b / (W (T - tau))
 
     computed through ``expm1`` so that near-zero probabilities keep full
-    precision. Past float range the SNR threshold is infinite and the outage
-    exactly 1: no channel gain carries the packet in that window. Below it,
-    where ``gain_variance * snr`` underflows to zero, the outage is 1 for a
-    positive threshold and 0 for a zero one. Where the threshold and the
-    mean SNR both overflow, or a denominator underflows to zero, the ratio
-    is taken in logs (``_outage_in_logs``).
+    precision. It is evaluated as written, exact to a few ulps, where ``x``
+    lies in [1, 1024), so ``2 ** x - 1`` neither cancels nor overflows, and
+    ``W (T - tau)``, ``(T - tau) N``, the SNR and the mean SNR are normal
+    floats. Every other link takes the ratio in logs (``_outage_in_logs``).
     """
     _check_sensing_time(link, tau)
     window = link.slot_duration - tau
-    try:
-        snr = link.energy_per_packet / (window * link.noise_power)
-        exponent = link.bits_per_packet / (link.bandwidth * window)
-    except ZeroDivisionError:
-        return _outage_in_logs(link, window)
-    try:
-        threshold = 2.0 ** exponent - 1.0
-    except OverflowError:
-        threshold = math.inf
-    mean_snr = link.gain_variance * snr
-    if mean_snr == 0.0:
-        return 1.0 if threshold > 0.0 else 0.0
-    if threshold == mean_snr == math.inf:
-        return _outage_in_logs(link, window)
-    return -math.expm1(-threshold / mean_snr)
+    low, high = sys.float_info.min, sys.float_info.max
+    rate_window, noise_window = link.bandwidth * window, window * link.noise_power
+    if low <= rate_window <= high and low <= noise_window <= high:
+        exponent = link.bits_per_packet / rate_window
+        snr = link.energy_per_packet / noise_window
+        mean_snr = link.gain_variance * snr
+        if 1.0 <= exponent < 1024.0 and low <= snr <= high and low <= mean_snr <= high:
+            return -math.expm1(-(2.0 ** exponent - 1.0) / mean_snr)
+    return _outage_in_logs(link, window)
 
 
 def _outage_in_logs(link: PhysicalLink, window: float) -> float:
     """The outage ``1 - exp(-threshold / mean_snr)`` with the ratio formed as
-    ``exp(ln threshold - ln mean_snr)``. Every field is positive and finite,
-    so ``ln mean_snr = ln(gain_variance) + ln(E) - ln(T - tau) - ln(N)`` is
-    finite. So is ``ln threshold``: ``x ln 2`` for an exponent ``x`` past
-    1000, where the ``- 1`` is below 2**-1000 of ``2**x``, and
-    ``ln(2**x - 1)`` below. An exponent past ``e**709`` is held there, as its
-    outage is 1 either way, and one that underflows to zero makes a zero
-    threshold and no outage.
+    ``exp(ln threshold - ln mean_snr)``, from the logs of the fields, which
+    are all finite. With ``y = x ln 2``, ``ln threshold = ln(e**y - 1)`` is
+    ``y + ln(1 - e**-y)``, which neither overflows nor cancels; below
+    ``y = 1e-300``, where ``y`` may underflow but ``e**y - 1`` is ``y`` to
+    the last bit, it is ``ln x + ln ln 2``. An ``x`` or a ratio past
+    ``e**709`` is held there, as ``1 - exp(-e**709)`` is 1 in floats.
     """
     log, ln2 = math.log, math.log(2.0)
-    exponent = math.exp(min(log(link.bits_per_packet) - log(link.bandwidth) - log(window),
-                            709.0))
-    if exponent == 0.0:
-        return 0.0
-    ln_threshold = exponent * ln2 if exponent > 1000.0 else log(math.expm1(exponent * ln2))
+    ln_exponent = log(link.bits_per_packet) - log(link.bandwidth) - log(window)
+    y = math.exp(min(ln_exponent, 709.0)) * ln2
+    ln_threshold = y + log(-math.expm1(-y)) if y > 1e-300 else ln_exponent + log(ln2)
     ln_mean_snr = (log(link.gain_variance) + log(link.energy_per_packet) - log(window)
                    - log(link.noise_power))
     return -math.expm1(-math.exp(min(ln_threshold - ln_mean_snr, 709.0)))

@@ -1,7 +1,12 @@
+import decimal
 import math
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crsense.channel import (
     PhysicalLink,
@@ -10,6 +15,7 @@ from crsense.channel import (
     secondary_outage,
     verify_outage_monotonicity,
 )
+from scenario_strategies import SETTINGS
 
 # b/(W T) = 1 and gain_variance * e / (T * noise) = 1, so the outage
 # exponents are hand-computable: (2^1 - 1)/1 = 1 at tau = 0 and
@@ -104,11 +110,21 @@ class TestOutage:
         assert primary_outage(link) == 1.0
         assert secondary_outage(link, 0.5e-3) == 1.0
 
-    def test_zero_threshold_at_zero_snr_is_no_outage(self):
-        # b / (W T) = 1e-597 makes the threshold 0, and the SNR underflows too
+    def test_vanishing_threshold_against_fainter_snr_is_certain_outage(self):
+        # b / (W T) = 1e-597 makes the threshold ~6.9e-598, and the mean SNR
+        # is 1e-937: the ratio ~7e339 leaves every gain in outage
         link = PhysicalLink(1e-300, 1e-3, 1e300, 1e-320, 1e-320, 1e300)
-        assert primary_outage(link) == 0.0
-        assert secondary_outage(link, 0.5e-3) == 0.0
+        assert primary_outage(link) == 1.0
+        assert secondary_outage(link, 0.5e-3) == 1.0
+
+    @pytest.mark.parametrize("fields, outage", [
+        # 2 ** 1025 - 1 overflows against a mean SNR of 1e308: ratio ~3.6
+        ((1025.0, 1.0, 1.0, 1.0, 1e308, 1.0), 0.9725499220),
+        # 2 ** 1e-17 - 1 rounds to 0 in floats, but the threshold ~6.9e-18
+        # is ~6.9e12 times the mean SNR of 1e-30
+        ((1.0, 1.0, 1e17, 1.0, 1e-30, 1.0), 1.0)])
+    def test_threshold_past_float_formula_keeps_its_value(self, fields, outage):
+        assert primary_outage(PhysicalLink(*fields)) == pytest.approx(outage, rel=1e-9)
 
     def test_threshold_and_snr_past_float_range_outage_is_certain(self):
         # 2 ** (b / (W T)) = 2 ** 1e13 and gain_variance * snr = 1e603 both
@@ -139,6 +155,91 @@ class TestOutage:
         link = PhysicalLink(1024.0, 1.0, 1.0, 1e300, 1e10, 1e-300)
         expected = math.exp(1024 * math.log(2.0) - 610 * math.log(10.0))
         assert primary_outage(link) == pytest.approx(expected, rel=1e-9)
+
+
+# 80 digits, over the widest exponent range decimal allows
+REFERENCE = decimal.Context(prec=80, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+
+
+def _expm1(d):
+    """e**d - 1, by its series where the subtraction would cancel."""
+    if abs(d) > Decimal("1e-6"):
+        return d.exp() - 1
+    term = total = d
+    k = 1
+    while term and abs(term) > abs(total) * Decimal("1e-85"):
+        k += 1
+        term = term * d / k
+        total += term
+    return total
+
+
+def reference_outage(link, tau):
+    """``1 - exp(-(2**x - 1) / mean_snr)`` in decimal from the link's exact
+    values, with ``ln(2**x - 1) = y + ln(1 - e**-y)`` for ``y = x ln 2``. A
+    ratio past e**50 is held there: ``exp(-e**50)`` is 0 to 1e21 digits."""
+    with decimal.localcontext(REFERENCE):
+        b, T, W, g, E, N = (Decimal(v) for v in (
+            link.bits_per_packet, link.slot_duration, link.bandwidth, link.gain_variance,
+            link.energy_per_packet, link.noise_power))
+        window = T - Decimal(tau)
+        y = b / (W * window) * Decimal(2).ln()
+        ln_ratio = y + (-_expm1(-y)).ln() - (g * E / (window * N)).ln()
+        return -_expm1(-min(ln_ratio, Decimal(50)).exp())
+
+
+def assert_matches_reference(link, tau):
+    outage, reference = secondary_outage(link, tau), reference_outage(link, tau)
+    if not (outage < 1e-300 and reference < Decimal("1e-300")):
+        assert abs(Decimal(outage) - reference) <= Decimal("1e-9") * reference, (link, tau)
+
+
+def float_formula(link, tau):
+    """The outage formula evaluated in floats as written."""
+    window = link.slot_duration - tau
+    snr = link.energy_per_packet / (window * link.noise_power)
+    exponent = link.bits_per_packet / (link.bandwidth * window)
+    return -math.expm1(-(2.0 ** exponent - 1.0) / (link.gain_variance * snr))
+
+
+def _normal(value):
+    return sys.float_info.min <= value <= sys.float_info.max
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("fields", [
+        (1e-300, 1e-3, 1e300, 1e-320, 1e-320, 1e300),
+        (1025.0, 1.0, 1.0, 1.0, 1e308, 1.0),
+        (1.0, 1.0, 1e17, 1.0, 1e-30, 1.0),
+        (1024.0, 1.0, 1.0, 1e300, 1e10, 1e-300),
+        (1000.0, 1e-3, 1e6, 1e-200, 1e-200, 1.0)])
+    def test_links_past_float_range(self, fields):
+        link = PhysicalLink(*fields)
+        for tau in (0.0, 0.5 * link.slot_duration, 0.9 * link.slot_duration):
+            assert_matches_reference(link, tau)
+
+    def test_log_uniform_links_across_float_range(self):
+        rng = np.random.default_rng(29)
+        for fields in 10.0 ** rng.uniform(-300.0, 300.0, (2000, 6)):
+            link = PhysicalLink(*map(float, fields))
+            for tau in (0.0, 0.5 * link.slot_duration, 0.9 * link.slot_duration):
+                assert_matches_reference(link, tau)
+
+    @settings(max_examples=300, **SETTINGS)
+    @given(logs=st.lists(st.floats(-300.0, 300.0), min_size=5, max_size=5),
+           fraction=st.floats(0.0, 1.0, exclude_max=True),
+           exponent=st.floats(1.0, 1024.0, exclude_max=True))
+    def test_float_formula_kept_bit_for_bit_where_exact(self, logs, fraction, exponent):
+        # x = b / (W (T - tau)) in [1, 1024) and every intermediate normal
+        slot, bandwidth, gain, energy, noise = (10.0 ** v for v in logs)
+        tau = fraction * slot
+        window = slot - tau
+        assume(_normal(bandwidth * window) and _normal(window * noise))
+        snr = energy / (window * noise)
+        assume(_normal(snr) and _normal(gain * snr) and _normal(exponent * bandwidth * window))
+        link = PhysicalLink(exponent * bandwidth * window, slot, bandwidth, gain, energy, noise)
+        assume(1.0 <= link.bits_per_packet / (bandwidth * window) < 1024.0)
+        assert secondary_outage(link, tau).hex() == float_formula(link, tau).hex()
 
 
 class TestMonotonicityCertificate:
@@ -180,3 +281,14 @@ class TestTypes:
             SensingOption(1, detection_prob=1.2, false_alarm_prob=0.1, secondary_outage=0.1)
         with pytest.raises(ValueError):
             SensingOption(1, detection_prob=0.9, false_alarm_prob=-0.1, secondary_outage=0.1)
+
+    @pytest.mark.parametrize("index", [True, 1.0, 0, -1])
+    def test_sensing_option_index_is_a_positive_int(self, index):
+        with pytest.raises(ValueError, match=f"index must be a positive integer, got {index!r}"):
+            SensingOption(index, 0.5, 0.1, 0.2)
+
+    @pytest.mark.parametrize("duration", [-1e-6, math.nan, math.inf])
+    def test_sensing_time_is_finite_and_non_negative(self, duration):
+        with pytest.raises(ValueError, match=f"duration 1: sensing time {duration!r} "
+                                             "is not a finite number >= 0"):
+            SensingOption(1, 0.5, 0.1, 0.2, duration)

@@ -56,8 +56,9 @@ class TestSolve:
     @pytest.mark.parametrize("link, mu_s", [
         # gain_variance * snr underflows to 0 against a threshold of 1: outage 1
         ("1000 1e-3 1e6 1e-200 1e-200 1.0", "0.000000"),
-        # both the threshold and the SNR product are 0: no outage
-        ("1e-300 1e-3 1e300 1e-320 1e-320 1e300", "0.370732")])
+        # both underflow, but the mean SNR 1e-937 is ~7e339 times fainter
+        # than the threshold: outage 1
+        ("1e-300 1e-3 1e300 1e-320 1e-320 1e300", "0.000000")])
     def test_snr_below_float_range_solves(self, tmp_path, capsys, link, mu_s):
         names = ("bits_per_packet", "slot_duration", "bandwidth", "gain_variance",
                  "energy_per_packet", "noise_power")

@@ -9,7 +9,9 @@ to ``simulator.RNG_DESCRIPTION`` instead), with
 ``table1_simulate_original_lambda_s_0.33.txt`` one near the opportunistic
 queue's stability boundary, where every chunk hands its rest to the loop, and
 ``table1_check_5_6_7.txt`` the stdout of ``crsense check`` on it for the grid
-criteria 5, 6 and 7.
+criteria 5, 6 and 7. ``physical_lambda_p.csv`` is the sweep of the
+physical-mode scenario ``physical.scn``, whose outage columns are computed
+from its link.
 A change that moves any byte shows up here as a failing case, and the golden
 file's diff shows which rows moved.
 """
@@ -32,14 +34,17 @@ CASES = {
     "table1_lambda_pe_simulated.csv": [
         "--param", "lambda_pe", "--from", "0.2", "--to", "0.8", "--step", "0.2",
         "--simulate", "--horizon", "50000", "--warmup", "5000"],
+    "physical_lambda_p.csv": [
+        "--param", "lambda_p", "--from", "0", "--to", "0.3", "--step", "0.01"],
 }
 SIMULATE = ["--policy", "optimal", "--horizon", "20000", "--warmup", "1000", "--seed", "3"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_sweep_matches_golden_bytes(tmp_path, name):
-    scenario_file = tmp_path / "table1.scn"
-    scenario_file.write_text(bundled_scenario_text())
+    scenario_file = tmp_path / "scenario.scn"
+    scenario_file.write_text((GOLDEN / "physical.scn").read_text() if name.startswith("physical")
+                             else bundled_scenario_text())
     out = tmp_path / name
     assert main(["sweep", str(scenario_file), *CASES[name], "-o", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
