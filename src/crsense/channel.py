@@ -47,7 +47,7 @@ class PhysicalLink:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not (type(value) in (int, float) and math.isfinite(value) and value > 0):
                 raise ValueError(
                     f"{field.name} must be a strictly positive finite number, got {value!r}")
 

@@ -3,17 +3,21 @@
 A sweep re-solves the policy optimization on a grid of one arrival rate and
 emits one CSV row per grid point. The grid's drain-regime programs are
 solved in stacks, a block of points per ``solve_lp`` call, and ``solve``
-then runs once per point with its point's result. Output is schema-stable
-and deterministic:
-fixed header, fixed six-decimal formatting, grid order, and per-point
-simulation seeds derived from the base seed, so identical inputs reproduce
-identical bytes.
+then runs once per point with its point's result. The cross-checks of a
+block's optimal points run on every usable CPU: the calling thread and one
+helper thread per further CPU each take the next point as they finish one.
+Output is schema-stable and deterministic: fixed header, fixed six-decimal
+formatting, grid order, and per-point simulation seeds derived from the base
+seed, so identical inputs reproduce identical bytes whatever the number of
+CPUs.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 from .analytics import AnalyticRates, PolicyVector, Scenario, analyze
@@ -127,29 +131,87 @@ def compare_sim_vs_analytic(scenario: Scenario, policy: PolicyVector,
     return ComparisonRecord(rates, report, deltas, passed)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_on_cpus(fn, items: list) -> list:
+    """``[fn(item) for item in items]`` on every usable CPU.
+
+    The calling thread works with one helper thread per further usable CPU,
+    at most one worker per item; with no helper it is a plain loop. Each
+    worker takes the next item under a lock, so one that finishes early
+    takes more, and stores its result by index, so the results keep the
+    items' order. An exception from ``fn`` in any worker stops the others
+    taking items and re-raises here once they have stopped; no helper
+    outlives the call.
+    """
+    helpers = min(_usable_cpus(), len(items)) - 1
+    if helpers <= 0:
+        return [fn(item) for item in items]
+    # imported here: its 5-7 ms of import time would otherwise fall on
+    # every command, also on those that start no thread
+    from concurrent.futures import ThreadPoolExecutor
+    results = [None] * len(items)
+    pending = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work():
+        try:
+            while True:
+                with lock:
+                    k = next(pending, None)
+                if k is None:
+                    return
+                results[k] = fn(items[k])
+        except BaseException:
+            with lock:
+                for _ in pending:       # no worker takes another item
+                    pass
+            raise
+
+    with ThreadPoolExecutor(helpers) as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+        for future in futures:
+            future.result()
+    return results
+
+
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Solve every grid point, and simulate its optimum when asked.
 
     The grid goes ``_BLOCK_POINTS`` points at a time: the block's
     drain-regime programs are solved in one stacked solve
     (``solve_constrained_subproblems``), then ``solve`` runs once per point
-    with that point's drain result. Only one block's scenarios are held at
-    a time.
+    with that point's drain result. Then the block's optimal points are
+    cross-checked (``compare_sim_vs_analytic``, seed ``spec.seed + k`` at
+    grid index k) by ``_map_on_cpus``. Only one block's scenarios are held
+    at a time.
     """
     rows = []
     grid = spec.grid()
     for start in range(0, len(grid), _BLOCK_POINTS):
-        scenarios = [replace(spec.scenario, **{spec.param: value})
-                     for value in grid[start:start + _BLOCK_POINTS]]
+        values = grid[start:start + _BLOCK_POINTS]
+        scenarios = [replace(spec.scenario, **{spec.param: value}) for value in values]
         drained = solve_constrained_subproblems(scenarios)
-        for k, (scenario, constrained) in enumerate(zip(scenarios, drained), start):
-            outcome = solve(scenario, constrained)
-            comparison = None
-            if spec.simulate and outcome.status == "optimal":
-                comparison = compare_sim_vs_analytic(
-                    scenario, outcome.winner.policy, spec.horizon,
-                    spec.seed + k, spec.warmup)
-            rows.append(SweepRow(grid[k], outcome, comparison))
+        outcomes = [solve(scenario, constrained)
+                    for scenario, constrained in zip(scenarios, drained)]
+        comparisons = [None] * len(values)
+        if spec.simulate:
+            optimal = [i for i, outcome in enumerate(outcomes) if outcome.status == "optimal"]
+            checks = _map_on_cpus(
+                lambda i: compare_sim_vs_analytic(
+                    scenarios[i], outcomes[i].winner.policy, spec.horizon,
+                    spec.seed + start + i, spec.warmup),
+                optimal)
+            for i, check in zip(optimal, checks):
+                comparisons[i] = check
+        rows += map(SweepRow, values, outcomes, comparisons)
     return rows
 
 

@@ -276,6 +276,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             PhysicalLink(**kwargs)
 
+    @pytest.mark.parametrize("field", [
+        "bits_per_packet", "slot_duration", "bandwidth",
+        "gain_variance", "energy_per_packet", "noise_power"])
+    def test_bool_fields_rejected(self, field):
+        kwargs = dict(bits_per_packet=1000, slot_duration=1e-3, bandwidth=1e6,
+                      gain_variance=1.0, energy_per_packet=1e-6, noise_power=1e-4)
+        PhysicalLink(**kwargs)          # an int field is a number
+        kwargs[field] = True
+        with pytest.raises(ValueError,
+                           match=f"{field} must be a strictly positive finite number, got True"):
+            PhysicalLink(**kwargs)
+
     def test_sensing_option_probability_range(self):
         with pytest.raises(ValueError):
             SensingOption(1, detection_prob=1.2, false_alarm_prob=0.1, secondary_outage=0.1)

@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +11,13 @@ from hypothesis import given, settings
 
 import crsense.lp
 from crsense import optimizer, sweep
-from crsense.analytics import PolicyVector
+from crsense.analytics import PolicyVector, Scenario
+from crsense.channel import SensingOption
 from crsense.optimizer import solve
 from crsense.simulator import SimConfig
 from crsense.sweep import (
     SWEEPABLE,
+    SweepRow,
     SweepSpec,
     compare_sim_vs_analytic,
     csv_header,
@@ -245,3 +250,131 @@ class TestComparison:
             scenario, PolicyVector.uniform(10), horizon=200_000, seed=4)
         assert record.analytic.mu_se == pytest.approx(0.7586, rel=1e-12)
         assert record.deltas["mu_se"][1] <= 0.01
+
+
+def monotone_table(rng, m):
+    """Detection rising, false alarm falling and outage rising with the index."""
+    detect = np.sort(rng.uniform(0.5, 1.0, m))
+    false_alarm = np.sort(rng.uniform(0.0, 0.5, m))[::-1]
+    outage = np.sort(rng.uniform(0.0, 0.5, m))
+    return tuple(SensingOption(k + 1, float(d), float(f), float(o))
+                 for k, (d, f, o) in enumerate(zip(detect, false_alarm, outage)))
+
+
+def plain_sweep(spec):
+    """The reference: one lone solve and one cross-check per point, in order."""
+    rows = []
+    for k, value in enumerate(spec.grid()):
+        scenario = replace(spec.scenario, **{spec.param: value})
+        outcome = solve(scenario)
+        comparison = None
+        if outcome.status == "optimal":
+            comparison = compare_sim_vs_analytic(scenario, outcome.winner.policy,
+                                                 spec.horizon, spec.seed + k, spec.warmup)
+        rows.append(SweepRow(value, outcome, comparison))
+    return rows
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: count)
+
+
+class TestCrossChecksOnCpus:
+    """``run_sweep`` runs a block's cross-checks on every usable CPU and must
+    give, row for row and byte for byte, what one thread gives."""
+
+    def test_rows_and_bytes_equal_a_plain_loop(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        sizes = []
+        for _ in range(30):
+            points = int(rng.integers(1, 71))
+            step = float(rng.choice([0.005, 0.01]))
+            start = float(rng.uniform(0.0, 1.0 - (points - 1) * step))
+            scenario = Scenario(float(rng.uniform(0.0, 0.3)), float(rng.uniform(0.0, 1.0)),
+                                float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.95)),
+                                float(rng.uniform(0.0, 0.3)),
+                                monotone_table(rng, int(rng.integers(2, 11))))
+            horizon = int(rng.integers(5_000, 20_001))
+            spec = SweepSpec(scenario, str(rng.choice(SWEEPABLE)), start,
+                             start + (points - 1) * step, step, simulate=True,
+                             horizon=horizon, warmup=horizon // 10,
+                             seed=int(rng.integers(0, 2**31)))
+            expected = plain_sweep(spec)
+            for cpus in (1, 4):
+                usable_cpus(monkeypatch, cpus)
+                rows = run_sweep(spec)
+                assert rows == expected
+                assert rows_to_csv(spec, rows) == rows_to_csv(spec, expected)
+            sizes.append((len(expected), sum(row.comparison is not None for row in expected)))
+        # some sweeps cross a block boundary, and most points are cross-checked
+        assert max(points for points, _ in sizes) > sweep._BLOCK_POINTS
+        assert sum(checked for _, checked in sizes) > sum(points for points, _ in sizes) / 2
+
+    def test_every_item_mapped_once_in_order(self, monkeypatch):
+        # more workers than cores, with thread switches forced often
+        usable_cpus(monkeypatch, 8)
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = sweep._map_on_cpus(lambda k: calls.append(k) or -k, list(range(3000)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [-k for k in range(3000)]
+        assert sorted(calls) == list(range(3000))
+
+    @pytest.mark.parametrize("failing", ["caller", "helper"])
+    def test_error_reraises_and_no_thread_outlives(self, table_scenario, monkeypatch, failing):
+        caller = threading.current_thread()
+        started = {"caller": threading.Event(), "helper": threading.Event()}
+        calls = []
+
+        def compare(scenario, policy, horizon, seed, warmup):
+            side = "caller" if threading.current_thread() is caller else "helper"
+            calls.append(seed)
+            started[side].set()
+            if side == failing:
+                raise RuntimeError(f"cross-check failed at seed {seed}")
+            # the other side waits until the failing side has taken a point
+            assert started[failing].wait(timeout=60)
+
+        usable_cpus(monkeypatch, 4)
+        monkeypatch.setattr(sweep, "compare_sim_vs_analytic", compare)
+        baseline = threading.active_count()
+        spec = SweepSpec(replace(table_scenario, lambda_pe=0.4, lambda_se=0.4), "lambda_p",
+                         0.0, 0.2, 0.01, simulate=True, horizon=20_000, warmup=1_000)
+        with pytest.raises(RuntimeError, match="cross-check failed at seed"):
+            run_sweep(spec)
+        assert threading.active_count() == baseline
+        # after the failure no worker takes another of the 21 points
+        assert len(calls) < len(spec.grid())
+
+    def test_patched_cross_check_called_once_per_optimal_point(self, table_scenario,
+                                                               monkeypatch):
+        # the benchmark's tracer wraps sweep.compare_sim_vs_analytic; helper
+        # threads must call the wrapper too
+        caller = threading.current_thread()
+        helper_ran = threading.Event()
+        seeds, threads = Counter(), set()
+        real = sweep.compare_sim_vs_analytic
+
+        def compare(scenario, policy, horizon, seed, warmup):
+            seeds[seed] += 1
+            threads.add(threading.current_thread())
+            if threading.current_thread() is caller:
+                assert helper_ran.wait(timeout=60)
+            else:
+                helper_ran.set()
+            return real(scenario, policy, horizon, seed, warmup)
+
+        usable_cpus(monkeypatch, 4)
+        monkeypatch.setattr(sweep, "compare_sim_vs_analytic", compare)
+        spec = SweepSpec(replace(table_scenario, lambda_pe=0.4, lambda_se=0.4), "lambda_p",
+                         0.0, 0.7, 0.01, simulate=True, horizon=5_000, warmup=500, seed=11)
+        rows = run_sweep(spec)
+        optimal = [k for k, row in enumerate(rows) if row.outcome.status == "optimal"]
+        assert len(rows) == 71 and 0 < len(optimal) < len(rows)
+        assert seeds == Counter(spec.seed + k for k in optimal)
+        assert len(threads) > 1
+        assert [row.comparison is not None for row in rows] == [
+            row.outcome.status == "optimal" for row in rows]
