@@ -48,16 +48,20 @@ duration at all. Each chunk takes one of two paths:
   all-ones flags this is the saturated system;
 * kernel passes for the original system, whose nodes stay silent on empty
   data buffers, over windows of ``_WINDOW`` slots. The first pass assumes
-  all-ones flags; each pass recomputes them as ``q_p > 0`` and ``q_s > 0``
-  from its levels, and the next pass restarts at the first slot whose flag
-  changed, under the recomputed flags. This is exact by causality: levels
-  at slot t + 1 depend only on flags at slots up to t, and indicators at
-  slot t only on the flags and levels at t, so the levels up to the first
+  the flags ``_first_flags`` reads from the window's start state: all ones
+  for a data queue that starts nonempty, and for one that starts empty the
+  slots where a bounding queue from 0 holds a packet. Each pass recomputes
+  the flags as ``q_p > 0`` and ``q_s > 0`` from its levels, and the next
+  pass restarts at the first slot whose flag changed, under the recomputed
+  flags. This is exact by causality, whatever the first flags: levels at
+  slot t + 1 depend only on flags at slots up to t, and indicators at slot
+  t only on the flags and levels at t, so the levels up to the first
   changed flag, that flag, and the indicators before it are already the
   true ones. Every pass settles at least one more flag, and a pass that
-  changes no flag has computed the one true trajectory. The first window
-  that ``_PASSES`` passes leave unsettled hands the rest of its chunk, from
-  its first unsettled slot, to a per-slot loop that records the true flags
+  changes no flag has computed the one true trajectory; the first flags
+  only decide how many passes that takes. The first window that
+  ``_PASSES`` passes leave unsettled hands the rest of its chunk, from its
+  first unsettled slot, to a per-slot loop that records the true flags
   from the settled state, and one more kernel call under those flags fills
   that rest. So a run near the stability boundary pays for at most one
   unsettled window of passes per chunk, and only the queue levels cross a
@@ -354,6 +358,22 @@ def _part(d: _Draws, lo: int, hi: int | None = None) -> _Draws:
     return _Draws(*(x[lo:hi] for x in d))
 
 
+def _first_flags(d: _Draws, state: QueueState) -> tuple[np.ndarray, np.ndarray]:
+    """The flags a window's first pass assumes, from its start ``state``.
+
+    A data queue that starts nonempty is flagged in every slot. One that
+    starts empty is flagged where a bounding queue from 0 holds a packet:
+    the licensed queue served only where its channel is good and the sensor
+    detects it, the opportunistic queue served where the licensed guess is
+    silent, the sensor reads idle and its channel is good. Any flags give
+    the same levels (see ``_settle``); these only save passes.
+    """
+    ones = np.ones(d.det.size, dtype=bool)
+    has_p = ones if state.q_p else _lindley(0, d.arr_p, d.chan_p & d.det)[:-1] > 0
+    has_s = ones if state.q_s else _lindley(0, d.arr_s, ~has_p & ~d.fa & d.chan_s)[:-1] > 0
+    return has_p, has_s
+
+
 def _settle(d: _Draws, out: np.ndarray, service: np.ndarray) -> int:
     """Levels and indicators of the original system over one window, by up
     to ``_PASSES`` kernel passes; returns how many of its slots they settled.
@@ -361,15 +381,16 @@ def _settle(d: _Draws, out: np.ndarray, service: np.ndarray) -> int:
     ``out`` is a (4, n + 1) array whose first column holds the state at the
     window's start, ``service`` a (6, n) array for the ``_Service`` rows. Each
     pass runs the kernel from the first slot whose flag is not yet known
-    true, under assumed flags ``has_p`` and ``has_s`` (all ones at first,
-    then the previous pass's ``q_p > 0`` and ``q_s > 0``), and keeps the
-    levels up to and the indicators before the first flag its levels
-    contradict (see the module docstring). On a return of ``k``, ``out``
+    true, under assumed flags ``has_p`` and ``has_s`` (``_first_flags`` at
+    first, then the previous pass's ``q_p > 0`` and ``q_s > 0``), and keeps
+    the levels up to and the indicators before the first flag its levels
+    contradict (see the module docstring), so the first flags change how
+    many passes run, never what they keep. On a return of ``k``, ``out``
     holds the true levels at slots 0..k and ``service`` the true indicators
     at slots before k; ``k == n`` once a pass changes no flag.
     """
     n = d.det.size
-    has_p = has_s = np.ones(n, dtype=bool)
+    has_p, has_s = _first_flags(d, QueueState(*out[:, 0].tolist()))
     start = 0
     for _ in range(_PASSES):
         levels, svc = _kernel(_part(d, start), QueueState(*out[:, start].tolist()),

@@ -49,8 +49,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.param not in SWEEPABLE:
             raise ValueError(f"param must be one of {SWEEPABLE}, got {self.param!r}")
-        if not 0.0 <= self.start <= self.stop <= 1.0:
+        if not (0.0 <= self.start <= 1.0 and 0.0 <= self.stop <= 1.0):
             raise ValueError(f"grid [{self.start}, {self.stop}] must sit inside [0, 1]")
+        if self.start > self.stop:
+            raise ValueError(f"grid runs backwards: --from {self.start} is above "
+                             f"--to {self.stop}")
         if not 0.0 < self.step < math.inf:
             raise ValueError(f"step must be positive and finite, got {self.step!r}")
         points = self._last_index() + 1

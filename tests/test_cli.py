@@ -181,6 +181,29 @@ class TestSweep:
         assert_clean_error(err)
         assert "step must be positive and finite, got inf" in err
 
+    def test_reversed_grid_exit_one(self, scenario_file, capsys, monkeypatch):
+        monkeypatch.setattr(sweep_module, "solve", None)   # never reached
+        code = main(["sweep", scenario_file, "--param", "lambda_p",
+                     "--from", "0.5", "--to", "0.1", "--step", "0.1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_clean_error(err)
+        assert "grid runs backwards: --from 0.5 is above --to 0.1" in err
+        assert "inside [0, 1]" not in err
+
+    @pytest.mark.parametrize("start, stop", [("-0.1", "0.5"), ("0.2", "1.5"), ("0.5", "-0.1"),
+                                             ("nan", "0.5"), ("0.2", "nan")])
+    def test_grid_outside_unit_interval_exit_one(self, scenario_file, capsys, monkeypatch,
+                                                 start, stop):
+        monkeypatch.setattr(sweep_module, "solve", None)   # never reached
+        code = main(["sweep", scenario_file, "--param", "lambda_p",
+                     "--from", start, "--to", stop, "--step", "0.1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_clean_error(err)
+        assert f"grid [{float(start)}, {float(stop)}] must sit inside [0, 1]" in err
+        assert "backwards" not in err
+
     def test_directory_as_output_exit_one(self, scenario_file, tmp_path, capsys):
         code = main(["sweep", scenario_file, "--param", "lambda_p",
                      "--from", "0", "--to", "0.1", "--step", "0.05", "-o", str(tmp_path)])

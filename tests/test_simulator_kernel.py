@@ -8,10 +8,11 @@ below is the oracle for all of them: the per-slot simulator that the paths
 replaced, one full-horizon draw, both systems stepped slot by slot in one
 loop. It fixes the reports and traces every seed must keep reproducing. Its
 slot rules, run over one chunk's draws from any start state, are the oracle
-of the kernel under arbitrary flags, of the passes window by window, and
-of the loop's flags and hand-off chunk by chunk. The recursion itself is
-held against a slot-by-slot queue, on both sides of the level from which
-it skips its running maximum.
+of the kernel under arbitrary flags, of the passes window by window from
+any first flags, and of the loop's flags and hand-off chunk by chunk. The
+recursion itself is held against a slot-by-slot queue, on both sides of
+the level from which it skips its running maximum. What the passes cost
+is counted too: kernel and loop slots per simulated slot on pinned runs.
 
 Small chunk sizes push horizons across many chunk boundaries cheaply; a few
 runs use the real chunk size around its boundaries. The duration index the
@@ -429,9 +430,10 @@ class TestKernelUnderFlags:
 class TestSettledPath:
     """The original system's kernel passes and its loop's flags against the
     reference's levels and indicators, window by window and chunk by chunk,
-    from any start state, and whole runs against the reference; a pass cap
-    of 0 or 1 forces the hand-off of the chunk's rest to the loop from a
-    settled prefix."""
+    from any start state and any first flags, and whole runs against the
+    reference; a pass cap of 0 forces the hand-off of the chunk's rest to
+    the loop from the chunk's start, and near critical a cap of 1, 2 or 6
+    forces it from a settled prefix."""
 
     @settings(max_examples=80, **_SETTINGS)
     @given(data=st.data(), state=states)
@@ -459,6 +461,57 @@ class TestSettledPath:
         assert 0 <= settled <= d.det.size and (passes > 0 or settled == 0)
         assert np.array_equal(out[:, :settled + 1], want[:, :settled + 1])
         assert np.array_equal(service[:, :settled], want_service[:, :settled])
+
+    @pytest.mark.parametrize("passes", [0, 1, 2, 6])
+    @pytest.mark.parametrize("first", ["drawn", "zeros", "ones"])
+    @settings(max_examples=25, **_SETTINGS)
+    @given(data=st.data(), state=states)
+    def test_settle_from_any_first_flags(self, table_scenario, data, state, first, passes):
+        """The passes keep only what the flags they assumed cannot change,
+        so whatever flags the first pass assumes (drawn, all zeros or all
+        ones; ``test_settle_equals_reference`` runs ``_first_flags``' own),
+        the settled prefix is the reference's."""
+        config = data.draw(configs(table_scenario, modes=("original",)))
+        d = _first_chunk(config)
+        n = d.det.size
+        want, want_service = _chunk_reference(d, state)
+        out = np.empty_like(want)
+        out[:, 0] = state
+        service = np.empty_like(want_service)
+        if first == "drawn":
+            flags = tuple(np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                                   dtype=bool) for _ in range(2))
+        else:
+            flags = (np.full(n, first == "ones"),) * 2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_PASSES", passes)
+            mp.setattr(simulator, "_first_flags", lambda *_: flags)
+            settled = simulator._settle(d, out, service)
+        assert 0 <= settled <= n and (passes > 0 or settled == 0)
+        assert np.array_equal(out[:, :settled + 1], want[:, :settled + 1])
+        assert np.array_equal(service[:, :settled], want_service[:, :settled])
+
+    @settings(max_examples=150, **_SETTINGS)
+    @given(data=st.data(), state=states)
+    def test_first_flags_are_the_bounding_queues(self, table_scenario, data, state):
+        """A data queue that starts nonempty is flagged throughout; one that
+        starts empty is flagged where a queue from 0 holds a packet, served
+        slot by slot as ``_first_flags`` states."""
+        config = data.draw(configs(table_scenario, modes=("original",)))
+        d = _first_chunk(config)
+        has_p, has_s = simulator._first_flags(d, state)
+        q_p = q_s = 0
+        want_p, want_s = [], []
+        for a_p, a_s, det, fa, chan_p, chan_s in zip(*(x.tolist() for x in (
+                d.arr_p, d.arr_s, d.det, d.fa, d.chan_p, d.chan_s))):
+            flag_p = state.q_p > 0 or q_p > 0
+            flag_s = state.q_s > 0 or q_s > 0
+            want_p.append(flag_p)
+            want_s.append(flag_s)
+            q_p = max(q_p - (chan_p and det), 0) + a_p
+            q_s = max(q_s - (not flag_p and not fa and chan_s), 0) + a_s
+        assert has_p.dtype == has_s.dtype == bool
+        assert has_p.tolist() == want_p and has_s.tolist() == want_s
 
     @settings(max_examples=80, **_SETTINGS)
     @given(data=st.data(), state=states, window=st.sampled_from([1, 3, 16, 64]),
@@ -527,6 +580,36 @@ class TestSettledPath:
         assert report == want_report
         assert_traces_equal(trace, want_trace)
 
+    @pytest.mark.parametrize("passes", [1, 2, 6])
+    def test_hand_off_from_a_settled_prefix(self, table_scenario, passes, monkeypatch):
+        """Near critical, the passes settle part of the first window and
+        leave the rest unsettled, whatever the pass cap, so the loop takes
+        the chunk's rest from inside that window, after a settled prefix."""
+        scenario, policy = _replication_63(table_scenario, 0.97)
+        d = _first_chunk(SimConfig(scenario, policy, "original", simulator._CHUNK, 1))
+        state = QueueState()
+        settled, handed = [], []
+        settle, loop = simulator._settle, simulator._loop
+
+        def window(*args):
+            settled.append(settle(*args))
+            return settled[-1]
+
+        def hand_off(rest, entry):
+            handed.append(rest.det.size)
+            return loop(rest, entry)
+
+        monkeypatch.setattr(simulator, "_WINDOW", 512)
+        monkeypatch.setattr(simulator, "_PASSES", passes)
+        monkeypatch.setattr(simulator, "_settle", window)
+        monkeypatch.setattr(simulator, "_loop", hand_off)
+        levels, service = simulator._original(d, state)
+        assert len(settled) == 1 and 0 < settled[0] < 512
+        assert handed == [d.det.size - settled[0]]
+        want, want_service = _chunk_reference(d, state)
+        assert np.array_equal(levels, want)
+        assert np.array_equal(np.array(service), want_service)
+
     def test_hand_off_is_chunk_scoped(self, table_scenario, monkeypatch):
         """A chunk whose first window the passes leave unsettled calls the loop
         exactly once, for the rest of that chunk, and the next chunk starts
@@ -548,6 +631,69 @@ class TestSettledPath:
             assert loops == [] or loops[0] == len(chunk) - 1
         assert chunks[0] == [("settle", False), ("loop", None)]
         assert report == reference_run(config)[0]
+
+
+class TestPassCost:
+    """Kernel slots and ``_loop`` slots per simulated slot on a pinned set
+    of seeded runs, held below the figures of the all-ones first guess.
+    The runs are shaped like a queue benchmark's: long original runs with
+    light licensed and moderate opportunistic load, and short coupled runs
+    (the saturated twin's kernel call counted too) at any load."""
+
+    # (kernel, loop) slots per simulated slot on these runs when every
+    # window's first pass assumed all-ones flags
+    ALL_ONES = {"original": (3.2665, 0.3806), "coupled": (3.5272, 0.2222)}
+
+    @staticmethod
+    def _runs(table):
+        rng = np.random.default_rng(25)
+        runs = []
+        for mode, count, horizon, warmup, bounds in (
+                ("original", 6, 200_000, 10_000, ((0.02, 0.2), (0.05, 0.5), (0.15, 0.8),
+                                                   (0.05, 0.9))),
+                ("coupled", 30, 10_000, 0, ((0.05, 0.95),) * 4)):
+            for _ in range(count):
+                m = int(rng.integers(2, table.num_durations + 1))
+                rates = [round(float(rng.uniform(lo, hi)), 2) for lo, hi in bounds]
+                scenario = replace(table, sensing_table=table.sensing_table[:m], **dict(zip(
+                    ("lambda_p", "lambda_s", "lambda_pe", "lambda_se"), rates)))
+                raw = rng.random(m) + 0.01
+                runs.append(SimConfig(scenario, PolicyVector(tuple(raw / raw.sum())), mode,
+                                      horizon, int(rng.integers(0, 2**31)), warmup))
+        return runs
+
+    def test_fewer_slots_than_all_ones(self, table_scenario, monkeypatch):
+        counts = _count_slots(monkeypatch)
+        per_slot = {}
+        for mode in self.ALL_ONES:
+            runs = [c for c in self._runs(table_scenario) if c.mode == mode]
+            counts.update(kernel=0, loop=0)
+            for config in runs:
+                simulate(config)
+            slots = sum(c.horizon for c in runs)
+            per_slot[mode] = (counts["kernel"] / slots, counts["loop"] / slots)
+        for mode, (kernel, loop) in per_slot.items():
+            assert kernel < self.ALL_ONES[mode][0], mode
+            assert loop < self.ALL_ONES[mode][1], mode
+
+
+def _count_slots(monkeypatch):
+    """Count the slots of each ``_kernel`` and each ``_loop`` call, as
+    ``_record_calls`` logs them: returns the running totals, by name."""
+    counts = {"kernel": 0, "loop": 0}
+    kernel, loop = simulator._kernel, simulator._loop
+
+    def counted_kernel(d, *args):
+        counts["kernel"] += d.det.size
+        return kernel(d, *args)
+
+    def counted_loop(d, state):
+        counts["loop"] += d.det.size
+        return loop(d, state)
+
+    monkeypatch.setattr(simulator, "_kernel", counted_kernel)
+    monkeypatch.setattr(simulator, "_loop", counted_loop)
+    return counts
 
 
 def _record_calls(monkeypatch, events):

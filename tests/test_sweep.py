@@ -68,9 +68,9 @@ class TestSpec:
     def test_validation(self, table_scenario):
         with pytest.raises(ValueError):
             SweepSpec(table_scenario, "lambda_x", 0.0, 1.0, 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="runs backwards: --from 0.5 is above --to 0.2"):
             SweepSpec(table_scenario, "lambda_p", 0.5, 0.2, 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"grid \[0.0, 1.2\] must sit inside \[0, 1\]"):
             SweepSpec(table_scenario, "lambda_p", 0.0, 1.2, 0.1)
         with pytest.raises(ValueError):
             SweepSpec(table_scenario, "lambda_p", 0.0, 1.0, 0.0)
