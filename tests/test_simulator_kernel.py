@@ -641,8 +641,8 @@ class TestPassCost:
     (the saturated twin's kernel call counted too) at any load."""
 
     # (kernel, loop) slots per simulated slot on these runs when every
-    # window's first pass assumed all-ones flags
-    ALL_ONES = {"original": (3.2665, 0.3806), "coupled": (3.5272, 0.2222)}
+    # window's first pass assumed all-ones flags, rounded down
+    ALL_ONES = {"original": (3.2664, 0.3806), "coupled": (3.5271, 0.2222)}
 
     @staticmethod
     def _runs(table):
@@ -664,17 +664,15 @@ class TestPassCost:
 
     def test_fewer_slots_than_all_ones(self, table_scenario, monkeypatch):
         counts = _count_slots(monkeypatch)
-        per_slot = {}
-        for mode in self.ALL_ONES:
-            runs = [c for c in self._runs(table_scenario) if c.mode == mode]
+        runs = self._runs(table_scenario)
+        for mode, (kernel, loop) in self.ALL_ONES.items():
             counts.update(kernel=0, loop=0)
-            for config in runs:
+            slots = 0
+            for config in (c for c in runs if c.mode == mode):
                 simulate(config)
-            slots = sum(c.horizon for c in runs)
-            per_slot[mode] = (counts["kernel"] / slots, counts["loop"] / slots)
-        for mode, (kernel, loop) in per_slot.items():
-            assert kernel < self.ALL_ONES[mode][0], mode
-            assert loop < self.ALL_ONES[mode][1], mode
+                slots += config.horizon
+            assert counts["kernel"] / slots < kernel, mode
+            assert counts["loop"] / slots < loop, mode
 
 
 def _count_slots(monkeypatch):
