@@ -282,7 +282,7 @@ def criterion_3_occupancy(scenario: Scenario) -> CriterionResult:
     ``_OCCUPANCY_DRAWS`` times: no policy reaches it on a table whose
     consumption weights all stay below 0.12, since mu_se = w @ P. All
     scenarios are drawn before any is simulated, and the simulations run on
-    every usable CPU (``sweep._map_on_cpus``).
+    a pool of one thread per usable CPU (``sweep._map_on_cpus``).
     """
     rng = np.random.default_rng(_OCCUPANCY_SEED)
     m = scenario.num_durations

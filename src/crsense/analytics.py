@@ -32,14 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import SensingOption
+from .channel import SensingOption, is_probability
 
 POLICY_SUM_TOL = 1e-9  # absolute tolerance on sum(probs) == 1
-
-
-def _check_prob(name: str, value: float) -> None:
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 class Coefficients(NamedTuple):
@@ -65,7 +60,9 @@ class Scenario:
 
     def __post_init__(self):
         for name in PROBABILITIES:
-            _check_prob(name, getattr(self, name))
+            value = getattr(self, name)
+            if not is_probability(value):
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         table = tuple(self.sensing_table)
         if not table:
             raise ValueError("sensing_table must contain at least one duration")

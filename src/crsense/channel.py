@@ -20,7 +20,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
+from numbers import Real
 from typing import Iterable
+
+
+def is_probability(value) -> bool:
+    """A real number in [0, 1], a numpy one too, that is not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool) and 0.0 <= value <= 1.0
 
 
 @dataclass(frozen=True)
@@ -71,7 +77,7 @@ class SensingOption:
             raise ValueError(f"index must be a positive integer, got {self.index!r}")
         for name in ("detection_prob", "false_alarm_prob", "secondary_outage"):
             value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
+            if not is_probability(value):
                 raise ValueError(f"duration {self.index}: {name} {value!r} outside [0, 1]")
         if self.duration is not None and not 0.0 <= self.duration < math.inf:
             raise ValueError(f"duration {self.index}: sensing time {self.duration!r} "

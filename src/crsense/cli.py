@@ -58,26 +58,16 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = SweepSpec(
-        scenario=_load_scenario(args),
-        param=args.param,
-        start=args.start,
-        stop=args.stop,
-        step=args.step,
-        simulate=args.simulate,
-        horizon=args.horizon,
-        warmup=args.warmup,
-        seed=args.seed,
-    )
+    spec = SweepSpec(_load_scenario(args), args.param, args.start, args.stop, args.step,
+                     simulate=args.simulate, horizon=args.horizon, warmup=args.warmup,
+                     seed=args.seed)
     rows = run_sweep(spec)
     text = rows_to_csv(spec, rows)
     if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
-    if all(row.outcome.status != "optimal" for row in rows):
-        return 2
-    return 0
+    return 0 if any(row.outcome.status == "optimal" for row in rows) else 2
 
 
 def _resolve_policy(args, scenario: Scenario) -> PolicyVector | None:
@@ -87,8 +77,13 @@ def _resolve_policy(args, scenario: Scenario) -> PolicyVector | None:
             print("no feasible policy for this scenario", file=sys.stderr)
             return None
         return outcome.winner.policy
-    tokens = Path(args.policy).read_text().split()
-    return PolicyVector(tuple(float(tok) for tok in tokens))
+    probs = []
+    for k, token in enumerate(Path(args.policy).read_text().split(), 1):
+        try:
+            probs.append(float(token))
+        except ValueError:
+            raise ValueError(f"{args.policy}: policy entry {k} {token!r} is not a number") from None
+    return PolicyVector(tuple(probs))
 
 
 def _cmd_simulate(args) -> int:

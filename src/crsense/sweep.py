@@ -4,8 +4,8 @@ A sweep re-solves the policy optimization on a grid of one arrival rate and
 emits one CSV row per grid point. The grid's drain-regime programs are
 solved in stacks, a block of points per ``solve_lp`` call, and ``solve``
 then runs once per point with its point's result. The cross-checks of a
-block's optimal points run on every usable CPU: the calling thread and one
-helper thread per further CPU each take the next point as they finish one.
+block's optimal points run on every usable CPU, on a pool of one worker
+thread per CPU while the calling thread waits.
 Output is schema-stable and deterministic: fixed header, fixed six-decimal
 formatting, grid order, and per-point simulation seeds derived from the base
 seed, so identical inputs reproduce identical bytes whatever the number of
@@ -17,7 +17,6 @@ from __future__ import annotations
 import io
 import math
 import os
-import threading
 from dataclasses import dataclass, replace
 
 from .analytics import AnalyticRates, PolicyVector, Scenario, analyze
@@ -145,44 +144,26 @@ def _usable_cpus() -> int:
 def _map_on_cpus(fn, items: list) -> list:
     """``[fn(item) for item in items]`` on every usable CPU.
 
-    The calling thread works with one helper thread per further usable CPU,
-    at most one worker per item; with no helper it is a plain loop. Each
-    worker takes the next item under a lock, so one that finishes early
-    takes more, and stores its result by index, so the results keep the
-    items' order. An exception from ``fn`` in any worker stops the others
-    taking items and re-raises here once they have stopped; no helper
-    outlives the call.
+    One worker thread per usable CPU, at most one per item; with one worker
+    it is a plain loop and no thread starts. Otherwise every item goes to a
+    thread pool, whose workers take them in order, and the calling thread
+    waits. The results keep the items' order. Once an item raises, or the
+    wait is interrupted, no item that has not started will start, and the
+    first exception in item order is re-raised; no worker outlives the call.
     """
-    helpers = min(_usable_cpus(), len(items)) - 1
-    if helpers <= 0:
+    workers = min(_usable_cpus(), len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
     # imported here: its 5-7 ms of import time would otherwise fall on
     # every command, also on those that start no thread
-    from concurrent.futures import ThreadPoolExecutor
-    results = [None] * len(items)
-    pending = iter(range(len(items)))
-    lock = threading.Lock()
-
-    def work():
-        try:
-            while True:
-                with lock:
-                    k = next(pending, None)
-                if k is None:
-                    return
-                results[k] = fn(items[k])
-        except BaseException:
-            with lock:
-                for _ in pending:       # no worker takes another item
-                    pass
-            raise
-
-    with ThreadPoolExecutor(helpers) as pool:
-        futures = [pool.submit(work) for _ in range(helpers)]
-        work()
-        for future in futures:
-            future.result()
-    return results
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = [pool.submit(fn, item) for item in items]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [future.result() for future in futures]
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -193,8 +174,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     (``solve_constrained_subproblems``), then ``solve`` runs once per point
     with that point's drain result. Then the block's optimal points are
     cross-checked (``compare_sim_vs_analytic``, seed ``spec.seed + k`` at
-    grid index k) by ``_map_on_cpus``. Only one block's scenarios are held
-    at a time.
+    grid index k) on a pool of one thread per usable CPU (``_map_on_cpus``).
+    Only one block's scenarios are held at a time.
     """
     rows = []
     grid = spec.grid()

@@ -188,6 +188,18 @@ class TestScenario:
         with pytest.raises(ValueError):
             replace(table_scenario, lambda_se=-0.1)
 
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, 0.5j, np.True_], ids=repr)
+    @pytest.mark.parametrize("field", ["lambda_p", "lambda_s", "lambda_pe", "lambda_se",
+                                       "primary_outage"])
+    def test_non_real_rates_rejected(self, table_scenario, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must lie in \[0, 1\], got "):
+            replace(table_scenario, **{field: value})
+
+    @pytest.mark.parametrize("value", [0, 1, 0.25, np.float64(0.25), np.float32(0.25),
+                                       np.int64(1)])
+    def test_python_and_numpy_numbers_accepted(self, table_scenario, value):
+        assert replace(table_scenario, lambda_se=value).lambda_se == value
+
     def test_empty_table_rejected(self, table_scenario):
         with pytest.raises(ValueError):
             replace(table_scenario, sensing_table=())

@@ -294,6 +294,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             SensingOption(1, detection_prob=0.9, false_alarm_prob=-0.1, secondary_outage=0.1)
 
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, 0.5j, np.True_], ids=repr)
+    @pytest.mark.parametrize("field", ["detection_prob", "false_alarm_prob",
+                                       "secondary_outage"])
+    def test_sensing_option_non_real_probability_rejected(self, field, value):
+        kwargs = dict(detection_prob=0.9, false_alarm_prob=0.1, secondary_outage=0.2)
+        SensingOption(1, **{**kwargs, field: np.float64(0.5)})   # a numpy float is a number
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=rf"^duration 1: {field} .* outside \[0, 1\]$"):
+            SensingOption(1, **kwargs)
+
     @pytest.mark.parametrize("index", [True, 1.0, 0, -1])
     def test_sensing_option_index_is_a_positive_int(self, index):
         with pytest.raises(ValueError, match=f"index must be a positive integer, got {index!r}"):

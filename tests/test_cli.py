@@ -234,6 +234,16 @@ class TestSimulate:
         assert code == 1
         assert_clean_error(capsys.readouterr().err)
 
+    def test_non_number_policy_entry_exit_one(self, scenario_file, tmp_path, capsys):
+        policy = tmp_path / "policy.txt"
+        policy.write_text("0.1 0.1\n0.1 a " + " ".join(["0.1"] * 6))
+        code = main(["simulate", scenario_file, "--policy", str(policy),
+                     "--horizon", "20000"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_clean_error(err)
+        assert f"{policy}: policy entry 4 'a' is not a number" in err
+
     def test_with_optimal_policy(self, scenario_file, capsys):
         code = main(["simulate", scenario_file, "--lambda-pe", "0.4",
                      "--policy", "optimal", "--horizon", "20000",

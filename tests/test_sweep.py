@@ -1,9 +1,14 @@
+import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,48 +328,47 @@ class TestCrossChecksOnCpus:
         assert results == [-k for k in range(3000)]
         assert sorted(calls) == list(range(3000))
 
-    @pytest.mark.parametrize("failing", ["caller", "helper"])
+    @pytest.mark.parametrize("failing", ["first", "later"])
     def test_error_reraises_and_no_thread_outlives(self, table_scenario, monkeypatch, failing):
-        caller = threading.current_thread()
-        started = {"caller": threading.Event(), "helper": threading.Event()}
+        spec = SweepSpec(replace(table_scenario, lambda_pe=0.4, lambda_se=0.4), "lambda_p",
+                         0.0, 0.2, 0.01, simulate=True, horizon=20_000, warmup=1_000)
+        optimal = [spec.seed + k for k, row in enumerate(run_sweep(replace(spec, simulate=False)))
+                   if row.outcome.status == "optimal"]
+        # the fourth point is one of the first four that the four workers take
+        failing_seed = optimal[0 if failing == "first" else 3]
+        failed = threading.Event()
         calls = []
 
         def compare(scenario, policy, horizon, seed, warmup):
-            side = "caller" if threading.current_thread() is caller else "helper"
             calls.append(seed)
-            started[side].set()
-            if side == failing:
+            if seed == failing_seed:
+                failed.set()
                 raise RuntimeError(f"cross-check failed at seed {seed}")
-            # the other side waits until the failing side has taken a point
-            assert started[failing].wait(timeout=60)
+            # every other point waits until the failing one has raised
+            assert failed.wait(timeout=60)
 
         usable_cpus(monkeypatch, 4)
         monkeypatch.setattr(sweep, "compare_sim_vs_analytic", compare)
         baseline = threading.active_count()
-        spec = SweepSpec(replace(table_scenario, lambda_pe=0.4, lambda_se=0.4), "lambda_p",
-                         0.0, 0.2, 0.01, simulate=True, horizon=20_000, warmup=1_000)
-        with pytest.raises(RuntimeError, match="cross-check failed at seed"):
+        with pytest.raises(RuntimeError, match=f"cross-check failed at seed {failing_seed}$"):
             run_sweep(spec)
         assert threading.active_count() == baseline
-        # after the failure no worker takes another of the 21 points
-        assert len(calls) < len(spec.grid())
+        # once the failure is seen, no point that has not started starts
+        assert len(calls) < len(optimal)
 
     def test_patched_cross_check_called_once_per_optimal_point(self, table_scenario,
                                                                monkeypatch):
-        # the benchmark's tracer wraps sweep.compare_sim_vs_analytic; helper
+        # the benchmark's tracer wraps sweep.compare_sim_vs_analytic; pool
         # threads must call the wrapper too
-        caller = threading.current_thread()
-        helper_ran = threading.Event()
-        seeds, threads = Counter(), set()
+        both_in = threading.Barrier(2, timeout=60)
+        order = itertools.count()
+        seeds = []
         real = sweep.compare_sim_vs_analytic
 
         def compare(scenario, policy, horizon, seed, warmup):
-            seeds[seed] += 1
-            threads.add(threading.current_thread())
-            if threading.current_thread() is caller:
-                assert helper_ran.wait(timeout=60)
-            else:
-                helper_ran.set()
+            seeds.append(seed)
+            if next(order) < 2:
+                both_in.wait()      # two threads are inside the wrapper at once
             return real(scenario, policy, horizon, seed, warmup)
 
         usable_cpus(monkeypatch, 4)
@@ -374,7 +378,49 @@ class TestCrossChecksOnCpus:
         rows = run_sweep(spec)
         optimal = [k for k, row in enumerate(rows) if row.outcome.status == "optimal"]
         assert len(rows) == 71 and 0 < len(optimal) < len(rows)
-        assert seeds == Counter(spec.seed + k for k in optimal)
-        assert len(threads) > 1
+        assert Counter(seeds) == Counter(spec.seed + k for k in optimal)
         assert [row.comparison is not None for row in rows] == [
             row.outcome.status == "optimal" for row in rows]
+
+    def test_base_exception_reraises_and_cancels_pending_items(self, monkeypatch):
+        class Interrupt(BaseException):
+            pass
+
+        calls = []
+
+        def fn(k):
+            calls.append(k)
+            if k == 0:
+                raise Interrupt
+            time.sleep(0.02)    # 200 items would keep four workers busy for 1 s
+            return k
+
+        usable_cpus(monkeypatch, 4)
+        baseline = threading.active_count()
+        with pytest.raises(Interrupt):
+            sweep._map_on_cpus(fn, list(range(200)))
+        assert threading.active_count() == baseline
+        assert len(calls) < 200
+
+
+def test_thread_pool_module_loaded_only_for_a_pool():
+    # concurrent.futures takes 5-7 ms to import: no command loads it, and a
+    # sweep on one CPU does not either
+    code = """if True:
+        import sys
+        import crsense.cli
+        from crsense import sweep
+        from crsense.scenario_io import load_bundled_scenario
+        assert "concurrent.futures" not in sys.modules
+        sweep._usable_cpus = lambda: 1
+        spec = sweep.SweepSpec(load_bundled_scenario(), "lambda_p", 0.0, 0.02, 0.01,
+                               simulate=True, horizon=2_000, warmup=100)
+        assert all(row.comparison is not None for row in sweep.run_sweep(spec))
+        assert "concurrent.futures" not in sys.modules
+        sweep._usable_cpus = lambda: 2
+        sweep.run_sweep(spec)
+        assert "concurrent.futures" in sys.modules
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(sweep.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
