@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import SensingOption, is_probability
+from .channel import SensingOption, is_probability, is_real
 
 POLICY_SUM_TOL = 1e-9  # absolute tolerance on sum(probs) == 1
 
@@ -60,8 +60,7 @@ class Scenario:
 
     def __post_init__(self):
         for name in PROBABILITIES:
-            value = getattr(self, name)
-            if not is_probability(value):
+            if not is_probability(value := getattr(self, name)):
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         table = tuple(self.sensing_table)
         if not table:
@@ -112,16 +111,16 @@ class PolicyVector:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
+        probs = tuple(self.probs)
         if not probs:
             raise ValueError("policy must have at least one entry")
         for p in probs:
-            if not (math.isfinite(p) and p >= 0.0):
-                raise ValueError(f"policy entries must be nonnegative, got {p!r}")
+            if not (is_real(p) and 0.0 <= p < math.inf):
+                raise ValueError(f"policy entries must be nonnegative finite numbers, got {p!r}")
         total = math.fsum(probs)
         if abs(total - 1.0) > POLICY_SUM_TOL:
             raise ValueError(f"policy probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", tuple(map(float, probs)))
 
     def __len__(self) -> int:
         return len(self.probs)

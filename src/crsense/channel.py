@@ -13,6 +13,8 @@ and the net effect on the outage probability is strictly upward in ``tau``.
 ``verify_outage_monotonicity`` turns that statement into an executable check.
 The outage is the float formula where that is exact and the same ratio in
 logs on every other link, so a link past float range gets its exact outage.
+Every numeric input is typed by ``is_real`` or ``is_count``: Python and numpy
+numbers, never ``bool``; any other value raises its owner's ``ValueError``.
 """
 
 from __future__ import annotations
@@ -20,13 +22,29 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from numbers import Real
+from numbers import Integral, Real
 from typing import Iterable
 
 
+def is_real(value) -> bool:
+    """A real number, numpy ones too, not a bool; floats and ints skip the ABC test."""
+    if isinstance(value, float):
+        return True
+    if isinstance(value, int):
+        return not isinstance(value, bool)
+    return isinstance(value, Real)
+
+
+def is_count(value) -> bool:
+    """An integer, numpy ones too, not a bool; ints skip the ABC test."""
+    if isinstance(value, int):
+        return not isinstance(value, bool)
+    return isinstance(value, Integral)
+
+
 def is_probability(value) -> bool:
-    """A real number in [0, 1], a numpy one too, that is not a bool."""
-    return isinstance(value, Real) and not isinstance(value, bool) and 0.0 <= value <= 1.0
+    """A real number in [0, 1], by ``is_real``."""
+    return is_real(value) and 0.0 <= value <= 1.0
 
 
 @dataclass(frozen=True)
@@ -52,10 +70,13 @@ class PhysicalLink:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            if not (type(value) in (int, float) and math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"{field.name} must be a strictly positive finite number, got {value!r}")
+            self.check(field.name, getattr(self, field.name))
+
+    @staticmethod
+    def check(name: str, value) -> None:
+        """The rule of every field: a real number in (0, inf) that a float can hold."""
+        if not (is_real(value) and 0.0 < value <= sys.float_info.max):
+            raise ValueError(f"{name} must be a strictly positive finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,23 +94,14 @@ class SensingOption:
     duration: float | None = None
 
     def __post_init__(self):
-        if not (type(self.index) is int and self.index >= 1):
+        if not (is_count(self.index) and self.index >= 1):
             raise ValueError(f"index must be a positive integer, got {self.index!r}")
         for name in ("detection_prob", "false_alarm_prob", "secondary_outage"):
-            value = getattr(self, name)
-            if not is_probability(value):
+            if not is_probability(value := getattr(self, name)):
                 raise ValueError(f"duration {self.index}: {name} {value!r} outside [0, 1]")
-        if self.duration is not None and not 0.0 <= self.duration < math.inf:
+        if not (self.duration is None or is_real(self.duration) and 0 <= self.duration < math.inf):
             raise ValueError(f"duration {self.index}: sensing time {self.duration!r} "
                              "is not a finite number >= 0")
-
-
-def _check_sensing_time(link: PhysicalLink, tau: float) -> None:
-    if not 0.0 <= tau < link.slot_duration:
-        raise ValueError(
-            f"sensing time {tau!r} leaves no transmission window in a "
-            f"{link.slot_duration!r} s slot"
-        )
 
 
 def secondary_outage(link: PhysicalLink, tau: float) -> float:
@@ -107,7 +119,9 @@ def secondary_outage(link: PhysicalLink, tau: float) -> float:
     ``W (T - tau)``, ``(T - tau) N``, the SNR and the mean SNR are normal
     floats. Every other link takes the ratio in logs (``_outage_in_logs``).
     """
-    _check_sensing_time(link, tau)
+    if not (is_real(tau) and 0.0 <= tau < link.slot_duration):
+        raise ValueError(f"sensing time {tau!r} leaves no transmission window in a "
+                         f"{link.slot_duration!r} s slot")
     window = link.slot_duration - tau
     low, high = sys.float_info.min, sys.float_info.max
     rate_window, noise_window = link.bandwidth * window, window * link.noise_power
@@ -150,13 +164,11 @@ def verify_outage_monotonicity(link: PhysicalLink, taus: Iterable[float]) -> boo
     duration passes vacuously. This is the executable certificate of the
     sensing-time / outage tradeoff.
     """
-    grid = [float(t) for t in taus]
+    grid = list(taus)
     if not grid:
         raise ValueError("need at least one sensing duration")
-    for tau in grid:
-        _check_sensing_time(link, tau)
+    values = [secondary_outage(link, tau) for tau in grid]     # checks every tau first
     for a, b in zip(grid, grid[1:]):
         if not b > a:
             raise ValueError("sensing durations must be strictly increasing")
-    values = [secondary_outage(link, tau) for tau in grid]
     return all(b > a for a, b in zip(values, values[1:]))

@@ -26,10 +26,11 @@ row of M entries per entry of the vector ``b_ub`` (an empty ``a_ub`` for no
 rows), at most two rows; and every entry is finite.
 
 A stack of G programs of one size, each input with a leading axis G, is
-scored by the same code in passes of at most ``_STACK_BYTES`` (one program
-at least), each pass one more leading axis on every array; each answer is
-bit for bit the one its program gets alone. A sweep solves its drain-regime
-programs this way, which spreads numpy's per-call cost over the stack.
+checked in the same pass, a bad entry named by its full index, and scored
+by the same code in passes of at most ``_STACK_BYTES`` (one program at
+least), each pass one more leading axis on every array; each answer is bit
+for bit the one its program gets alone. A sweep's drain-regime programs
+are solved so, sharing numpy's per-call cost.
 
 The tests hold ``solve_lp`` against ``acceptance.exact_ratio_program``, an
 exact oracle in rational arithmetic that enumerates the bases of the
@@ -92,13 +93,11 @@ def _program(numerator, denominator, a_ub, b_ub) -> np.ndarray:
     padding reads, then the right-hand sides (zero on the two objective
     rows). A stack of G programs, each input with a leading axis G, gives a
     ``(G, rows + 2, M + 2)`` array. Malformed or non-finite input raises
-    ``ValueError``; in a stack, the message names the first program at
-    fault."""
+    ``ValueError``, a non-finite entry named by its full index."""
     try:
         num, den, a, b = (np.asarray(v, dtype=float)
                           for v in (numerator, denominator, a_ub, b_ub))
     except ValueError as err:       # a ragged row, or an entry that is not a number
-        _check_each(numerator, denominator, a_ub, b_ub)
         raise ValueError(f"program shapes disagree or an entry is not a number: {err}") from err
     lead, m = num.shape[:-1], num.shape[-1] if num.ndim else 1
     if m > MAX_DURATIONS:
@@ -111,7 +110,6 @@ def _program(numerator, denominator, a_ub, b_ub) -> np.ndarray:
     rows = b.shape[-1] if b.ndim == num.ndim else -1
     if num.ndim not in (1, 2) or den.shape != num.shape or b.shape[:-1] != lead or (
             a.shape != (*lead, rows, m) and not (rows == 0 and a.size == 0)):
-        _check_each(numerator, denominator, a_ub, b_ub)
         raise ValueError(
             f"program shapes disagree: numerator {num.shape} and denominator "
             f"{den.shape} need one common length M, a_ub {a.shape} needs one "
@@ -128,28 +126,12 @@ def _program(numerator, denominator, a_ub, b_ub) -> np.ndarray:
         program[..., 2:, :m] = a
         program[..., 2:, m + 1] = b
     if not np.isfinite(program).all():
-        _check_each(numerator, denominator, a_ub, b_ub)
         for name, values in (("numerator", num), ("denominator", den),
                              ("a_ub", a), ("b_ub", b)):
             bad = np.argwhere(~np.isfinite(values))
             if bad.size:
                 raise ValueError(f"{name}{bad[0].tolist()} = {values[tuple(bad[0])]} is not finite")
     return program
-
-
-def _check_each(numerator, denominator, a_ub, b_ub) -> None:
-    """For a stack, whose numerator holds vectors: check each program alone,
-    and raise the first one's error with its index."""
-    try:
-        stacked = np.ndim(numerator[0]) == 1
-    except (TypeError, IndexError, ValueError):
-        return
-    if stacked:
-        for g, program in enumerate(zip(numerator, denominator, a_ub, b_ub)):
-            try:
-                _program(*program)
-            except ValueError as err:
-                raise ValueError(f"program {g} of the stack: {err}") from None
 
 
 def _weights(side: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -262,8 +244,8 @@ def solve_lp(numerator, denominator, a_ub, b_ub) -> LPSolution | list[LPSolution
     ``(G, M)``, ``a_ub`` of shape ``(G, rows, M)``, ``b_ub`` of shape
     ``(G, rows)``) gives a list of G solutions, each bit for bit the one its
     program gets alone, whatever G is: memory is bounded by scoring the
-    stack in passes. A program of a stack that breaks the rules raises
-    ``ValueError`` naming its index.
+    stack in passes. It is checked in the same pass as a lone program: a
+    non-finite entry is named by its full index (``numerator[2, 1] = nan``).
     """
     program = _program(numerator, denominator, a_ub, b_ub)
     m = program.shape[-1] - 2

@@ -36,7 +36,7 @@ from importlib import resources
 from pathlib import Path
 
 from .analytics import PROBABILITIES, Scenario
-from .channel import PhysicalLink, SensingOption, primary_outage, secondary_outage
+from .channel import PhysicalLink, SensingOption, is_probability, primary_outage, secondary_outage
 
 _RATE_KEYS = tuple(k for k in PROBABILITIES if k != "primary_outage")
 _LINK_KEYS = tuple(f.name for f in fields(PhysicalLink))
@@ -59,8 +59,17 @@ def _parse_float(line_no: int, key: str, token: str) -> float:
 
 def _parse_prob(line_no: int, key: str, token: str) -> float:
     value = _parse_float(line_no, key, token)
-    if not 0.0 <= value <= 1.0:
+    if not is_probability(value):
         raise ScenarioFormatError(line_no, f"{key} {value!r} outside [0, 1]")
+    return value
+
+
+def _parse_link(line_no: int, key: str, token: str) -> float:
+    value = _parse_float(line_no, key, token)
+    try:
+        PhysicalLink.check(key, value)
+    except ValueError as err:
+        raise ScenarioFormatError(line_no, str(err)) from None
     return value
 
 
@@ -100,7 +109,7 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
                 raise ScenarioFormatError(line_no, f"{key} needs exactly one value")
             if key in scalars:
                 raise ScenarioFormatError(line_no, f"{key} given twice")
-            parse = _parse_prob if key in PROBABILITIES else _parse_float
+            parse = _parse_prob if key in PROBABILITIES else _parse_link
             scalars[key] = parse(line_no, key, args[0])
         else:
             raise ScenarioFormatError(line_no, f"unknown key {key!r}")
@@ -146,14 +155,8 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
                else secondary_outage(link, tau))
         table.append(SensingOption(index, det, fal, out, tau))
 
-    return Scenario(
-        lambda_p=scalars["lambda_p"],
-        lambda_s=scalars["lambda_s"],
-        lambda_pe=scalars["lambda_pe"],
-        lambda_se=scalars["lambda_se"],
-        primary_outage=p_out_p,
-        sensing_table=tuple(table),
-    )
+    return Scenario(**{k: scalars[k] for k in _RATE_KEYS}, primary_outage=p_out_p,
+                    sensing_table=tuple(table))
 
 
 def parse_scenario(path: str | Path) -> Scenario:

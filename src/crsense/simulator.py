@@ -86,6 +86,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytics import PolicyVector, Scenario
+from .channel import is_count
 
 RNG_DESCRIPTION = f"numpy-{np.__version__}-PCG64"
 MODES = ("original", "dominant", "coupled")
@@ -118,13 +119,14 @@ class SimConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (type(self.horizon) is int and type(self.warmup) is int):
-            raise ValueError("horizon and warmup must be integers")
-        if not self.horizon > self.warmup >= 0:
-            raise ValueError(f"need horizon > warmup >= 0, got horizon {self.horizon} "
-                             f"and warmup {self.warmup}")
-        if not (type(self.seed) is int and self.seed >= 0):
+        if not (is_count(self.horizon) and is_count(self.warmup)
+                and self.horizon > self.warmup >= 0):
+            raise ValueError(f"horizon and warmup must be integers with horizon > warmup >= 0, "
+                             f"got horizon {self.horizon!r} and warmup {self.warmup!r}")
+        if not (is_count(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name in ("horizon", "warmup", "seed"):       # a numpy integer is stored as int
+            object.__setattr__(self, name, int(getattr(self, name)))
         if len(self.policy) != self.scenario.num_durations:
             raise ValueError("policy length does not match the sensing table")
 

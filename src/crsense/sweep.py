@@ -20,6 +20,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .analytics import AnalyticRates, PolicyVector, Scenario, analyze
+from .channel import is_count, is_probability, is_real
 from .optimizer import OptimizationOutcome, solve, solve_constrained_subproblems
 from .simulator import SimConfig, SimReport, simulate
 
@@ -48,24 +49,24 @@ class SweepSpec:
     def __post_init__(self):
         if self.param not in SWEEPABLE:
             raise ValueError(f"param must be one of {SWEEPABLE}, got {self.param!r}")
-        if not (0.0 <= self.start <= 1.0 and 0.0 <= self.stop <= 1.0):
-            raise ValueError(f"grid [{self.start}, {self.stop}] must sit inside [0, 1]")
+        if not (is_probability(self.start) and is_probability(self.stop)):
+            raise ValueError(f"grid [{self.start!r}, {self.stop!r}] must sit inside [0, 1]")
         if self.start > self.stop:
             raise ValueError(f"grid runs backwards: --from {self.start} is above "
                              f"--to {self.stop}")
-        if not 0.0 < self.step < math.inf:
+        if not (is_real(self.step) and 0.0 < self.step < math.inf):
             raise ValueError(f"step must be positive and finite, got {self.step!r}")
         points = self._last_index() + 1
         if points > MAX_GRID_POINTS:
             raise ValueError(
                 f"--step {self.step!r} makes {points:.0f} grid points from {self.start} "
                 f"to {self.stop}; at most {MAX_GRID_POINTS} are allowed")
-        if self.simulate and not (type(self.horizon) is int and type(self.warmup) is int
+        if self.simulate and not (is_count(self.horizon) and is_count(self.warmup)
                                   and self.horizon > self.warmup >= 0):
             raise ValueError(
                 f"simulated sweep needs integers horizon > warmup >= 0, got --horizon "
                 f"{self.horizon!r} and --warmup {self.warmup!r}")
-        if self.simulate and not (type(self.seed) is int and self.seed >= 0):
+        if self.simulate and not (is_count(self.seed) and self.seed >= 0):
             raise ValueError(
                 f"simulated sweep needs a non-negative integer --seed, got {self.seed!r}")
 

@@ -167,6 +167,11 @@ class TestPolicyVector:
         with pytest.raises(ValueError):
             PolicyVector(())
 
+    def test_numpy_entries_stored_as_floats(self):
+        policy = PolicyVector((np.float64(0.25), np.int64(0), 0.75))
+        assert policy.probs == (0.25, 0.0, 0.75)
+        assert all(type(p) is float for p in policy.probs)
+
     def test_point_mass_bounds(self):
         with pytest.raises(ValueError):
             PolicyVector.point_mass(3, 3)

@@ -1,6 +1,8 @@
 import decimal
 import math
+import re
 import sys
+from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crsense.analytics import PolicyVector
 from crsense.channel import (
     PhysicalLink,
     SensingOption,
@@ -15,6 +18,9 @@ from crsense.channel import (
     secondary_outage,
     verify_outage_monotonicity,
 )
+from crsense.scenario_io import load_bundled_scenario
+from crsense.simulator import SimConfig
+from crsense.sweep import SweepSpec
 from scenario_strategies import SETTINGS
 
 # b/(W T) = 1 and gain_variance * e / (T * noise) = 1, so the outage
@@ -314,3 +320,106 @@ class TestTypes:
         with pytest.raises(ValueError, match=f"duration 1: sensing time {duration!r} "
                                              "is not a finite number >= 0"):
             SensingOption(1, 0.5, 0.1, 0.2, duration)
+
+    @pytest.mark.parametrize("duration", [True, False, "0.1", 0.5j, np.True_], ids=repr)
+    def test_sensing_time_is_a_real_number(self, duration):
+        with pytest.raises(ValueError, match=re.escape(f"duration 1: sensing time {duration!r} "
+                                                       "is not a finite number >= 0")):
+            SensingOption(1, 0.5, 0.1, 0.2, duration)
+        # numpy numbers are numbers, and no sensing time is no sensing time
+        for duration in (np.float64(1e-4), np.int64(0), None):
+            assert SensingOption(1, 0.5, 0.1, 0.2, duration).duration == duration
+
+    @pytest.mark.parametrize("field", [
+        "bits_per_packet", "slot_duration", "bandwidth",
+        "gain_variance", "energy_per_packet", "noise_power"])
+    def test_physical_link_takes_numpy_numbers(self, field):
+        kwargs = dict(bits_per_packet=1000, slot_duration=1, bandwidth=1000,
+                      gain_variance=2, energy_per_packet=3, noise_power=1)
+        plain = secondary_outage(PhysicalLink(**kwargs), 0.5)
+        for number in (np.float64, np.int64):
+            link = PhysicalLink(**{**kwargs, field: number(kwargs[field])})
+            assert secondary_outage(link, 0.5) == plain
+        for bad in (np.True_, np.float64("nan"), np.float64("inf"), np.float64(0.0),
+                    np.int64(-1), 10 ** 400):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{field} must be a strictly positive finite number, got {bad!r}")):
+                PhysicalLink(**{**kwargs, field: bad})
+
+
+TABLE1 = load_bundled_scenario()
+
+
+REALS, COUNTS = {"np.float64", "np.int64"}, {"np.int64"}
+
+
+def _owners():
+    """Every owner of a numeric input: (name, build from one value, a valid
+    real value, a valid integer value, the kinds of value it takes, the
+    field its message names)."""
+    link = dict(bits_per_packet=1e3, slot_duration=1e-3, bandwidth=1e6,
+                gain_variance=1.0, energy_per_packet=1e-6, noise_power=1e-3)
+    uniform = PolicyVector.uniform(TABLE1.num_durations)
+
+    def config(**settings):
+        return SimConfig(TABLE1, uniform, "dominant", **dict(horizon=1000, seed=0) | settings)
+
+    def spec(start=0.0, stop=0.5, step=0.1, **settings):
+        return SweepSpec(TABLE1, "lambda_p", start, stop, step, simulate=bool(settings),
+                         **settings)
+
+    return [
+        ("PhysicalLink", lambda v: PhysicalLink(**link | {"bandwidth": v}), 1e6, 10 ** 6,
+         REALS, "bandwidth"),
+        ("SensingOption.prob", lambda v: SensingOption(1, v, 0.1, 0.2), 0.5, 1, REALS,
+         "detection_prob"),
+        ("SensingOption.duration", lambda v: SensingOption(1, 0.5, 0.1, 0.2, v), 1e-4, 0,
+         REALS | {"None"}, "sensing time"),
+        ("SensingOption.index", lambda v: SensingOption(v, 0.5, 0.1, 0.2), 1.0, 1, COUNTS,
+         "index"),
+        ("secondary_outage.tau", lambda v: secondary_outage(PhysicalLink(**link), v), 1e-4, 0,
+         REALS, "sensing time"),
+        ("Scenario", lambda v: replace(TABLE1, lambda_p=v), 0.1, 0, REALS, "lambda_p"),
+        ("PolicyVector", lambda v: PolicyVector((v, 1.0)), 0.0, 0, REALS, "policy entries"),
+        ("SimConfig.horizon", lambda v: config(horizon=v), 1000.0, 1000, COUNTS, "horizon"),
+        ("SimConfig.warmup", lambda v: config(warmup=v), 0.0, 0, COUNTS, "warmup"),
+        ("SimConfig.seed", lambda v: config(seed=v), 0.0, 0, COUNTS, "seed"),
+        ("SweepSpec.start", lambda v: spec(start=v), 0.1, 0, REALS, "grid"),
+        ("SweepSpec.stop", lambda v: spec(stop=v), 0.5, 1, REALS, "grid"),
+        ("SweepSpec.step", lambda v: spec(step=v), 0.1, 1, REALS, "step"),
+        ("SweepSpec.horizon", lambda v: spec(horizon=v, warmup=0), 1000.0, 1000, COUNTS,
+         "--horizon"),
+        ("SweepSpec.warmup", lambda v: spec(horizon=1000, warmup=v), 0.0, 0, COUNTS,
+         "--warmup"),
+        ("SweepSpec.seed", lambda v: spec(horizon=1000, warmup=0, seed=v), 0.0, 0, COUNTS,
+         "--seed"),
+    ]
+
+
+OWNERS = _owners()
+# each kind of value, made from an owner's valid real and integer values
+KINDS = {
+    "True": lambda real, integer: True,
+    "'0.5'": lambda real, integer: "0.5",
+    "None": lambda real, integer: None,
+    "0.5j": lambda real, integer: 0.5j,
+    "np.float64": lambda real, integer: np.float64(real),
+    "np.int64": lambda real, integer: np.int64(integer),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name, build, real, integer, takes, field",
+                         OWNERS, ids=[owner[0] for owner in OWNERS])
+def test_numeric_input_table(name, build, real, integer, takes, field, kind):
+    """One rule for every owner: numpy numbers are numbers (numpy floats
+    only where a real is asked for), and a bool, a string, None (but for an
+    optional sensing time) or a complex number is refused with a ValueError
+    naming the field and the value."""
+    value = KINDS[kind](real, integer)
+    if kind in takes:
+        build(value)
+    else:
+        with pytest.raises(ValueError) as refused:
+            build(value)
+        assert field in str(refused.value) and repr(value) in str(refused.value)

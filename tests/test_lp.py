@@ -317,17 +317,17 @@ class TestStack:
                                              ("a_ub", (2, 0, 1)), ("b_ub", (2, 0))])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_program_named(self, name, index, bad):
+        # the full index, program first, as the whole stack is checked in one pass
         program = dict(numerator=np.ones((4, 2)), denominator=np.ones((4, 2)),
                        a_ub=np.ones((4, 1, 2)), b_ub=np.ones((4, 1)))
         program[name][index] = bad
-        at = list(index[1:])
         with pytest.raises(ValueError, match=re.escape(
-                f"program 2 of the stack: {name}{at} = {bad} is not finite")):
+                f"{name}{list(index)} = {bad} is not finite")):
             enumerate_lp(**program)
 
     def test_malformed_program_named(self):
         rows = [[[1.0, 1.0]], [[1.0, 1.0]], [[1.0]], [[1.0, 1.0]]]          # a short row
-        with pytest.raises(ValueError, match="program 2 of the stack: program shapes disagree"):
+        with pytest.raises(ValueError, match="^program shapes disagree"):
             enumerate_lp(np.ones((4, 2)), np.ones((4, 2)), rows, np.ones((4, 1)))
         # stacks of unequal length are named by their shapes
         with pytest.raises(ValueError, match="shapes disagree.*leading axis G"):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,6 +128,15 @@ class TestPhysicalMode:
         bad = PHYSICAL_TEXT.replace("noise_power 1e-3\n", "")
         with pytest.raises(ScenarioFormatError, match="noise_power"):
             parse_scenario_text(bad)
+
+    @pytest.mark.parametrize("token, value", [("-1e6", "-1000000.0"), ("0", "0.0"),
+                                              ("inf", "inf"), ("nan", "nan"), ("1e400", "inf")])
+    def test_bad_link_value_names_line(self, token, value):
+        bad = PHYSICAL_TEXT.replace("bandwidth 1e6", f"bandwidth {token}")
+        message = f"line 9: bandwidth must be a strictly positive finite number, got {value}"
+        with pytest.raises(ScenarioFormatError, match=re.escape(message)) as err:
+            parse_scenario_text(bad)
+        assert err.value.line_no == 9
 
     def test_sensing_time_beyond_slot_rejected(self):
         bad = PHYSICAL_TEXT + "\nduration 3 0.002 0.8 0.07\n"

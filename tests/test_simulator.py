@@ -71,6 +71,17 @@ class TestBasics:
         with pytest.raises(ValueError, match=f"{field}.*integer"):
             SimConfig(table_scenario, PolicyVector.uniform(10), "original", **settings)
 
+    def test_numpy_integer_settings_stored_as_int(self, table_scenario):
+        pol = PolicyVector.uniform(10)
+        plain = SimConfig(table_scenario, pol, "original", 2_000, 7, warmup=100)
+        config = SimConfig(table_scenario, pol, "original", np.int64(2_000), np.uint8(7),
+                           warmup=np.int32(100))
+        assert config == plain
+        assert all(type(getattr(config, name)) is int for name in ("horizon", "warmup", "seed"))
+        report = simulate(config)
+        assert report == simulate(plain)
+        assert all(type(getattr(report, name)) is int for name in ("horizon", "warmup", "seed"))
+
     def test_rng_is_documented(self, table_scenario):
         report = simulate(SimConfig(table_scenario, PolicyVector.uniform(10),
                                     "original", 2_000, 0))

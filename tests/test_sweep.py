@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -81,6 +82,24 @@ class TestSpec:
             SweepSpec(table_scenario, "lambda_p", 0.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="step must be positive and finite, got inf"):
             SweepSpec(table_scenario, "lambda_p", 0.0, 1.0, float("inf"))
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, 0.5j, np.True_], ids=repr)
+    def test_non_real_grid_rejected(self, table_scenario, value):
+        for start, stop in ((value, 0.5), (0.0, value)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"grid [{start!r}, {stop!r}] must sit inside [0, 1]")):
+                SweepSpec(table_scenario, "lambda_p", start, stop, 0.1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"step must be positive and finite, got {value!r}")):
+            SweepSpec(table_scenario, "lambda_p", 0.0, 0.5, value)
+
+    def test_numpy_numbers_accepted(self, table_scenario):
+        plain = SweepSpec(table_scenario, "lambda_p", 0.1, 0.2, 0.1, simulate=True,
+                          horizon=3_000, warmup=100, seed=5)
+        spec = SweepSpec(table_scenario, "lambda_p", np.float64(0.1), np.float64(0.2),
+                         np.float64(0.1), simulate=True, horizon=np.int64(3_000),
+                         warmup=np.int64(100), seed=np.int64(5))
+        assert rows_to_csv(spec, run_sweep(spec)) == rows_to_csv(plain, run_sweep(plain))
 
     def test_grid_size_bounded_before_building(self, table_scenario, monkeypatch):
         monkeypatch.setattr(SweepSpec, "grid", None)     # never reached
