@@ -26,13 +26,14 @@ each scenario builds them once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import SensingOption, is_probability, is_real
+from .channel import SensingOption, is_count, is_probability, is_real
 
 POLICY_SUM_TOL = 1e-9  # absolute tolerance on sum(probs) == 1
 
@@ -115,7 +116,7 @@ class PolicyVector:
         if not probs:
             raise ValueError("policy must have at least one entry")
         for p in probs:
-            if not (is_real(p) and 0.0 <= p < math.inf):
+            if not (is_real(p) and p >= 0.0):
                 raise ValueError(f"policy entries must be nonnegative finite numbers, got {p!r}")
         total = math.fsum(probs)
         if abs(total - 1.0) > POLICY_SUM_TOL:
@@ -131,14 +132,18 @@ class PolicyVector:
     @classmethod
     def uniform(cls, m: int) -> "PolicyVector":
         """Equal mass on each of ``m`` durations; ``m < 1`` leaves no entry
-        and raises ``ValueError``."""
-        return cls(tuple(1.0 / m for _ in range(m)))
+        and raises ``ValueError``, as does an ``m`` past what a tuple holds."""
+        if not (is_count(m) and m <= sys.maxsize):
+            raise ValueError(f"table size must be an integer up to sys.maxsize, got {m!r}")
+        return cls((1.0 / m,) * m if m > 0 else ())
 
     @classmethod
     def point_mass(cls, m: int, position: int) -> "PolicyVector":
-        """All mass on one duration, by 0-based position in the table."""
-        if not 0 <= position < m:
-            raise ValueError(f"position {position} outside table of size {m}")
+        """All mass on one duration, by 0-based position in the table; a
+        position outside ``range(m)``, or an ``m`` past what a tuple holds,
+        raises ``ValueError``."""
+        if not (is_count(m) and is_count(position) and 0 <= position < m <= sys.maxsize):
+            raise ValueError(f"position {position!r} outside table of size {m!r}")
         probs = [0.0] * m
         probs[position] = 1.0
         return cls(tuple(probs))

@@ -14,7 +14,10 @@ and the net effect on the outage probability is strictly upward in ``tau``.
 The outage is the float formula where that is exact and the same ratio in
 logs on every other link, so a link past float range gets its exact outage.
 Every numeric input is typed by ``is_real`` or ``is_count``: Python and numpy
-numbers, never ``bool``; any other value raises its owner's ``ValueError``.
+numbers, never ``bool``. A real number must also be one that a float can hold:
+finite, and rounding to within ±``sys.float_info.max``, so ``nan``, ``inf`` and
+``10**400`` are refused; a count may be any integer. Any other value raises its
+owner's ``ValueError``, and each owner adds only its sign or range test.
 """
 
 from __future__ import annotations
@@ -27,12 +30,15 @@ from typing import Iterable
 
 
 def is_real(value) -> bool:
-    """A real number, numpy ones too, not a bool; floats and ints skip the ABC test."""
-    if isinstance(value, float):
-        return True
-    if isinstance(value, int):
-        return not isinstance(value, bool)
-    return isinstance(value, Real)
+    """A real number that a float can hold, numpy ones too, not a bool: finite,
+    and rounding to within ±``sys.float_info.max``, so not nan, inf or an int
+    past float range. Floats and ints skip the ABC test."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, Real)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:                   # an int or a fraction past float range
+        return False
 
 
 def is_count(value) -> bool:
@@ -74,8 +80,8 @@ class PhysicalLink:
 
     @staticmethod
     def check(name: str, value) -> None:
-        """The rule of every field: a real number in (0, inf) that a float can hold."""
-        if not (is_real(value) and 0.0 < value <= sys.float_info.max):
+        """The rule of every field: a real number, by ``is_real``, above 0."""
+        if not (is_real(value) and value > 0.0):
             raise ValueError(f"{name} must be a strictly positive finite number, got {value!r}")
 
 
@@ -99,7 +105,7 @@ class SensingOption:
         for name in ("detection_prob", "false_alarm_prob", "secondary_outage"):
             if not is_probability(value := getattr(self, name)):
                 raise ValueError(f"duration {self.index}: {name} {value!r} outside [0, 1]")
-        if not (self.duration is None or is_real(self.duration) and 0 <= self.duration < math.inf):
+        if not (self.duration is None or is_real(self.duration) and self.duration >= 0):
             raise ValueError(f"duration {self.index}: sensing time {self.duration!r} "
                              "is not a finite number >= 0")
 

@@ -144,15 +144,15 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
         line_no, fields = durations[index]
         tau = None
         if link is not None:
-            tau = _parse_float(line_no, f"duration {index} tau", fields[0])
-            if not 0.0 <= tau < link.slot_duration:
-                raise ScenarioFormatError(
-                    line_no, f"duration {index}: tau {tau!r} outside [0, slot_duration)")
-            fields = fields[1:]
+            tau, fields = _parse_float(line_no, f"duration {index} tau", fields[0]), fields[1:]
+            try:                # secondary_outage owns the sensing-time rule
+                out = secondary_outage(link, tau)
+            except ValueError as err:
+                raise ScenarioFormatError(line_no, f"duration {index}: {err}") from None
         det = _parse_prob(line_no, f"duration {index} detection", fields[0])
         fal = _parse_prob(line_no, f"duration {index} false_alarm", fields[1])
-        out = (_parse_prob(line_no, f"duration {index} outage", fields[2]) if link is None
-               else secondary_outage(link, tau))
+        if link is None:
+            out = _parse_prob(line_no, f"duration {index} outage", fields[2])
         table.append(SensingOption(index, det, fal, out, tau))
 
     return Scenario(**{k: scalars[k] for k in _RATE_KEYS}, primary_outage=p_out_p,

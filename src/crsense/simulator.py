@@ -107,6 +107,18 @@ class QueueState(NamedTuple):
     q_se: int = 0
 
 
+def check_run_settings(horizon, warmup, seed, options: bool = False) -> None:
+    """The one rule on a run's settings: integers, by ``is_count``, with
+    ``horizon > warmup >= 0`` and ``seed >= 0``. ``options=True`` names them
+    in the messages as the CLI options ``--horizon``, ``--warmup`` and ``--seed``."""
+    flag = "--" if options else ""
+    if not (is_count(horizon) and is_count(warmup) and horizon > warmup >= 0):
+        raise ValueError(f"horizon and warmup must be integers with horizon > warmup >= 0, "
+                         f"got {flag}horizon {horizon!r} and {flag}warmup {warmup!r}")
+    if not (is_count(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer{flag and ' --seed'}, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     scenario: Scenario
@@ -119,12 +131,7 @@ class SimConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (is_count(self.horizon) and is_count(self.warmup)
-                and self.horizon > self.warmup >= 0):
-            raise ValueError(f"horizon and warmup must be integers with horizon > warmup >= 0, "
-                             f"got horizon {self.horizon!r} and warmup {self.warmup!r}")
-        if not (is_count(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_run_settings(self.horizon, self.warmup, self.seed)
         for name in ("horizon", "warmup", "seed"):       # a numpy integer is stored as int
             object.__setattr__(self, name, int(getattr(self, name)))
         if len(self.policy) != self.scenario.num_durations:

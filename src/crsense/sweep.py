@@ -20,9 +20,9 @@ import os
 from dataclasses import dataclass, replace
 
 from .analytics import AnalyticRates, PolicyVector, Scenario, analyze
-from .channel import is_count, is_probability, is_real
+from .channel import is_probability, is_real
 from .optimizer import OptimizationOutcome, solve, solve_constrained_subproblems
-from .simulator import SimConfig, SimReport, simulate
+from .simulator import SimConfig, SimReport, check_run_settings, simulate
 
 SWEEPABLE = ("lambda_p", "lambda_pe", "lambda_se")
 MAX_GRID_POINTS = 1_000_001     # a step of 1e-6 across [0, 1]
@@ -54,21 +54,15 @@ class SweepSpec:
         if self.start > self.stop:
             raise ValueError(f"grid runs backwards: --from {self.start} is above "
                              f"--to {self.stop}")
-        if not (is_real(self.step) and 0.0 < self.step < math.inf):
+        if not (is_real(self.step) and self.step > 0.0):
             raise ValueError(f"step must be positive and finite, got {self.step!r}")
         points = self._last_index() + 1
         if points > MAX_GRID_POINTS:
             raise ValueError(
                 f"--step {self.step!r} makes {points:.0f} grid points from {self.start} "
                 f"to {self.stop}; at most {MAX_GRID_POINTS} are allowed")
-        if self.simulate and not (is_count(self.horizon) and is_count(self.warmup)
-                                  and self.horizon > self.warmup >= 0):
-            raise ValueError(
-                f"simulated sweep needs integers horizon > warmup >= 0, got --horizon "
-                f"{self.horizon!r} and --warmup {self.warmup!r}")
-        if self.simulate and not (is_count(self.seed) and self.seed >= 0):
-            raise ValueError(
-                f"simulated sweep needs a non-negative integer --seed, got {self.seed!r}")
+        if self.simulate:
+            check_run_settings(self.horizon, self.warmup, self.seed, options=True)
 
     def _last_index(self) -> float:
         """Largest k of the grid, as a float: a step too small for the span

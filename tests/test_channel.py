@@ -350,7 +350,9 @@ class TestTypes:
 TABLE1 = load_bundled_scenario()
 
 
-REALS, COUNTS = {"np.float64", "np.int64"}, {"np.int64"}
+# a count may be any integer, a real only one that a float can hold; a table
+# size or position must also fit a tuple, so it refuses 10**400
+REALS, COUNTS, SIZES = {"np.float64", "np.int64"}, {"np.int64", "10**400"}, {"np.int64"}
 
 
 def _owners():
@@ -381,15 +383,21 @@ def _owners():
          REALS, "sensing time"),
         ("Scenario", lambda v: replace(TABLE1, lambda_p=v), 0.1, 0, REALS, "lambda_p"),
         ("PolicyVector", lambda v: PolicyVector((v, 1.0)), 0.0, 0, REALS, "policy entries"),
+        ("PolicyVector.uniform", PolicyVector.uniform, 2.0, 2, SIZES, "table size"),
+        ("PolicyVector.point_mass.m", lambda v: PolicyVector.point_mass(v, 0), 2.0, 2, SIZES,
+         "table of size"),
+        ("PolicyVector.point_mass.position", lambda v: PolicyVector.point_mass(2, v), 1.0, 1,
+         SIZES, "position"),
         ("SimConfig.horizon", lambda v: config(horizon=v), 1000.0, 1000, COUNTS, "horizon"),
-        ("SimConfig.warmup", lambda v: config(warmup=v), 0.0, 0, COUNTS, "warmup"),
+        ("SimConfig.warmup", lambda v: config(horizon=10 ** 401, warmup=v), 0.0, 0, COUNTS,
+         "warmup"),
         ("SimConfig.seed", lambda v: config(seed=v), 0.0, 0, COUNTS, "seed"),
         ("SweepSpec.start", lambda v: spec(start=v), 0.1, 0, REALS, "grid"),
         ("SweepSpec.stop", lambda v: spec(stop=v), 0.5, 1, REALS, "grid"),
         ("SweepSpec.step", lambda v: spec(step=v), 0.1, 1, REALS, "step"),
         ("SweepSpec.horizon", lambda v: spec(horizon=v, warmup=0), 1000.0, 1000, COUNTS,
          "--horizon"),
-        ("SweepSpec.warmup", lambda v: spec(horizon=1000, warmup=v), 0.0, 0, COUNTS,
+        ("SweepSpec.warmup", lambda v: spec(horizon=10 ** 401, warmup=v), 0.0, 0, COUNTS,
          "--warmup"),
         ("SweepSpec.seed", lambda v: spec(horizon=1000, warmup=0, seed=v), 0.0, 0, COUNTS,
          "--seed"),
@@ -405,6 +413,9 @@ KINDS = {
     "0.5j": lambda real, integer: 0.5j,
     "np.float64": lambda real, integer: np.float64(real),
     "np.int64": lambda real, integer: np.int64(integer),
+    "10**400": lambda real, integer: 10 ** 400,
+    "inf": lambda real, integer: math.inf,
+    "nan": lambda real, integer: math.nan,
 }
 
 
@@ -413,9 +424,10 @@ KINDS = {
                          OWNERS, ids=[owner[0] for owner in OWNERS])
 def test_numeric_input_table(name, build, real, integer, takes, field, kind):
     """One rule for every owner: numpy numbers are numbers (numpy floats
-    only where a real is asked for), and a bool, a string, None (but for an
-    optional sensing time) or a complex number is refused with a ValueError
-    naming the field and the value."""
+    only where a real is asked for), a count may exceed float range but a
+    real may not, and a bool, a string, None (but for an optional sensing
+    time), a complex number, inf or nan is refused with a ValueError naming
+    the field and the value."""
     value = KINDS[kind](real, integer)
     if kind in takes:
         build(value)

@@ -140,7 +140,20 @@ class TestPhysicalMode:
 
     def test_sensing_time_beyond_slot_rejected(self):
         bad = PHYSICAL_TEXT + "\nduration 3 0.002 0.8 0.07\n"
-        with pytest.raises(ScenarioFormatError, match=r"tau.*slot_duration"):
+        message = ("line 16: duration 3: sensing time 0.002 leaves no transmission window "
+                   "in a 0.001 s slot")
+        with pytest.raises(ScenarioFormatError, match=f"^{re.escape(message)}$") as err:
+            parse_scenario_text(bad)
+        assert err.value.line_no == 16
+
+    @pytest.mark.parametrize("token, value", [("0.001", "0.001"), ("-1e-4", "-0.0001"),
+                                              ("inf", "inf"), ("nan", "nan")])
+    def test_sensing_time_outside_slot_names_line(self, token, value):
+        # the parser leaves the rule to secondary_outage and adds the line
+        bad = PHYSICAL_TEXT.replace("duration 2 0.00010", f"duration 2 {token}")
+        message = (f"line 14: duration 2: sensing time {value} leaves no transmission window "
+                   "in a 0.001 s slot")
+        with pytest.raises(ScenarioFormatError, match=f"^{re.escape(message)}$"):
             parse_scenario_text(bad)
 
 

@@ -71,6 +71,37 @@ class TestSpec:
             run_sweep(SweepSpec(table_scenario, "lambda_p", 0.0, 0.1, 0.05,
                                 simulate=True, **settings))
 
+    @pytest.mark.parametrize("horizon, warmup, seed", [
+        (1000, 0, 0), (1000, 999, 10 ** 400), (10 ** 400, 999, 0),
+        (np.int64(1000), np.int64(10), np.int64(3)), (np.uint8(2), np.int8(1), np.uint64(0)),
+        (True, 0, 0), (1000, False, 0), (1000, 0, True), (np.True_, 0, 0), (1000, 0, np.False_),
+        (1000, 1000, 0), (np.int64(1000), np.int64(1000), 0), (1000, 1001, 0),
+        (-1, -2, 0), (1000, -1, 0), (1000, 0, -1), (1000, 0, np.int64(-3)),
+        (1000.0, 0, 0), (1000, 0.0, 0), (1000, 0, 0.0), (np.float64(1000), 0, 0),
+        ("1000", 0, 0), (None, 0, 0), (1000, 0, None), (math.inf, 0, 0), (1000, 0, math.nan),
+    ], ids=lambda v: "10**400" if repr(v) == repr(10 ** 400) else repr(v))
+    def test_run_settings_rule_shared_with_sim_config(self, table_scenario, horizon, warmup,
+                                                      seed):
+        """A simulated sweep takes exactly the (horizon, warmup, seed) that a
+        SimConfig takes; its messages name the CLI options."""
+        def outcome(build):
+            try:
+                build()
+            except ValueError as err:
+                return str(err)
+            return None
+
+        config = outcome(lambda: SimConfig(table_scenario, PolicyVector.uniform(10),
+                                           "dominant", horizon, seed, warmup))
+        spec = outcome(lambda: SweepSpec(table_scenario, "lambda_p", 0.0, 0.1, 0.05,
+                                         simulate=True, horizon=horizon, warmup=warmup,
+                                         seed=seed))
+        assert (config is None) == (spec is None)
+        if spec is not None:
+            assert spec.startswith(config.split(", got")[0])         # the same rule
+            assert (f"--horizon {horizon!r} and --warmup {warmup!r}" in spec
+                    or f"--seed, got {seed!r}" in spec)
+
     def test_validation(self, table_scenario):
         with pytest.raises(ValueError):
             SweepSpec(table_scenario, "lambda_x", 0.0, 1.0, 0.1)
