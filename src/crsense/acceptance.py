@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import sweep
 from .analytics import PolicyVector, Scenario, analyze
 from .channel import PhysicalLink, verify_outage_monotonicity
 from .lp import CONSTRAINT_TOL
@@ -252,12 +253,17 @@ def criterion_1_outage_monotonicity() -> CriterionResult:
 
 
 def criterion_2_sim_vs_analytics(scenario: Scenario) -> CriterionResult:
-    """Saturated-mode simulation reproduces the closed-form reference values."""
+    """Saturated-mode simulation reproduces the closed-form reference values.
+
+    The run and the closed form come from the sweep's cross-check
+    (``sweep.compare_sim_vs_analytic``); the reference values and bounds
+    are this criterion's own.
+    """
     base = replace(scenario, lambda_pe=0.2, lambda_se=0.4)
     policy = PolicyVector.point_mass(base.num_durations, 0)
-    rates = analyze(base, policy)
-    report = simulate(SimConfig(base, policy, "dominant", _SIM_HORIZON, _SIM_SEED,
-                                warmup=10_000), data_queues=False)
+    record = sweep.compare_sim_vs_analytic(
+        SimConfig(base, policy, "dominant", _SIM_HORIZON, _SIM_SEED, warmup=10_000))
+    rates, report = record.analytic, record.report
     mu_s_ref, mu_p_ref, pe_ref = 0.33366, 0.11951, 0.8
     analytic_ok = (abs(rates.mu_s - mu_s_ref) < 1e-4
                    and abs(rates.mu_p - mu_p_ref) < 1e-4
@@ -281,8 +287,10 @@ def criterion_3_occupancy(scenario: Scenario) -> CriterionResult:
     licensed energy rate until the consumption rate reaches 0.12, at most
     ``_OCCUPANCY_DRAWS`` times: no policy reaches it on a table whose
     consumption weights all stay below 0.12, since mu_se = w @ P. All
-    scenarios are drawn before any is simulated, and the simulations run on
-    a pool of one thread per usable CPU (``sweep._map_on_cpus``).
+    scenarios are drawn before any is simulated, and their cross-checks
+    (``sweep.compare_sim_vs_analytic``, whose ``prob_se_nonempty`` reference
+    is the ratio lambda_se / mu_se) run on a pool of one thread per usable
+    CPU (``sweep._map_on_cpus``).
     """
     rng = np.random.default_rng(_OCCUPANCY_SEED)
     m = scenario.num_durations
@@ -303,14 +311,10 @@ def criterion_3_occupancy(scenario: Scenario) -> CriterionResult:
                 f"in {_OCCUPANCY_DRAWS} draws")
         lam_se = rng.uniform(0.02, min(mu_se - 0.05, 0.75 * mu_se))
         case = replace(scenario, lambda_pe=lam_pe, lambda_se=lam_se)
-        cases.append((SimConfig(case, policy, "dominant", _OCCUPANCY_HORIZON, 100 + i,
-                                warmup=20_000), lam_se / mu_se))
-
-    def error(case):
-        config, ratio = case
-        return abs(simulate(config, data_queues=False).prob_se_nonempty - ratio)
-
-    worst = max(_map_on_cpus(error, cases))
+        cases.append(SimConfig(case, policy, "dominant", _OCCUPANCY_HORIZON, 100 + i,
+                               warmup=20_000))
+    records = _map_on_cpus(sweep.compare_sim_vs_analytic, cases)
+    worst = max(record.deltas["prob_se_nonempty"][0] for record in records)
     return CriterionResult(
         3, "energy occupancy formula", worst <= 0.01,
         f"{_OCCUPANCY_COUNT} scenarios, max |empirical - ratio| = {worst:.5f} (<= 0.01)")

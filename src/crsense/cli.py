@@ -32,6 +32,12 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
                             help=f"override {name} from the file")
 
 
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--horizon", type=int, default=200_000)
+    parser.add_argument("--warmup", type=int, default=10_000)
+    parser.add_argument("--seed", type=int, default=0)
+
+
 def _load_scenario(args) -> Scenario:
     scenario = parse_scenario(args.scenario)
     overrides = {k: getattr(args, k) for k in PROBABILITIES if getattr(args, k) is not None}
@@ -131,9 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--step", type=float, required=True)
     p_sweep.add_argument("--simulate", action="store_true",
                          help="cross-check each feasible point with the simulator")
-    p_sweep.add_argument("--horizon", type=int, default=200_000)
-    p_sweep.add_argument("--warmup", type=int, default=10_000)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    _add_run_args(p_sweep)
     p_sweep.add_argument("--output", "-o", default=None, help="write CSV here instead of stdout")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -142,9 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sim.add_argument("--policy", required=True,
                        help="path to a whitespace-separated policy file, or 'optimal'")
     p_sim.add_argument("--mode", choices=MODES, default="dominant")
-    p_sim.add_argument("--horizon", type=int, default=200_000)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--warmup", type=int, default=10_000)
+    _add_run_args(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_check = sub.add_parser("check", help="run the acceptance suite")

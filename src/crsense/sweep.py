@@ -94,21 +94,22 @@ class SweepRow:
     comparison: ComparisonRecord | None
 
 
-def compare_sim_vs_analytic(scenario: Scenario, policy: PolicyVector,
-                            horizon: int, seed: int,
-                            warmup: int = 10_000) -> ComparisonRecord:
+def compare_sim_vs_analytic(config: SimConfig) -> ComparisonRecord:
     """Run the saturated-mode simulator and grade it against the closed form.
 
-    Each quantity passes when |simulated - analytic| stays within
-    ``max(0.005, 0.02 * |analytic|)``; the record carries per-quantity
-    absolute and relative deltas, the relative one 0 for an exact match.
-    The graded quantities are service rates and energy occupancies, so the
-    run skips the data queues: the report's ``mean_q_p``, ``mean_q_s``,
-    ``drift_p`` and ``drift_s`` are ``None``.
+    The one graded path for a saturated simulation: the sweep's
+    cross-checks and acceptance criteria 2 and 3 all come here. ``config``
+    must be in ``dominant`` mode, the system the closed form describes;
+    ``simulate`` refuses any other. Each quantity passes when
+    |simulated - analytic| stays within ``max(0.005, 0.02 * |analytic|)``;
+    the record carries per-quantity absolute and relative deltas, the
+    relative one 0 for an exact match. The graded quantities are service
+    rates and energy occupancies, so the run skips the data queues: the
+    report's ``mean_q_p``, ``mean_q_s``, ``drift_p`` and ``drift_s`` are
+    ``None``.
     """
-    rates = analyze(scenario, policy)
-    report = simulate(SimConfig(scenario, policy, "dominant", horizon, seed, warmup),
-                      data_queues=False)
+    rates = analyze(config.scenario, config.policy)
+    report = simulate(config, data_queues=False)
     pairs = {
         "mu_p": (rates.mu_p, report.mu_p),
         "mu_s": (rates.mu_s, report.mu_s),
@@ -168,8 +169,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     drain-regime programs are solved in one stacked solve
     (``solve_constrained_subproblems``), then ``solve`` runs once per point
     with that point's drain result. Then the block's optimal points are
-    cross-checked (``compare_sim_vs_analytic``, seed ``spec.seed + k`` at
-    grid index k) on a pool of one thread per usable CPU (``_map_on_cpus``).
+    cross-checked (``compare_sim_vs_analytic`` on a ``dominant`` run with
+    the spec's horizon and warmup, seed ``spec.seed + k`` at grid index k)
+    on a pool of one thread per usable CPU (``_map_on_cpus``).
     Only one block's scenarios are held at a time.
     """
     rows = []
@@ -184,9 +186,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         if spec.simulate:
             optimal = [i for i, outcome in enumerate(outcomes) if outcome.status == "optimal"]
             checks = _map_on_cpus(
-                lambda i: compare_sim_vs_analytic(
-                    scenarios[i], outcomes[i].winner.policy, spec.horizon,
-                    spec.seed + start + i, spec.warmup),
+                lambda i: compare_sim_vs_analytic(SimConfig(
+                    scenarios[i], outcomes[i].winner.policy, "dominant", spec.horizon,
+                    spec.seed + start + i, spec.warmup)),
                 optimal)
             for i, check in zip(optimal, checks):
                 comparisons[i] = check

@@ -63,6 +63,29 @@ def test_criterion_3_occupancy(table_scenario):
     _check(acc.criterion_3_occupancy(table_scenario))
 
 
+@pytest.mark.parametrize("criterion, calls, horizon, seeds, warmup", [
+    (acc.criterion_2_sim_vs_analytics, 1, 1_000_000, [1], 10_000),
+    (acc.criterion_3_occupancy, 20, 500_000, list(range(100, 120)), 20_000),
+])
+def test_saturated_criteria_grade_through_the_sweep_cross_check(
+        table_scenario, monkeypatch, criterion, calls, horizon, seeds, warmup):
+    # criteria 2 and 3 run and grade their simulations through the one
+    # saturated path; the spy runs each config on a short horizon
+    seen = []
+    real = sweep.compare_sim_vs_analytic
+
+    def spy(config):
+        seen.append(config)
+        return real(replace(config, horizon=5_000, warmup=500))
+
+    monkeypatch.setattr(sweep, "compare_sim_vs_analytic", spy)
+    criterion(table_scenario)
+    assert len(seen) == calls
+    assert sorted(config.seed for config in seen) == seeds
+    assert {(config.mode, config.horizon, config.warmup) for config in seen} == {
+        ("dominant", horizon, warmup)}
+
+
 def test_criterion_4_optimizer_vs_bruteforce(table_scenario):
     _check(acc.criterion_4_optimizer_vs_bruteforce(table_scenario))
 

@@ -1,5 +1,6 @@
 import pytest
 
+import crsense.cli as cli_module
 import crsense.sweep as sweep_module
 from crsense.cli import main
 from crsense.scenario_io import bundled_scenario_text
@@ -279,6 +280,23 @@ class TestSimulate:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("command, handler, extra", [
+    ("sweep", "_cmd_sweep", ["--param", "lambda_p", "--from", "0", "--to", "0.1",
+                             "--step", "0.1"]),
+    ("simulate", "_cmd_simulate", ["--policy", "optimal"]),
+])
+def test_run_options_shared_by_sweep_and_simulate(scenario_file, monkeypatch,
+                                                  command, handler, extra):
+    seen = []
+    monkeypatch.setattr(cli_module, handler, lambda args: seen.append(args) or 0)
+    assert main([command, scenario_file, *extra]) == 0
+    assert main([command, scenario_file, *extra,
+                 "--horizon", "5000", "--warmup", "100", "--seed", "7"]) == 0
+    assert [(a.horizon, a.warmup, a.seed) for a in seen] == [(200_000, 10_000, 0),
+                                                            (5000, 100, 7)]
+    assert {type(value) for a in seen for value in (a.horizon, a.warmup, a.seed)} == {int}
 
 
 class TestCheck:

@@ -258,15 +258,15 @@ class TestStackedDrainSolves:
 class TestComparison:
     def test_reference_policy_passes(self, table_scenario):
         scenario = replace(table_scenario, lambda_pe=0.2, lambda_se=0.4)
-        record = compare_sim_vs_analytic(
-            scenario, PolicyVector.point_mass(10, 0), horizon=200_000, seed=2)
+        record = compare_sim_vs_analytic(SimConfig(
+            scenario, PolicyVector.point_mass(10, 0), "dominant", 200_000, 2, 10_000))
         assert record.passed
         assert record.deltas["mu_s"][0] <= 0.01
 
     def test_idle_licensed_node_exact_zero(self, table_scenario):
         scenario = replace(table_scenario, lambda_pe=0.0, lambda_se=0.4)
-        record = compare_sim_vs_analytic(
-            scenario, PolicyVector.uniform(10), horizon=50_000, seed=3)
+        record = compare_sim_vs_analytic(SimConfig(
+            scenario, PolicyVector.uniform(10), "dominant", 50_000, 3, 10_000))
         assert record.analytic.mu_p == 0.0
         assert record.report.mu_p == 0.0
         assert record.deltas["mu_p"] == (0.0, 0.0)
@@ -278,8 +278,8 @@ class TestComparison:
         real = sweep.simulate
         monkeypatch.setattr(sweep, "simulate",
                             lambda *a, **k: replace(real(*a, **k), mu_p=0.001))
-        record = compare_sim_vs_analytic(
-            scenario, PolicyVector.uniform(10), horizon=20_000, seed=3)
+        record = compare_sim_vs_analytic(SimConfig(
+            scenario, PolicyVector.uniform(10), "dominant", 20_000, 3, 10_000))
         assert record.deltas["mu_p"] == (0.001, math.inf)
         assert record.passed
 
@@ -290,19 +290,28 @@ class TestComparison:
         real = sweep.simulate
         monkeypatch.setattr(sweep, "simulate",
                             lambda *a, **k: calls.append((a, k)) or real(*a, **k))
-        record = compare_sim_vs_analytic(
-            replace(table_scenario, lambda_pe=0.2, lambda_se=0.4),
-            PolicyVector.uniform(10), horizon=20_000, seed=3, warmup=1_000)
+        config = SimConfig(replace(table_scenario, lambda_pe=0.2, lambda_se=0.4),
+                           PolicyVector.uniform(10), "dominant", 20_000, 3, 1_000)
+        record = compare_sim_vs_analytic(config)
         [(args, kwargs)] = calls
-        assert isinstance(args[0], SimConfig) and args[0].mode == "dominant"
+        assert args == (config,) and args[0].mode == "dominant"
         assert kwargs == {"data_queues": False}
         assert record.report.mean_q_p is record.report.drift_s is None
         assert record.report.mean_q_pe is not None
 
+    def test_original_mode_config_refused(self, table_scenario):
+        # the closed form describes the saturated system, so the run it is
+        # graded against must be dominant
+        config = SimConfig(replace(table_scenario, lambda_pe=0.2, lambda_se=0.4),
+                           PolicyVector.uniform(10), "original", 20_000, 3, 1_000)
+        with pytest.raises(ValueError, match="data_queues=False needs mode 'dominant', "
+                                             "got mode 'original'"):
+            compare_sim_vs_analytic(config)
+
     def test_uniform_policy_consumption_rate(self, table_scenario):
         scenario = replace(table_scenario, lambda_pe=0.2, lambda_se=0.4)
-        record = compare_sim_vs_analytic(
-            scenario, PolicyVector.uniform(10), horizon=200_000, seed=4)
+        record = compare_sim_vs_analytic(SimConfig(
+            scenario, PolicyVector.uniform(10), "dominant", 200_000, 4, 10_000))
         assert record.analytic.mu_se == pytest.approx(0.7586, rel=1e-12)
         assert record.deltas["mu_se"][1] <= 0.01
 
@@ -324,8 +333,9 @@ def plain_sweep(spec):
         outcome = solve(scenario)
         comparison = None
         if outcome.status == "optimal":
-            comparison = compare_sim_vs_analytic(scenario, outcome.winner.policy,
-                                                 spec.horizon, spec.seed + k, spec.warmup)
+            comparison = compare_sim_vs_analytic(SimConfig(
+                scenario, outcome.winner.policy, "dominant", spec.horizon, spec.seed + k,
+                spec.warmup))
         rows.append(SweepRow(value, outcome, comparison))
     return rows
 
@@ -389,11 +399,11 @@ class TestCrossChecksOnCpus:
         failed = threading.Event()
         calls = []
 
-        def compare(scenario, policy, horizon, seed, warmup):
-            calls.append(seed)
-            if seed == failing_seed:
+        def compare(config):
+            calls.append(config.seed)
+            if config.seed == failing_seed:
                 failed.set()
-                raise RuntimeError(f"cross-check failed at seed {seed}")
+                raise RuntimeError(f"cross-check failed at seed {config.seed}")
             # every other point waits until the failing one has raised
             assert failed.wait(timeout=60)
 
@@ -415,11 +425,11 @@ class TestCrossChecksOnCpus:
         seeds = []
         real = sweep.compare_sim_vs_analytic
 
-        def compare(scenario, policy, horizon, seed, warmup):
-            seeds.append(seed)
+        def compare(config):
+            seeds.append(config.seed)
             if next(order) < 2:
                 both_in.wait()      # two threads are inside the wrapper at once
-            return real(scenario, policy, horizon, seed, warmup)
+            return real(config)
 
         usable_cpus(monkeypatch, 4)
         monkeypatch.setattr(sweep, "compare_sim_vs_analytic", compare)
