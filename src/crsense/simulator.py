@@ -59,14 +59,14 @@ duration at all. Each chunk takes one of two paths:
   changed flag, that flag, and the indicators before it are already the
   true ones. Every pass settles at least one more flag, and a pass that
   changes no flag has computed the one true trajectory; the first flags
-  only decide how many passes that takes. The first window that
-  ``_PASSES`` passes leave unsettled hands the rest of its chunk, from its
-  first unsettled slot, to a per-slot loop that records the true flags
-  from the settled state, and one more kernel call under those flags fills
-  that rest. So a run near the stability boundary pays for at most one
-  unsettled window of passes per chunk, and only the queue levels cross a
-  chunk boundary. The chunk's levels are int32 under the rule above, taken
-  at its largest start level.
+  only decide how many passes that takes. A window that ``_PASSES`` passes
+  leave unsettled hands its rest, from its first unsettled slot, to a
+  per-slot loop that records the true flags from the settled state, and
+  one kernel call under those flags fills it; the next window starts with
+  passes again, so only the queue levels cross a window boundary. On a
+  2-vCPU Xeon VM this rule runs ``tools/guard_set.py`` in 3.53 s, against
+  3.61 s for a hand-off of the chunk's whole rest. The chunk's levels are
+  int32 under the rule above, taken at its largest start level.
 
 In ``coupled`` mode the original and the saturated twin (kernel) take the
 same chunk, so the pair sees identical randomness even in slots where one
@@ -94,7 +94,7 @@ _DRIFT_SAMPLES = 2000
 _CHUNK = 16_384               # slots per draw: the 9-column draw (1.2 MB) and the
                               # chunk's level arrays stay within a 2 MB L2 cache
 _WINDOW = 4_096               # original-mode slots settled by one set of fixpoint passes
-_PASSES = 6                   # kernel passes per window before the loop takes the chunk's rest
+_PASSES = 6                   # kernel passes per window before the loop takes its rest
 MIN_DIAGNOSTIC_SLOTS = 1_000_000
 
 
@@ -383,9 +383,10 @@ def _first_flags(d: _Draws, state: QueueState) -> tuple[np.ndarray, np.ndarray]:
     return has_p, has_s
 
 
-def _settle(d: _Draws, out: np.ndarray, service: np.ndarray) -> int:
-    """Levels and indicators of the original system over one window, by up
-    to ``_PASSES`` kernel passes; returns how many of its slots they settled.
+def _settle(d: _Draws, out: np.ndarray, service: np.ndarray) -> None:
+    """Fill ``out`` and ``service`` with the original system's levels and
+    indicators over one window: up to ``_PASSES`` kernel passes, then one
+    kernel call under ``_loop``'s flags for the slots they leave unsettled.
 
     ``out`` is a (4, n + 1) array whose first column holds the state at the
     window's start, ``service`` a (6, n) array for the ``_Service`` rows. Each
@@ -394,11 +395,8 @@ def _settle(d: _Draws, out: np.ndarray, service: np.ndarray) -> int:
     first, then the previous pass's ``q_p > 0`` and ``q_s > 0``), and keeps
     the levels up to and the indicators before the first flag its levels
     contradict (see the module docstring), so the first flags change how
-    many passes run, never what they keep. On a return of ``k``, ``out``
-    holds the true levels at slots 0..k and ``service`` the true indicators
-    at slots before k; ``k == n`` once a pass changes no flag.
+    many passes run, never what they keep.
     """
-    n = d.det.size
     has_p, has_s = _first_flags(d, QueueState(*out[:, 0].tolist()))
     start = 0
     for _ in range(_PASSES):
@@ -410,16 +408,17 @@ def _settle(d: _Draws, out: np.ndarray, service: np.ndarray) -> int:
         if not changed[j]:
             out[:, start:] = levels
             service[:, start:] = svc
-            return n
+            return
         out[:, start:start + j + 1] = [q[:j + 1] for q in levels]
         service[:, start:start + j] = [r[:j] for r in svc]
         has_p, has_s = flag_p[j:], flag_s[j:]
         start += j
-    return start
+    rest, entry = _part(d, start), QueueState(*out[:, start].tolist())
+    out[:, start:], service[:, start:] = _kernel(rest, entry, *_loop(rest, entry))
 
 
 def _loop(d: _Draws, state: QueueState) -> tuple[np.ndarray, np.ndarray]:
-    """The rest of a chunk of the original system, slot by slot, from
+    """The rest of a window of the original system, slot by slot, from
     ``state``: its flags ``q_p > 0`` and ``q_s > 0`` at slots 0..n-1, which
     give its levels by ``_kernel``.
 
@@ -454,22 +453,16 @@ def _loop(d: _Draws, state: QueueState) -> tuple[np.ndarray, np.ndarray]:
 
 def _original(d: _Draws, state: QueueState) -> tuple[np.ndarray, _Service]:
     """The original system's (4, n + 1) levels and indicators over one chunk
-    from ``state``. Windows are settled by ``_settle`` until one is left
-    unsettled; ``_loop`` then takes the rest of the chunk from its first
-    unsettled slot, and one kernel call under the loop's flags fills it.
-    The levels are int32 unless the largest start level is within
-    ``n + 1`` of 2**31, as in ``_lindley``."""
+    from ``state``, settled window by window by ``_settle``. The levels are
+    int32 unless the largest start level is within ``n + 1`` of 2**31, as in
+    ``_lindley``."""
     n = d.det.size
     out = np.empty((4, n + 1), dtype=np.int32 if max(state) + n + 1 < 2**31 else np.int64)
     out[:, 0] = state
     service = np.empty((6, n), dtype=bool)
     for w0 in range(0, n, _WINDOW):
         w1 = min(w0 + _WINDOW, n)
-        start = w0 + _settle(_part(d, w0, w1), out[:, w0:w1 + 1], service[:, w0:w1])
-        if start < w1:
-            rest, entry = _part(d, start), QueueState(*out[:, start].tolist())
-            out[:, start:], service[:, start:] = _kernel(rest, entry, *_loop(rest, entry))
-            break
+        _settle(_part(d, w0, w1), out[:, w0:w1 + 1], service[:, w0:w1])
     return out, _Service(*service)
 
 
@@ -629,6 +622,12 @@ def stability_diagnostic(report: SimReport, scenario: Scenario) -> list[Stabilit
     case, and borderline inside the floor. The drift slope (packets per
     slot) is reported alongside; for an unstable queue it approaches
     ``lambda - mu``.
+
+    In ``original`` mode the mean service indicator falls with the load, so
+    the rule can read "stable" for a growing queue: replication 63 of
+    criterion 8's sample at lambda_s = 0.99 mu_s(P), over 2M slots at seed
+    1, reads mu_s 0.156 and "stable" while ``q_s`` grows by +1.1e-3
+    packets/slot. The verdict rule is unchanged; it ignores the slope.
     """
     if report.drift_p is None or report.drift_s is None:
         raise ValueError("report has no data-queue drifts: it comes from a dominant run "

@@ -7,7 +7,7 @@ bundled table with the arguments listed below, each
 ``rng`` line names the numpy release that made it, so that one line is held
 to ``simulator.RNG_DESCRIPTION`` instead), with
 ``table1_simulate_original_lambda_s_0.33.txt`` one near the opportunistic
-queue's stability boundary, where every chunk hands its rest to the loop, and
+queue's stability boundary, where every window hands its rest to the loop, and
 ``table1_check_5_6_7.txt`` the stdout of ``crsense check`` on it for the grid
 criteria 5, 6 and 7. ``physical_lambda_p.csv`` is the sweep of the
 physical-mode scenario ``physical.scn``, whose outage columns are computed

@@ -8,8 +8,8 @@ below is the oracle for all of them: the per-slot simulator that the paths
 replaced, one full-horizon draw, both systems stepped slot by slot in one
 loop. It fixes the reports and traces every seed must keep reproducing. Its
 slot rules, run over one chunk's draws from any start state, are the oracle
-of the kernel under arbitrary flags, of the passes window by window from
-any first flags, and of the loop's flags and hand-off chunk by chunk. The
+of the kernel under arbitrary flags, of each window that the passes and the
+loop settle from any first flags, and of whole chunks window by window. The
 recursion itself is held against a slot-by-slot queue, on both sides of
 the level from which it skips its running maximum. What the passes cost
 is counted too: kernel and loop slots per simulated slot on pinned runs.
@@ -431,9 +431,9 @@ class TestSettledPath:
     """The original system's kernel passes and its loop's flags against the
     reference's levels and indicators, window by window and chunk by chunk,
     from any start state and any first flags, and whole runs against the
-    reference; a pass cap of 0 forces the hand-off of the chunk's rest to
-    the loop from the chunk's start, and near critical a cap of 1, 2 or 6
-    forces it from a settled prefix."""
+    reference; a pass cap of 0 hands every window to the loop from its
+    start, and near critical a cap of 1, 2 or 6 hands a window's rest to
+    it after a settled prefix."""
 
     @settings(max_examples=80, **_SETTINGS)
     @given(data=st.data(), state=states)
@@ -457,10 +457,13 @@ class TestSettledPath:
         service = np.empty_like(want_service)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "_PASSES", passes)
-            settled = simulator._settle(d, out, service)
-        assert 0 <= settled <= d.det.size and (passes > 0 or settled == 0)
-        assert np.array_equal(out[:, :settled + 1], want[:, :settled + 1])
-        assert np.array_equal(service[:, :settled], want_service[:, :settled])
+            loops = []
+            _spy(mp, loops, "_loop")
+            assert simulator._settle(d, out, service) is None
+        assert np.array_equal(out, want)
+        assert np.array_equal(service, want_service)
+        assert len(loops) <= 1 and all(0 < n <= d.det.size for _, n in loops)
+        assert passes > 0 or loops == [("loop", d.det.size)]
 
     @pytest.mark.parametrize("passes", [0, 1, 2, 6])
     @pytest.mark.parametrize("first", ["drawn", "zeros", "ones"])
@@ -470,7 +473,7 @@ class TestSettledPath:
         """The passes keep only what the flags they assumed cannot change,
         so whatever flags the first pass assumes (drawn, all zeros or all
         ones; ``test_settle_equals_reference`` runs ``_first_flags``' own),
-        the settled prefix is the reference's."""
+        the whole window is the reference's."""
         config = data.draw(configs(table_scenario, modes=("original",)))
         d = _first_chunk(config)
         n = d.det.size
@@ -486,10 +489,12 @@ class TestSettledPath:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "_PASSES", passes)
             mp.setattr(simulator, "_first_flags", lambda *_: flags)
-            settled = simulator._settle(d, out, service)
-        assert 0 <= settled <= n and (passes > 0 or settled == 0)
-        assert np.array_equal(out[:, :settled + 1], want[:, :settled + 1])
-        assert np.array_equal(service[:, :settled], want_service[:, :settled])
+            loops = []
+            _spy(mp, loops, "_loop")
+            assert simulator._settle(d, out, service) is None
+        assert np.array_equal(out, want)
+        assert np.array_equal(service, want_service)
+        assert len(loops) <= 1 and (passes > 0 or loops == [("loop", n)])
 
     @settings(max_examples=150, **_SETTINGS)
     @given(data=st.data(), state=states)
@@ -529,8 +534,12 @@ class TestSettledPath:
         assert levels.dtype == np.int32
         assert np.array_equal(levels, want)
         assert np.array_equal(np.array(service), want_service)
-        loops = events.count(("loop", None))
-        assert loops <= 1 and (passes > 0 or loops == 1)
+        (windows,) = _per_window(events)
+        assert len(windows) == -(-d.det.size // window)
+        for slots, calls in windows:
+            loops = [n for name, n in calls if name == "loop"]
+            assert len(loops) <= 1 and all(n <= slots for n in loops)
+            assert passes > 0 or loops == [slots]
 
     @pytest.mark.parametrize("margin, dtype", [(0, np.int64), (1, np.int32)])
     def test_levels_leave_int32_at_the_chunk_rule(self, table_scenario, margin, dtype):
@@ -564,8 +573,9 @@ class TestSettledPath:
 
     @pytest.mark.parametrize("window", [simulator._WINDOW, 512])
     def test_near_critical_replication(self, table_scenario, window, monkeypatch):
-        """At 0.97 mu_s(P) the passes settle almost no window, so each chunk
-        hands its rest to the loop from within its first window."""
+        """At 0.97 mu_s(P) the passes leave most windows unsettled, among
+        them the first of each chunk, and the loop takes the rest of each;
+        every window starts with a pass over all of it."""
         scenario, policy = _replication_63(table_scenario, 0.97)
         assert scenario.lambda_s == pytest.approx(0.97 * 0.13413, abs=1e-5)
         config = SimConfig(scenario, policy, "original", 5 * simulator._WINDOW + 17, 1)
@@ -573,9 +583,11 @@ class TestSettledPath:
         monkeypatch.setattr(simulator, "_WINDOW", window)
         _record_calls(monkeypatch, events)
         report, trace = simulate_traced(config)
-        chunks = _per_chunk(events)
+        chunks = _per_window(events)
         assert len(chunks) == 2
-        assert all(chunk[:2] == [("settle", False), ("loop", None)] for chunk in chunks)
+        for windows in chunks:
+            assert all(calls[0] == ("kernel", slots) for slots, calls in windows)
+            assert any(name == "loop" for name, _ in windows[0][1])
         want_report, want_trace = reference_run(config)
         assert report == want_report
         assert_traces_equal(trace, want_trace)
@@ -584,52 +596,49 @@ class TestSettledPath:
     def test_hand_off_from_a_settled_prefix(self, table_scenario, passes, monkeypatch):
         """Near critical, the passes settle part of the first window and
         leave the rest unsettled, whatever the pass cap, so the loop takes
-        the chunk's rest from inside that window, after a settled prefix."""
+        that window's rest after a settled prefix."""
         scenario, policy = _replication_63(table_scenario, 0.97)
         d = _first_chunk(SimConfig(scenario, policy, "original", simulator._CHUNK, 1))
         state = QueueState()
-        settled, handed = [], []
-        settle, loop = simulator._settle, simulator._loop
-
-        def window(*args):
-            settled.append(settle(*args))
-            return settled[-1]
-
-        def hand_off(rest, entry):
-            handed.append(rest.det.size)
-            return loop(rest, entry)
-
+        events = []
         monkeypatch.setattr(simulator, "_WINDOW", 512)
         monkeypatch.setattr(simulator, "_PASSES", passes)
-        monkeypatch.setattr(simulator, "_settle", window)
-        monkeypatch.setattr(simulator, "_loop", hand_off)
+        _record_calls(monkeypatch, events)
         levels, service = simulator._original(d, state)
-        assert len(settled) == 1 and 0 < settled[0] < 512
-        assert handed == [d.det.size - settled[0]]
+        (windows,) = _per_window(events)
+        slots, calls = windows[0]
+        loops = [n for name, n in calls if name == "loop"]
+        assert slots == 512 and len(loops) == 1 and 0 < loops[0] < 512
         want, want_service = _chunk_reference(d, state)
         assert np.array_equal(levels, want)
         assert np.array_equal(np.array(service), want_service)
 
-    def test_hand_off_is_chunk_scoped(self, table_scenario, monkeypatch):
-        """A chunk whose first window the passes leave unsettled calls the loop
-        exactly once, for the rest of that chunk, and the next chunk starts
-        with passes again; a chunk whose windows settle never calls it."""
+    def test_hand_off_is_window_scoped(self, table_scenario, monkeypatch):
+        """In a chunk of 16 384 slots near critical, every window the passes
+        leave unsettled calls the loop once, after ``_PASSES`` passes, for no
+        more than its own rest, and one kernel call under the loop's flags
+        ends it; the next window runs passes again, and one of them settles
+        by passes alone after an unsettled one."""
         scenario, policy = _replication_63(table_scenario, 0.97)
-        config = SimConfig(scenario, policy, "original", 3 * 4096, 1)
+        config = SimConfig(scenario, policy, "original", 16_384, 1)
+        assert simulator._CHUNK == 16_384 and simulator._WINDOW == 4_096
         events = []
-        monkeypatch.setattr(simulator, "_CHUNK", 4096)
-        monkeypatch.setattr(simulator, "_WINDOW", 1024)
         _record_calls(monkeypatch, events)
         report = simulate(config)
-        chunks = _per_chunk(events)
-        assert len(chunks) == 3
-        for chunk in chunks:
-            assert chunk[0][0] == "settle"
-            loops = [k for k, (name, _) in enumerate(chunk) if name == "loop"]
-            unsettled = [k for k, (name, done) in enumerate(chunk) if done is False]
-            assert len(loops) <= 1 and [k + 1 for k in unsettled] == loops
-            assert loops == [] or loops[0] == len(chunk) - 1
-        assert chunks[0] == [("settle", False), ("loop", None)]
+        (windows,) = _per_window(events)
+        assert len(windows) == 4
+        unsettled = []
+        for slots, calls in windows:
+            assert calls[0] == ("kernel", slots)
+            names = [name for name, _ in calls]
+            unsettled.append("loop" in names)
+            if unsettled[-1]:
+                assert names == ["kernel"] * simulator._PASSES + ["loop", "kernel"]
+                rest = calls[-1][1]
+                assert calls[-2] == ("loop", rest) and 0 < rest <= calls[-3][1] <= slots
+            else:
+                assert len(names) <= simulator._PASSES
+        assert unsettled == [True, True, False, True]
         assert report == reference_run(config)[0]
 
 
@@ -642,7 +651,7 @@ class TestPassCost:
 
     # (kernel, loop) slots per simulated slot on these runs when every
     # window's first pass assumed all-ones flags, rounded down
-    ALL_ONES = {"original": (3.2664, 0.3806), "coupled": (3.5271, 0.2222)}
+    ALL_ONES = {"original": (4.6594, 0.1365), "coupled": (3.9472, 0.1139)}
 
     @staticmethod
     def _runs(table):
@@ -663,65 +672,57 @@ class TestPassCost:
         return runs
 
     def test_fewer_slots_than_all_ones(self, table_scenario, monkeypatch):
-        counts = _count_slots(monkeypatch)
+        calls = []
+        _spy(monkeypatch, calls, "_kernel", "_loop")
         runs = self._runs(table_scenario)
-        for mode, (kernel, loop) in self.ALL_ONES.items():
-            counts.update(kernel=0, loop=0)
+        for mode, bounds in self.ALL_ONES.items():
+            calls.clear()
             slots = 0
             for config in (c for c in runs if c.mode == mode):
                 simulate(config)
                 slots += config.horizon
-            assert counts["kernel"] / slots < kernel, mode
-            assert counts["loop"] / slots < loop, mode
+            for name, bound in zip(("kernel", "loop"), bounds):
+                assert sum(n for call, n in calls if call == name) / slots < bound, mode
 
 
-def _count_slots(monkeypatch):
-    """Count the slots of each ``_kernel`` and each ``_loop`` call, as
-    ``_record_calls`` logs them: returns the running totals, by name."""
-    counts = {"kernel": 0, "loop": 0}
-    kernel, loop = simulator._kernel, simulator._loop
-
-    def counted_kernel(d, *args):
-        counts["kernel"] += d.det.size
-        return kernel(d, *args)
-
-    def counted_loop(d, state):
-        counts["loop"] += d.det.size
-        return loop(d, state)
-
-    monkeypatch.setattr(simulator, "_kernel", counted_kernel)
-    monkeypatch.setattr(simulator, "_loop", counted_loop)
-    return counts
+def _spy(monkeypatch, events, *names):
+    """Log each call of the named simulator functions into ``events`` as
+    ``(name, slots)``, the name without its leading underscore."""
+    for name in names:
+        def spied(d, *args, call=getattr(simulator, name), name=name[1:]):
+            events.append((name, d.det.size))
+            return call(d, *args)
+        monkeypatch.setattr(simulator, name, spied)
 
 
 def _record_calls(monkeypatch, events):
-    """Log each ``_original`` chunk, each ``_settle`` window (with whether its
-    passes settled it) and each ``_loop`` hand-off into ``events``."""
-    original, settle, loop = simulator._original, simulator._settle, simulator._loop
-
-    def chunk(d, state):
-        events.append(("chunk", None))
-        return original(d, state)
+    """Log each ``_original`` chunk, ``_settle`` window, ``_kernel`` call and
+    ``_loop`` call into ``events`` as ``_spy`` does, and hold every window
+    ``_settle`` fills, whole, to the reference's levels and indicators from
+    the window's start state."""
+    settle = simulator._settle
 
     def window(d, out, service):
-        settled = settle(d, out, service)
-        events.append(("settle", settled == d.det.size))
-        return settled
+        events.append(("settle", d.det.size))
+        want, want_service = _chunk_reference(d, QueueState(*out[:, 0].tolist()))
+        assert settle(d, out, service) is None
+        assert np.array_equal(out, want)
+        assert np.array_equal(service, want_service)
 
-    def hand_off(d, state):
-        events.append(("loop", None))
-        return loop(d, state)
-
-    monkeypatch.setattr(simulator, "_original", chunk)
+    _spy(monkeypatch, events, "_original", "_kernel", "_loop")
     monkeypatch.setattr(simulator, "_settle", window)
-    monkeypatch.setattr(simulator, "_loop", hand_off)
 
 
-def _per_chunk(events):
+def _per_window(events):
+    """``events`` split by chunk and, within a chunk, by window: a list per
+    chunk of ``(slots, calls)``, one per window, ``calls`` being the window's
+    kernel and loop calls in order."""
     chunks = []
-    for event in events:
-        if event[0] == "chunk":
+    for name, slots in events:
+        if name == "original":
             chunks.append([])
+        elif name == "settle":
+            chunks[-1].append((slots, []))
         else:
-            chunks[-1].append(event)
+            chunks[-1][-1][1].append((name, slots))
     return chunks
