@@ -31,7 +31,7 @@ from .channel import PhysicalLink, verify_outage_monotonicity
 from .lp import CONSTRAINT_TOL
 from .optimizer import solve_constrained_subproblem, solve_overflow_subproblem
 from .simulator import SimConfig, SlotTrace, simulate, simulate_traced
-from .sweep import SweepSpec, _map_on_cpus, rows_to_csv, run_sweep
+from .sweep import SweepRow, SweepSpec, _map_on_cpus, rows_to_csv, run_sweep
 
 
 @dataclass(frozen=True)
@@ -348,17 +348,25 @@ def criterion_4_optimizer_vs_bruteforce(scenario: Scenario) -> CriterionResult:
     return CriterionResult(4, "optimizer vs brute force", passed, detail)
 
 
-def criterion_5_infeasibility_threshold(scenario: Scenario) -> CriterionResult:
+def _licensed_sweep(scenario: Scenario) -> tuple[SweepSpec, list[SweepRow]]:
+    """The lambda_pe sweep that criteria 5 and 7(c) both read, and its spec:
+    the table at lambda_p=0.2 and lambda_se=0.4 over the 0.01 grid of [0, 1].
+    ``run_all`` solves it once for the two."""
+    spec = SweepSpec(replace(scenario, lambda_p=0.2, lambda_se=0.4), "lambda_pe", 0.0, 1.0, 0.01)
+    return spec, run_sweep(spec)
+
+
+def criterion_5_infeasibility_threshold(scenario: Scenario, licensed=None) -> CriterionResult:
     """No policy can stabilize the licensed queue until its energy rate
-    clears lambda_p / (1 - primary_outage)."""
-    base = replace(scenario, lambda_p=0.2, lambda_se=0.4)
+    clears lambda_p / (1 - primary_outage). ``licensed`` is
+    ``_licensed_sweep(scenario)`` when the caller has it already."""
+    spec, rows = licensed or _licensed_sweep(scenario)
+    base = spec.scenario
     reachable = base.primary_outage < 1.0     # else the licensed node never delivers
     threshold = base.lambda_p / (1.0 - base.primary_outage) if reachable else math.inf
     below_ok = True
     below = 0
     first_feasible = None
-    step = 0.01
-    rows = run_sweep(SweepSpec(base, "lambda_pe", 0.0, 1.0, step))
     for row in rows:
         if row.swept_value < threshold - 1e-9:
             below += 1
@@ -371,7 +379,7 @@ def criterion_5_infeasibility_threshold(scenario: Scenario) -> CriterionResult:
              f"all {below}, as primary_outage = 1 puts the threshold out of reach")
     return CriterionResult(
         5, "infeasibility threshold", passed,
-        f"{len(rows)} lambda_pe points at step {step}; infeasible at {where}: "
+        f"{len(rows)} lambda_pe points at step {spec.step}; infeasible at {where}: "
         f"{below_ok}; first feasible grid point {first_feasible}")
 
 
@@ -404,7 +412,7 @@ def criterion_6_plateau(scenario: Scenario) -> CriterionResult:
                 if not issues else "; ".join(issues)))
 
 
-def criterion_7_frontier(scenario: Scenario) -> CriterionResult:
+def criterion_7_frontier(scenario: Scenario, licensed=None) -> CriterionResult:
     """Monotone frontier shapes: (a) mu_s falls with lambda_p; (b) mu_s at
     lambda_se=0.4 is at least mu_s at 0.2 wherever the 0.2 optimum stays
     feasible at 0.4; (c) mu_p at the optimum rises with lambda_pe.
@@ -412,7 +420,8 @@ def criterion_7_frontier(scenario: Scenario) -> CriterionResult:
     Every optimum comes from ``run_sweep`` over the 0.01 grid of [0, 1],
     whose infeasible points carry zero throughput: (a) and (b) read the
     lambda_p sweeps at lambda_pe=0.4 and lambda_se 0.2 and 0.4, (c) the
-    lambda_pe sweep at lambda_p=0.2 and lambda_se=0.4.
+    lambda_pe sweep at lambda_p=0.2 and lambda_se=0.4, which criterion 5
+    reads too (``licensed``, as there).
 
     For (b): for a fixed policy P, mu_s(P) = min(lambda_se / mu_se(P), 1) *
     (1 - lambda_pe) * (u @ P) is nondecreasing in lambda_se, since mu_se(P)
@@ -432,8 +441,7 @@ def criterion_7_frontier(scenario: Scenario) -> CriterionResult:
     """
     low, high = (run_sweep(SweepSpec(replace(scenario, lambda_pe=0.4, lambda_se=lam_se),
                                      "lambda_p", 0.0, 1.0, 0.01)) for lam_se in (0.2, 0.4))
-    licensed = run_sweep(SweepSpec(replace(scenario, lambda_p=0.2, lambda_se=0.4),
-                                   "lambda_pe", 0.0, 1.0, 0.01))
+    licensed = (licensed or _licensed_sweep(scenario))[1]
     issues = []
     mu_s = [row.outcome.winner.value for row in high]
     for row, before, after in zip(high[1:], mu_s, mu_s[1:]):
@@ -607,4 +615,6 @@ def run_all(scenario: Scenario, criteria: list[int] | None = None) -> list[Crite
     unknown = [n for n in numbers if n not in _CRITERIA]
     if unknown:
         raise ValueError(f"unknown criterion numbers: {unknown}")
-    return [_CRITERIA[n](scenario) for n in numbers]
+    licensed = _licensed_sweep(scenario) if 5 in numbers and 7 in numbers else None
+    return [_CRITERIA[n](scenario, licensed) if n in (5, 7) else _CRITERIA[n](scenario)
+            for n in numbers]

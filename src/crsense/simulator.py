@@ -72,6 +72,20 @@ In ``coupled`` mode the original and the saturated twin (kernel) take the
 same chunk, so the pair sees identical randomness even in slots where one
 of them ignores a draw.
 
+Concurrent runs, such as a sweep's cross-checks on its thread pool, take
+turns on one process-wide lock, ``_TURN``. A chunk's ``rng.random`` fill
+runs outside the turn: numpy releases the interpreter lock (GIL) while it
+fills, and that fill is about half of a saturated cross-check's chunk. The
+rest of the chunk is some fifty short numpy calls that hold the GIL, and it
+runs inside the turn, in two turns: the indicator compares in
+``_draw_chunks``, then the kernel, counters, drift samples and trace parts
+in ``_run``. So one thread draws while another computes, where without the
+turn the two would hand the GIL back and forth around every call. No turn
+is held across a ``yield``, so an exception, or a generator dropped early,
+cannot leave it taken. A run alone takes an uncontended lock twice per
+chunk. The turn assumes an interpreter with a GIL; on a free-threaded build
+it would serialize work that could run in parallel.
+
 Reported service rates are the per-slot means of the service-process
 indicators (the service a queue would receive if backlogged), which is the
 quantity the closed-form expressions in ``analytics`` describe.
@@ -79,7 +93,9 @@ quantity the closed-form expressions in ``analytics`` describe.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -96,6 +112,7 @@ _CHUNK = 16_384               # slots per draw: the 9-column draw (1.2 MB) and t
 _WINDOW = 4_096               # original-mode slots settled by one set of fixpoint passes
 _PASSES = 6                   # kernel passes per window before the loop takes its rest
 MIN_DIAGNOSTIC_SLOTS = 1_000_000
+_TURN = threading.Lock()      # held by the GIL-bound part of a chunk, never across a yield
 
 
 class QueueState(NamedTuple):
@@ -282,12 +299,14 @@ def _draw_chunks(scenario: Scenario, policy: PolicyVector, horizon: int, seed: i
               1.0 - scenario.secondary_outages()[index])
     buffer = np.empty((min(_CHUNK, horizon), 9))
     for t0 in range(0, horizon, _CHUNK):
-        u = rng.random(out=buffer[:min(_CHUNK, horizon - t0)])
-        if not levels:
-            yield t0, _indicators(scenario, u, *(t[0] for t in tables), data_queues)
-        else:
-            m = _levels_passed(levels, u[:, 4].copy())     # contiguous: one read per pass
-            yield t0, _indicators(scenario, u, *(t.take(m) for t in tables), data_queues)
+        u = rng.random(out=buffer[:min(_CHUNK, horizon - t0)])     # outside the turn
+        with _TURN:
+            if not levels:
+                draws = _indicators(scenario, u, *(t[0] for t in tables), data_queues)
+            else:
+                m = _levels_passed(levels, u[:, 4].copy())     # contiguous: one read per pass
+                draws = _indicators(scenario, u, *(t.take(m) for t in tables), data_queues)
+        yield t0, draws
 
 
 def _lindley(q0: int, arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
@@ -466,16 +485,29 @@ def _original(d: _Draws, state: QueueState) -> tuple[np.ndarray, _Service]:
     return out, _Service(*service)
 
 
-def _drifts(samples: list[np.ndarray], stride: int) -> list[float]:
-    """Least-squares slope of each queue's samples against the slot, as
-    ``np.polyfit(x, y, 1)`` computes it, with its design matrix built once:
-    the samples of every queue sit at the same slots."""
-    n = len(samples[0])
-    if n < 2:
-        return [0.0] * len(samples)
+@functools.lru_cache(maxsize=16)
+def _design(n: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """The drift fit's scaled design matrix over ``n`` samples ``stride`` slots
+    apart, and its column norms, as ``np.polyfit(x, y, 1)`` builds them.
+    Read-only, as every run with the same sample count and stride shares
+    them; a run's count and stride follow from its measured slots alone."""
     lhs = np.vander(np.arange(n, dtype=float) * stride, 2)
     scale = np.sqrt((lhs * lhs).sum(axis=0))
     lhs /= scale
+    lhs.setflags(write=False)
+    scale.setflags(write=False)
+    return lhs, scale
+
+
+def _drifts(samples: list[np.ndarray], stride: int) -> list[float]:
+    """Least-squares slope of each queue's samples against the slot, as
+    ``np.polyfit(x, y, 1)`` computes it, with its design matrix built once
+    per sample count and stride (``_design``): the samples of every queue
+    sit at the same slots."""
+    n = len(samples[0])
+    if n < 2:
+        return [0.0] * len(samples)
+    lhs, scale = _design(n, stride)
     rcond = n * np.finfo(float).eps
     return [float(np.linalg.lstsq(lhs, y.astype(float), rcond)[0][0] / scale[0])
             for y in samples]
@@ -489,7 +521,11 @@ def _run(config: SimConfig, trace: bool, data_queues: bool = True):
     """One run, chunk by chunk; the statistics describe the original system
     in ``original`` and ``coupled`` mode and the saturated one otherwise.
     Without ``data_queues`` (dominant mode only) the chunks run ``_energy``
-    alone, and the data queues' levels, sums and drifts are never formed."""
+    alone, and the data queues' levels, sums and drifts are never formed.
+
+    All of a chunk's work here holds the GIL, so it runs in one turn of
+    ``_TURN``; the chunk's draw, which releases the GIL, runs outside any
+    turn, in ``_draw_chunks`` (see the module docstring)."""
     mode, horizon, warmup = config.mode, config.horizon, config.warmup
     measured = horizon - warmup
     stride = max(1, measured // _DRIFT_SAMPLES)
@@ -506,34 +542,35 @@ def _run(config: SimConfig, trace: bool, data_queues: bool = True):
 
     for t0, d in _draw_chunks(config.scenario, config.policy, horizon, config.seed,
                               data_queues):
-        ones = np.ones(d.det.size, dtype=bool)
-        if not data_queues:
-            q_pe, q_se, service = _energy(d, state, ones, ones)
-            levels = (None, None, q_pe, q_se)
-        elif mode == "dominant":
-            levels, service = _kernel(d, state, ones, ones)
-        else:
-            levels, service = _original(d, state)
-            if mode == "coupled":
-                twin_levels = _kernel(d, twin, ones, ones)[0]
-                twin = _end(twin_levels)
-                violations += sum(int(np.count_nonzero(levels[k][1:] > twin_levels[k][1:]))
-                                  for k in (0, 1))
-        state = _end(levels)
-        n = d.det.size
-        lo = min(max(warmup - t0, 0), n)
-        first = lo + (warmup - t0 - lo) % stride     # drift samples: t - warmup = 0 mod stride
-        for k, r in enumerate(service[2:]):
-            svc[k] += int(np.count_nonzero(r[lo:]))
-        for k in queues:
-            q = levels[k]
-            qsum[k] += int(q[lo:n].sum(dtype=np.int64))   # int32 chunk levels, summed wide
-            drift_samples[k].append(q[first:n:stride].copy())     # a view would keep the chunk
-        pe_nonempty += int(np.count_nonzero(levels[2][lo:n]))
-        se_nonempty += int(np.count_nonzero(levels[3][lo:n]))
-        collisions += int(np.count_nonzero(service.pu_tx[lo:] & service.cr_tx[lo:]))
-        if trace:
-            parts.append(tuple(q[:-1] for q in levels) + d[:4] + service)
+        with _TURN:
+            ones = np.ones(d.det.size, dtype=bool)
+            if not data_queues:
+                q_pe, q_se, service = _energy(d, state, ones, ones)
+                levels = (None, None, q_pe, q_se)
+            elif mode == "dominant":
+                levels, service = _kernel(d, state, ones, ones)
+            else:
+                levels, service = _original(d, state)
+                if mode == "coupled":
+                    twin_levels = _kernel(d, twin, ones, ones)[0]
+                    twin = _end(twin_levels)
+                    violations += sum(int(np.count_nonzero(levels[k][1:] > twin_levels[k][1:]))
+                                      for k in (0, 1))
+            state = _end(levels)
+            n = d.det.size
+            lo = min(max(warmup - t0, 0), n)
+            first = lo + (warmup - t0 - lo) % stride     # drift samples: t - warmup = 0 mod stride
+            for k, r in enumerate(service[2:]):
+                svc[k] += int(np.count_nonzero(r[lo:]))
+            for k in queues:
+                q = levels[k]
+                qsum[k] += int(q[lo:n].sum(dtype=np.int64))   # int32 chunk levels, summed wide
+                drift_samples[k].append(q[first:n:stride].copy())     # a view would keep the chunk
+            pe_nonempty += int(np.count_nonzero(levels[2][lo:n]))
+            se_nonempty += int(np.count_nonzero(levels[3][lo:n]))
+            collisions += int(np.count_nonzero(service.pu_tx[lo:] & service.cr_tx[lo:]))
+            if trace:
+                parts.append(tuple(q[:-1] for q in levels) + d[:4] + service)
 
     mean = {k: qsum[k] / measured for k in queues}
     drift = dict(zip(queues, _drifts([np.concatenate(drift_samples[k]) for k in queues],

@@ -111,6 +111,28 @@ def test_criterion_7_frontier(table_scenario, monkeypatch):
     assert len(solved) == 3 * 101           # each of the three sweeps runs once
 
 
+@pytest.mark.parametrize("numbers,sweeps", [([5], 1), ([7], 3), ([5, 7], 3), ([4, 5, 7, 9], 3)])
+def test_criteria_5_and_7_share_the_lambda_pe_sweep(table_scenario, monkeypatch, numbers,
+                                                    sweeps):
+    # both read the lambda_pe sweep at lambda_p=0.2 and lambda_se=0.4;
+    # run together, they solve it once
+    expected = {5: acc.criterion_5_infeasibility_threshold(table_scenario),
+                7: acc.criterion_7_frontier(table_scenario)}
+    for n in (4, 9):
+        monkeypatch.setitem(acc._CRITERIA, n, lambda scenario, n=n: n)
+    solved = []
+    real = sweep.solve
+
+    def counting(scenario, constrained=None):
+        solved.append(scenario)
+        return real(scenario, constrained)
+
+    monkeypatch.setattr(sweep, "solve", counting)
+    results = acc.run_all(table_scenario, numbers)
+    assert results == [expected.get(n, n) for n in numbers]
+    assert len(solved) == sweeps * 101
+
+
 @pytest.fixture(scope="module")
 def frontier(table_scenario):
     return acc.criterion_7_frontier(table_scenario)

@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -7,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crsense import simulator
+from crsense import simulator, sweep
 from crsense.acceptance import audit_coupling
 from crsense.analytics import PolicyVector, Scenario, analyze
 from crsense.channel import SensingOption
 from crsense.simulator import (
+    _CHUNK,
     MODES,
     SimConfig,
     SimReport,
@@ -359,3 +363,147 @@ class TestStabilityDiagnostic:
             drift_p=0.0, drift_s=0.0, drift_pe=0.0, drift_se=0.0, collisions=0)
         verdicts = {v.queue: v for v in stability_diagnostic(report, table_scenario)}
         assert verdicts["primary_data"].verdict == "borderline"
+
+
+
+RUN_KINDS = [("dominant", False), ("dominant", True), ("original", True), ("coupled", True)]
+
+
+def _assert_turn_free():
+    leaked = simulator._TURN.locked()
+    if leaked:
+        simulator._TURN.release()       # so that the tests after this one can run
+    assert not leaked, "the turn was left taken"
+
+
+def _within(seconds, fn):
+    """``fn()`` on a daemon thread: its result, or its exception raised here.
+    A call that waits on a turn left taken would never return, so a call
+    still running after ``seconds`` fails the test instead."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((fn(), None))
+        except Exception as error:
+            outcome.append((None, error))
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    if runner.is_alive():
+        _assert_turn_free()
+        pytest.fail(f"still running after {seconds} s")
+    result, error = outcome[0]
+    if error is not None:
+        raise error
+    return result
+
+
+class TestTurn:
+    """Runs take turns on ``simulator._TURN`` for the GIL-bound part of each
+    chunk and draw outside it; no turn outlives a chunk, an error or a pool."""
+
+    def test_turn_free_between_chunks(self, table_scenario):
+        chunks = simulator._draw_chunks(table_scenario, PolicyVector.uniform(10),
+                                        3 * _CHUNK, 1)
+        next(chunks)
+        _assert_turn_free()
+        del chunks                          # dropped early, between two chunks
+        _assert_turn_free()
+
+    @pytest.mark.parametrize("mode,data_queues", RUN_KINDS)
+    def test_draws_outside_and_compute_inside_the_turn(self, table_scenario, monkeypatch,
+                                                       mode, data_queues):
+        real_rng, real_indicators, real_energy = (
+            np.random.default_rng, simulator._indicators, simulator._energy)
+        draws, compares, kernels = [], [], []
+
+        class Watched:
+            """The run's generator, noting whether the turn is taken at each draw."""
+
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+
+            def random(self, *args, **kwargs):
+                draws.append(simulator._TURN.locked())
+                return self.rng.random(*args, **kwargs)
+
+        def indicators(*args):
+            compares.append(simulator._TURN.locked())
+            return real_indicators(*args)
+
+        def energy(*args):
+            kernels.append(simulator._TURN.locked())
+            return real_energy(*args)
+
+        config = SimConfig(table_scenario, PolicyVector.uniform(10), mode, 3 * _CHUNK + 5, 7)
+        expected = simulate(config, data_queues=data_queues)
+        monkeypatch.setattr(np.random, "default_rng", Watched)
+        monkeypatch.setattr(simulator, "_indicators", indicators)
+        monkeypatch.setattr(simulator, "_energy", energy)
+        assert simulate(config, data_queues=data_queues) == expected
+        _assert_turn_free()
+        assert draws == [False] * 4
+        assert compares == [True] * 4
+        assert kernels and all(kernels)
+
+    @staticmethod
+    def _fail_second_chunk(monkeypatch):
+        real, calls = simulator._energy, itertools.count()
+
+        def energy(*args):
+            if next(calls) == 1:
+                raise RuntimeError("second chunk failed")
+            return real(*args)
+
+        monkeypatch.setattr(simulator, "_energy", energy)
+
+    def test_error_in_a_turn_leaves_it_free(self, table_scenario, monkeypatch):
+        config = SimConfig(table_scenario, PolicyVector.uniform(10), "dominant",
+                           3 * _CHUNK, 1)
+        expected = simulate(config)
+        self._fail_second_chunk(monkeypatch)
+        with pytest.raises(RuntimeError, match="second chunk failed"):
+            simulate(config)
+        _assert_turn_free()
+        assert _within(60, lambda: simulate(config)) == expected
+
+    def test_pooled_sweep_reraises_an_error_in_a_turn(self, table_scenario, monkeypatch):
+        spec = sweep.SweepSpec(replace(table_scenario, lambda_pe=0.4, lambda_se=0.4),
+                               "lambda_p", 0.0, 0.1, 0.01, simulate=True,
+                               horizon=3 * _CHUNK, warmup=1_000)
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+        expected = sweep.run_sweep(spec)
+        self._fail_second_chunk(monkeypatch)
+        baseline = threading.active_count()
+        with pytest.raises(RuntimeError, match="second chunk failed"):
+            _within(60, lambda: sweep.run_sweep(spec))
+        assert threading.active_count() == baseline
+        _assert_turn_free()
+        assert _within(60, lambda: sweep.run_sweep(spec)) == expected   # past the failure
+
+    def test_more_threads_than_cores_give_one_threads_reports(self, table_scenario,
+                                                             monkeypatch):
+        workers = sweep._usable_cpus() + 2
+        items = [(SimConfig(replace(table_scenario, lambda_p=0.02 * (1 + k % 5),
+                                    lambda_s=0.05 * (1 + k % 3)),
+                            PolicyVector.uniform(10), mode, 2 * _CHUNK + 1_000, k, 1_000),
+                  data_queues)
+                 for k, (mode, data_queues) in zip(range(max(12, workers)),
+                                                   itertools.cycle(RUN_KINDS))]
+
+        def run(item):
+            config, data_queues = item
+            return simulate(config, data_queues=data_queues)
+
+        expected = [run(item) for item in items]
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reports = sweep._map_on_cpus(run, items)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [repr(r) for r in reports] == [repr(r) for r in expected]
+        _assert_turn_free()
