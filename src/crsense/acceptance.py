@@ -30,8 +30,8 @@ from .analytics import PolicyVector, Scenario, analyze
 from .channel import PhysicalLink, verify_outage_monotonicity
 from .lp import CONSTRAINT_TOL
 from .optimizer import solve_constrained_subproblem, solve_overflow_subproblem
-from .simulator import SimConfig, SlotTrace, simulate, simulate_traced
-from .sweep import SweepRow, SweepSpec, _map_on_cpus, rows_to_csv, run_sweep
+from .simulator import SimConfig, SlotTrace, map_on_cpus, simulate, simulate_traced
+from .sweep import SweepRow, SweepSpec, rows_to_csv, run_sweep
 
 
 @dataclass(frozen=True)
@@ -290,7 +290,7 @@ def criterion_3_occupancy(scenario: Scenario) -> CriterionResult:
     scenarios are drawn before any is simulated, and their cross-checks
     (``sweep.compare_sim_vs_analytic``, whose ``prob_se_nonempty`` reference
     is the ratio lambda_se / mu_se) run on a pool of one thread per usable
-    CPU (``sweep._map_on_cpus``).
+    CPU (``simulator.map_on_cpus``).
     """
     rng = np.random.default_rng(_OCCUPANCY_SEED)
     m = scenario.num_durations
@@ -313,7 +313,7 @@ def criterion_3_occupancy(scenario: Scenario) -> CriterionResult:
         case = replace(scenario, lambda_pe=lam_pe, lambda_se=lam_se)
         cases.append(SimConfig(case, policy, "dominant", _OCCUPANCY_HORIZON, 100 + i,
                                warmup=20_000))
-    records = _map_on_cpus(sweep.compare_sim_vs_analytic, cases)
+    records = map_on_cpus(sweep.compare_sim_vs_analytic, cases)
     worst = max(record.deltas["prob_se_nonempty"][0] for record in records)
     return CriterionResult(
         3, "energy occupancy formula", worst <= 0.01,

@@ -6,7 +6,11 @@ Verbs:
     simulate   run the slot simulator with a given or optimized policy
     check      run the bundled acceptance suite against a scenario
 
-Exit codes: 0 success, 2 infeasible-only results, 1 error.
+Exit codes: 0 success; 2 infeasible-only results (no optimal policy from
+``solve`` or ``simulate --policy optimal``, no optimal grid point in
+``sweep``); 1 on an input error (a bad file, grid or run setting), and from
+``check`` also when any criterion fails. A malformed command line exits 2
+from ``argparse``.
 """
 
 from __future__ import annotations

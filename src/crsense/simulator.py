@@ -72,21 +72,19 @@ In ``coupled`` mode the original and the saturated twin (kernel) take the
 same chunk, so the pair sees identical randomness even in slots where one
 of them ignores a draw.
 
-Concurrent runs, such as a sweep's cross-checks on its thread pool, take
-turns on one process-wide lock, ``_TURN``. A chunk's ``rng.random`` fill
-runs outside the turn: numpy releases the interpreter lock (GIL) while it
-fills, and that fill is about half of a saturated cross-check's chunk. The
-rest of the chunk is some fifty short numpy calls that hold the GIL, and it
-runs inside the turn, in two turns: the indicator compares in
-``_draw_chunks``, then the kernel, counters, drift samples and trace parts
-in ``_run``. So one thread draws while another computes, where without the
-turn the two would hand the GIL back and forth around every call. No turn
-is held across a ``yield``, so an exception, or a generator dropped early,
-cannot leave it taken. A run alone takes an uncontended lock twice per
-chunk. On a 2-vCPU Xeon VM the turn took ``validate-sweep`` from 87.0 to
-100.7 points/s (``BENCH_31.json``). The turn assumes an interpreter with a
-GIL; on a free-threaded build it would serialize work that could run in
-parallel.
+Concurrent runs, such as a sweep's cross-checks on ``map_on_cpus``'s
+thread pool, take turns on one process-wide lock, ``_TURN``: one turn per
+chunk. A chunk's ``rng.random`` fill runs outside the turn: numpy releases
+the interpreter lock (GIL) while it fills, and that fill is about half of a
+saturated cross-check's chunk. The rest of the chunk is some fifty short
+numpy calls that hold the GIL, and it runs inside the one turn: the
+indicator compares, the kernel, counters, drift samples and trace parts.
+So one thread draws while another computes, where without the turn the two
+would hand the GIL back and forth around every call. A run alone takes an
+uncontended lock once per chunk. On a 2-vCPU Xeon VM the turn took
+``validate-sweep`` from 87.0 to 100.7 points/s (``BENCH_31.json``). The
+turn assumes an interpreter with a GIL; on a free-threaded build it would
+serialize work that could run in parallel.
 
 Reported service rates are the per-slot means of the service-process
 indicators (the service a queue would receive if backlogged), which is the
@@ -97,6 +95,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -114,7 +113,7 @@ _CHUNK = 16_384               # slots per draw: the 9-column draw (1.2 MB) and t
 _WINDOW = 4_096               # original-mode slots settled by one set of fixpoint passes
 _PASSES = 6                   # kernel passes per window before the loop takes its rest
 MIN_DIAGNOSTIC_SLOTS = 1_000_000
-_TURN = threading.Lock()      # held by the GIL-bound part of a chunk, never across a yield
+_TURN = threading.Lock()      # held by the GIL-bound part of a chunk, once per chunk
 
 
 class QueueState(NamedTuple):
@@ -262,14 +261,33 @@ def _levels_passed(levels: list[float], pick: np.ndarray) -> np.ndarray:
     return passed
 
 
-def _indicators(scenario: Scenario, u: np.ndarray, det, fal, good_s,
+def _duration_tables(scenario: Scenario, policy: PolicyVector):
+    """The policy's duration ``levels`` (``_duration_levels``) and, by the
+    number of levels a draw passes, its duration's detection, false-alarm
+    and opportunistic-channel probabilities: built once per run."""
+    levels, index = _duration_levels(policy)
+    return levels, (scenario.detection_probs()[index], scenario.false_alarm_probs()[index],
+                    1.0 - scenario.secondary_outages()[index])
+
+
+def _indicators(scenario: Scenario, u: np.ndarray, levels: list[float], tables,
                 data_queues: bool) -> _Draws:
-    """The indicator draws of one chunk of uniforms, given each slot's
-    detection, false-alarm and opportunistic-channel probabilities (arrays,
-    or scalars when every slot has the same duration). Passed as arguments,
-    the per-slot arrays are freed before the chunk is consumed, instead of
-    staying alive in the generator's frame. Without ``data_queues`` the
-    data arrivals are ``None``."""
+    """The indicator draws of one chunk of uniforms ``u``, nine per slot in
+    the column order arrivals (p, s, pe, se), duration, sensing (detection,
+    false alarm), channels (licensed, opportunistic), given the run's
+    ``_duration_tables``.
+
+    The duration column costs one pass per level, and the chunk's duration
+    index serves all three table gathers; a policy without a level (a point
+    mass) compares the sensing and channel draws with scalars. Without
+    ``data_queues`` the two data-arrival columns, drawn to keep the stream,
+    are not compared and are ``None``.
+    """
+    if levels:
+        m = _levels_passed(levels, u[:, 4].copy())     # contiguous: one read per pass
+        det, fal, good_s = (t.take(m) for t in tables)
+    else:
+        det, fal, good_s = (t[0] for t in tables)
     return _Draws(
         u[:, 0] < scenario.lambda_p if data_queues else None,
         u[:, 1] < scenario.lambda_s if data_queues else None,
@@ -280,35 +298,6 @@ def _indicators(scenario: Scenario, u: np.ndarray, det, fal, good_s,
         u[:, 7] < 1.0 - scenario.primary_outage,
         u[:, 8] < good_s,
     )
-
-
-def _draw_chunks(scenario: Scenario, policy: PolicyVector, horizon: int, seed: int,
-                 data_queues: bool = True):
-    """Yield ``(t0, draws)`` for consecutive chunks of at most ``_CHUNK`` slots.
-
-    All chunks come from one PCG64 stream, nine uniforms per slot in the
-    column order arrivals (p, s, pe, se), duration, sensing (detection,
-    false alarm), channels (licensed, opportunistic); consecutive chunks
-    reproduce the stream of a single full-horizon draw. The duration
-    column costs one pass per distinct threshold strictly inside (0, 1);
-    a policy without one (a point mass) compares the sensing and channel
-    draws with scalars. Without ``data_queues`` the two data-arrival columns
-    are drawn, to keep the stream, but not compared.
-    """
-    rng = np.random.default_rng(seed)
-    levels, index = _duration_levels(policy)
-    tables = (scenario.detection_probs()[index], scenario.false_alarm_probs()[index],
-              1.0 - scenario.secondary_outages()[index])
-    buffer = np.empty((min(_CHUNK, horizon), 9))
-    for t0 in range(0, horizon, _CHUNK):
-        u = rng.random(out=buffer[:min(_CHUNK, horizon - t0)])     # outside the turn
-        with _TURN:
-            if not levels:
-                draws = _indicators(scenario, u, *(t[0] for t in tables), data_queues)
-            else:
-                m = _levels_passed(levels, u[:, 4].copy())     # contiguous: one read per pass
-                draws = _indicators(scenario, u, *(t.take(m) for t in tables), data_queues)
-        yield t0, draws
 
 
 def _lindley(q0: int, arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
@@ -525,9 +514,12 @@ def _run(config: SimConfig, trace: bool, data_queues: bool = True):
     Without ``data_queues`` (dominant mode only) the chunks run ``_energy``
     alone, and the data queues' levels, sums and drifts are never formed.
 
-    All of a chunk's work here holds the GIL, so it runs in one turn of
-    ``_TURN``; the chunk's draw, which releases the GIL, runs outside any
-    turn, in ``_draw_chunks`` (see the module docstring)."""
+    Each chunk's uniforms are drawn into one reused buffer, from one PCG64
+    stream, so consecutive chunks reproduce a single full-horizon draw. The
+    draw releases the GIL and runs outside any turn; everything else a
+    chunk does holds the GIL and runs in one turn of ``_TURN``: the
+    indicator compares, the kernel, counters, drift samples and trace parts
+    (see the module docstring)."""
     mode, horizon, warmup = config.mode, config.horizon, config.warmup
     measured = horizon - warmup
     stride = max(1, measured // _DRIFT_SAMPLES)
@@ -542,9 +534,13 @@ def _run(config: SimConfig, trace: bool, data_queues: bool = True):
     drift_samples: list[list[np.ndarray]] = [[], [], [], []]
     parts: list[tuple] = []
 
-    for t0, d in _draw_chunks(config.scenario, config.policy, horizon, config.seed,
-                              data_queues):
+    rng = np.random.default_rng(config.seed)
+    duration = _duration_tables(config.scenario, config.policy)
+    buffer = np.empty((min(_CHUNK, horizon), 9))
+    for t0 in range(0, horizon, _CHUNK):
+        u = rng.random(out=buffer[:min(_CHUNK, horizon - t0)])     # outside the turn
         with _TURN:
+            d = _indicators(config.scenario, u, *duration, data_queues)
             ones = np.ones(d.det.size, dtype=bool)
             if not data_queues:
                 q_pe, q_se, service = _energy(d, state, ones, ones)
@@ -642,6 +638,40 @@ def coupled_dominance_run(config: SimConfig) -> SimReport:
     if config.mode != "coupled":
         raise ValueError("coupled_dominance_run requires mode='coupled'")
     return _run(config, trace=False)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def map_on_cpus(fn, items: list) -> list:
+    """``[fn(item) for item in items]`` on every usable CPU, for runs that
+    take turns on ``_TURN`` (a sweep's and criterion 3's cross-checks).
+
+    One worker thread per usable CPU, at most one per item; with one worker
+    it is a plain loop and no thread starts. Otherwise every item goes to a
+    thread pool, whose workers take them in order, and the calling thread
+    waits. The results keep the items' order. Once an item raises, or the
+    wait is interrupted, no item that has not started will start, and the
+    first exception in item order is re-raised; no worker outlives the call.
+    """
+    workers = min(_usable_cpus(), len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    # imported here: its 5-7 ms of import time would otherwise fall on
+    # every command, also on those that start no thread
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = [pool.submit(fn, item) for item in items]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [future.result() for future in futures]
 
 
 @dataclass(frozen=True)

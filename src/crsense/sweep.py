@@ -5,7 +5,8 @@ emits one CSV row per grid point. The grid's drain-regime programs are
 solved in stacks, a block of points per ``solve_lp`` call, and ``solve``
 then runs once per point with its point's result. The cross-checks of a
 block's optimal points run on every usable CPU, on a pool of one worker
-thread per CPU while the calling thread waits.
+thread per CPU while the calling thread waits (``simulator.map_on_cpus``,
+beside the turn the simulations take).
 Output is schema-stable and deterministic: fixed header, fixed six-decimal
 formatting, grid order, and per-point simulation seeds derived from the base
 seed, so identical inputs reproduce identical bytes whatever the number of
@@ -16,13 +17,12 @@ from __future__ import annotations
 
 import io
 import math
-import os
 from dataclasses import dataclass, replace
 
 from .analytics import AnalyticRates, PolicyVector, Scenario, analyze
 from .channel import is_probability, is_real
 from .optimizer import OptimizationOutcome, solve, solve_constrained_subproblems
-from .simulator import SimConfig, SimReport, check_run_settings, simulate
+from .simulator import SimConfig, SimReport, check_run_settings, map_on_cpus, simulate
 
 SWEEPABLE = ("lambda_p", "lambda_pe", "lambda_se")
 MAX_GRID_POINTS = 1_000_001     # a step of 1e-6 across [0, 1]
@@ -129,39 +129,6 @@ def compare_sim_vs_analytic(config: SimConfig) -> ComparisonRecord:
     return ComparisonRecord(rates, report, deltas, passed)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _map_on_cpus(fn, items: list) -> list:
-    """``[fn(item) for item in items]`` on every usable CPU.
-
-    One worker thread per usable CPU, at most one per item; with one worker
-    it is a plain loop and no thread starts. Otherwise every item goes to a
-    thread pool, whose workers take them in order, and the calling thread
-    waits. The results keep the items' order. Once an item raises, or the
-    wait is interrupted, no item that has not started will start, and the
-    first exception in item order is re-raised; no worker outlives the call.
-    """
-    workers = min(_usable_cpus(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    # imported here: its 5-7 ms of import time would otherwise fall on
-    # every command, also on those that start no thread
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-    pool = ThreadPoolExecutor(workers)
-    try:
-        futures = [pool.submit(fn, item) for item in items]
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return [future.result() for future in futures]
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Solve every grid point, and simulate its optimum when asked.
 
@@ -171,7 +138,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     with that point's drain result. Then the block's optimal points are
     cross-checked (``compare_sim_vs_analytic`` on a ``dominant`` run with
     the spec's horizon and warmup, seed ``spec.seed + k`` at grid index k)
-    on a pool of one thread per usable CPU (``_map_on_cpus``).
+    on a pool of one thread per usable CPU (``simulator.map_on_cpus``).
     Only one block's scenarios are held at a time.
     """
     rows = []
@@ -185,7 +152,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         comparisons = [None] * len(values)
         if spec.simulate:
             optimal = [i for i, outcome in enumerate(outcomes) if outcome.status == "optimal"]
-            checks = _map_on_cpus(
+            checks = map_on_cpus(
                 lambda i: compare_sim_vs_analytic(SimConfig(
                     scenarios[i], outcomes[i].winner.policy, "dominant", spec.horizon,
                     spec.seed + start + i, spec.warmup)),

@@ -401,15 +401,61 @@ def _within(seconds, fn):
 
 
 class TestTurn:
-    """Runs take turns on ``simulator._TURN`` for the GIL-bound part of each
-    chunk and draw outside it; no turn outlives a chunk, an error or a pool."""
+    """Runs take one turn on ``simulator._TURN`` per chunk, for its GIL-bound
+    part, and draw outside it; no turn outlives a chunk, an error or a pool."""
 
-    def test_turn_free_between_chunks(self, table_scenario):
-        chunks = simulator._draw_chunks(table_scenario, PolicyVector.uniform(10),
-                                        3 * _CHUNK, 1)
-        next(chunks)
+    def test_turn_free_between_chunks(self, table_scenario, monkeypatch):
+        # a whole second run, on another thread, takes its turns while the
+        # first waits in the draw before its second chunk
+        config = SimConfig(table_scenario, PolicyVector.uniform(10), "dominant", 3 * _CHUNK, 1)
+        other = replace(config, horizon=2 * _CHUNK, seed=3)
+        expected, expected_other = simulate(config), simulate(other)
+        real_rng, between = np.random.default_rng, []
+
+        class Pausing:
+            """The first run's generator, running ``other`` before its second draw."""
+
+            def __init__(self, seed):
+                self.rng, self.draws = real_rng(seed), 0
+
+            def random(self, *args, **kwargs):
+                self.draws += 1
+                if self.draws == 2:
+                    _assert_turn_free()
+                    between.append(_within(60, lambda: simulate(other)))
+                return self.rng.random(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: Pausing(seed) if seed == config.seed else real_rng(seed))
+        assert simulate(config) == expected
+        assert between == [expected_other]
         _assert_turn_free()
-        del chunks                          # dropped early, between two chunks
+
+    @pytest.mark.parametrize("mode,data_queues", RUN_KINDS)
+    def test_one_turn_per_chunk(self, table_scenario, monkeypatch, mode, data_queues):
+        turns = []
+
+        class Counting:
+            """``_TURN``, counting its acquisitions."""
+
+            def __init__(self, lock):
+                self.lock = lock
+
+            def __enter__(self):
+                turns.append(None)
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                return self.lock.__exit__(*exc)
+
+            def __getattr__(self, name):
+                return getattr(self.lock, name)
+
+        config = SimConfig(table_scenario, PolicyVector.uniform(10), mode, 3 * _CHUNK + 5, 7)
+        expected = simulate(config, data_queues=data_queues)
+        monkeypatch.setattr(simulator, "_TURN", Counting(simulator._TURN))
+        assert simulate(config, data_queues=data_queues) == expected
+        assert len(turns) == 4
         _assert_turn_free()
 
     @pytest.mark.parametrize("mode,data_queues", RUN_KINDS)
@@ -473,7 +519,7 @@ class TestTurn:
         spec = sweep.SweepSpec(replace(table_scenario, lambda_pe=0.4, lambda_se=0.4),
                                "lambda_p", 0.0, 0.1, 0.01, simulate=True,
                                horizon=3 * _CHUNK, warmup=1_000)
-        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
         expected = sweep.run_sweep(spec)
         self._fail_second_chunk(monkeypatch)
         baseline = threading.active_count()
@@ -485,7 +531,7 @@ class TestTurn:
 
     def test_more_threads_than_cores_give_one_threads_reports(self, table_scenario,
                                                              monkeypatch):
-        workers = sweep._usable_cpus() + 2
+        workers = simulator._usable_cpus() + 2
         items = [(SimConfig(replace(table_scenario, lambda_p=0.02 * (1 + k % 5),
                                     lambda_s=0.05 * (1 + k % 3)),
                             PolicyVector.uniform(10), mode, 2 * _CHUNK + 1_000, k, 1_000),
@@ -498,11 +544,11 @@ class TestTurn:
             return simulate(config, data_queues=data_queues)
 
         expected = [run(item) for item in items]
-        monkeypatch.setattr(sweep, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            reports = sweep._map_on_cpus(run, items)
+            reports = simulator.map_on_cpus(run, items)
         finally:
             sys.setswitchinterval(interval)
         assert [repr(r) for r in reports] == [repr(r) for r in expected]

@@ -389,8 +389,11 @@ class TestLindley:
 
 
 def _first_chunk(config):
-    return next(simulator._draw_chunks(config.scenario, config.policy, config.horizon,
-                                       config.seed))[1]
+    """The draws of a run's first chunk, as ``simulator._run`` makes them."""
+    u = np.random.default_rng(config.seed).random((min(simulator._CHUNK, config.horizon), 9))
+    return simulator._indicators(config.scenario, u,
+                                 *simulator._duration_tables(config.scenario, config.policy),
+                                 data_queues=True)
 
 
 def _replication_63(table, load):

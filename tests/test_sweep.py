@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 import crsense.lp
-from crsense import optimizer, sweep
+from crsense import optimizer, simulator, sweep
 from crsense.analytics import PolicyVector, Scenario
 from crsense.channel import SensingOption
 from crsense.optimizer import solve
@@ -341,7 +341,7 @@ def plain_sweep(spec):
 
 
 def usable_cpus(monkeypatch, count):
-    monkeypatch.setattr(sweep, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: count)
 
 
 class TestCrossChecksOnCpus:
@@ -382,7 +382,7 @@ class TestCrossChecksOnCpus:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = sweep._map_on_cpus(lambda k: calls.append(k) or -k, list(range(3000)))
+            results = simulator.map_on_cpus(lambda k: calls.append(k) or -k, list(range(3000)))
         finally:
             sys.setswitchinterval(interval)
         assert results == [-k for k in range(3000)]
@@ -458,7 +458,7 @@ class TestCrossChecksOnCpus:
         usable_cpus(monkeypatch, 4)
         baseline = threading.active_count()
         with pytest.raises(Interrupt):
-            sweep._map_on_cpus(fn, list(range(200)))
+            simulator.map_on_cpus(fn, list(range(200)))
         assert threading.active_count() == baseline
         assert len(calls) < 200
 
@@ -469,15 +469,15 @@ def test_thread_pool_module_loaded_only_for_a_pool():
     code = """if True:
         import sys
         import crsense.cli
-        from crsense import sweep
+        from crsense import simulator, sweep
         from crsense.scenario_io import load_bundled_scenario
         assert "concurrent.futures" not in sys.modules
-        sweep._usable_cpus = lambda: 1
+        simulator._usable_cpus = lambda: 1
         spec = sweep.SweepSpec(load_bundled_scenario(), "lambda_p", 0.0, 0.02, 0.01,
                                simulate=True, horizon=2_000, warmup=100)
         assert all(row.comparison is not None for row in sweep.run_sweep(spec))
         assert "concurrent.futures" not in sys.modules
-        sweep._usable_cpus = lambda: 2
+        simulator._usable_cpus = lambda: 2
         sweep.run_sweep(spec)
         assert "concurrent.futures" in sys.modules
     """
