@@ -217,6 +217,8 @@ _OCCUPANCY_COUNT, _OCCUPANCY_HORIZON, _OCCUPANCY_SEED = 20, 500_000, 3
 _OCCUPANCY_DRAWS = 1000     # policy draws per scenario before giving up on mu_se >= 0.12
 _BRUTEFORCE_COUNT, _BRUTEFORCE_SEED = 50, 42
 _DOMINANCE_COUNT, _DOMINANCE_HORIZON, _DOMINANCE_SEED = 100, 10_000, 8
+# slack of the grid criteria's comparisons between two optima
+_GRID_TOL = 1e-10
 
 
 def criterion_1_outage_monotonicity() -> CriterionResult:
@@ -348,12 +350,26 @@ def criterion_4_optimizer_vs_bruteforce(scenario: Scenario) -> CriterionResult:
     return CriterionResult(4, "optimizer vs brute force", passed, detail)
 
 
-def _licensed_sweep(scenario: Scenario) -> tuple[SweepSpec, list[SweepRow]]:
-    """The lambda_pe sweep that criteria 5 and 7(c) both read, and its spec:
-    the table at lambda_p=0.2 and lambda_se=0.4 over the 0.01 grid of [0, 1].
-    ``run_all`` solves it once for the two."""
-    spec = SweepSpec(replace(scenario, lambda_p=0.2, lambda_se=0.4), "lambda_pe", 0.0, 1.0, 0.01)
+def _unit_sweep(scenario: Scenario, param: str, step: float = 0.01,
+                **rates) -> tuple[SweepSpec, list[SweepRow]]:
+    """A sweep of ``param`` over the ``step`` grid of [0, 1], the scenario's
+    other rates set to ``rates``, and its spec: every grid of criteria 5-7."""
+    spec = SweepSpec(replace(scenario, **rates), param, 0.0, 1.0, step)
     return spec, run_sweep(spec)
+
+
+def _licensed_sweep(scenario: Scenario) -> tuple[SweepSpec, list[SweepRow]]:
+    """The lambda_pe sweep that criteria 5 and 7(c) both read, at lambda_p=0.2
+    and lambda_se=0.4. ``run_all`` solves it once for the two."""
+    return _unit_sweep(scenario, "lambda_pe", lambda_p=0.2, lambda_se=0.4)
+
+
+def _first_drop(values: list[float]) -> int | None:
+    """Index of the first value more than ``_GRID_TOL`` below the one before
+    it, or None: the scan of every monotone grid check, on the negated
+    values for a nonincreasing one."""
+    return next((k for k in range(1, len(values))
+                 if values[k] < values[k - 1] - _GRID_TOL), None)
 
 
 def criterion_5_infeasibility_threshold(scenario: Scenario, licensed=None) -> CriterionResult:
@@ -389,8 +405,7 @@ def criterion_6_plateau(scenario: Scenario) -> CriterionResult:
     issues = []
     step, points = 0.02, []
     for lam_p in (0.1, 0.2):
-        base = replace(scenario, lambda_pe=0.6, lambda_p=lam_p)
-        rows = run_sweep(SweepSpec(base, "lambda_se", 0.0, 1.0, step))
+        _, rows = _unit_sweep(scenario, "lambda_se", step, lambda_pe=0.6, lambda_p=lam_p)
         points.append(len(rows))
         ref = rows[-1].outcome          # lambda_se = 1
         if ref.status != "optimal":
@@ -398,10 +413,8 @@ def criterion_6_plateau(scenario: Scenario) -> CriterionResult:
             continue
         knee = ref.overflow.rates.mu_se
         values = [row.outcome.winner.value for row in rows]
-        for a, b in zip(values, values[1:]):
-            if b < a - 1e-10:
-                issues.append(f"lambda_p={lam_p}: decrease {a!r} -> {b!r}")
-                break
+        if (k := _first_drop(values)) is not None:
+            issues.append(f"lambda_p={lam_p}: decrease {values[k - 1]!r} -> {values[k]!r}")
         plateau = [v for row, v in zip(rows, values) if row.swept_value >= knee + 1e-9]
         if any(v != ref.winner.value for v in plateau):
             issues.append(f"lambda_p={lam_p}: plateau not exactly constant past {knee:.4f}")
@@ -439,19 +452,16 @@ def criterion_7_frontier(scenario: Scenario, licensed=None) -> CriterionResult:
     licensed queue stable at 0.4 and, if the 0.4 point was declared
     infeasible, no other policy does either.
     """
-    low, high = (run_sweep(SweepSpec(replace(scenario, lambda_pe=0.4, lambda_se=lam_se),
-                                     "lambda_p", 0.0, 1.0, 0.01)) for lam_se in (0.2, 0.4))
+    low, high = (_unit_sweep(scenario, "lambda_p", lambda_pe=0.4, lambda_se=lam_se)[1]
+                 for lam_se in (0.2, 0.4))
     licensed = (licensed or _licensed_sweep(scenario))[1]
     issues = []
-    mu_s = [row.outcome.winner.value for row in high]
-    for row, before, after in zip(high[1:], mu_s, mu_s[1:]):
-        if after > before + 1e-10:
-            issues.append(f"(a) mu_s rose with lambda_p at {row.swept_value:.2f}")
-            break
+    if (k := _first_drop([-row.outcome.winner.value for row in high])) is not None:
+        issues.append(f"(a) mu_s rose with lambda_p at {high[k].swept_value:.2f}")
     forced, faults = [], []
     for lo, hi in zip(low, high):
         lo_win, hi_win, lam_p = lo.outcome.winner, hi.outcome.winner, hi.swept_value
-        if hi_win.value < lo_win.value - 1e-10:
+        if hi_win.value < lo_win.value - _GRID_TOL:
             hi_case = replace(scenario, lambda_pe=0.4, lambda_se=0.4, lambda_p=lam_p)
             kept, reach = analyze(hi_case, lo_win.policy).mu_p, best_reachable_mu_p(hi_case)
             is_forced = kept < lam_p - CONSTRAINT_TOL and (
@@ -465,10 +475,8 @@ def criterion_7_frontier(scenario: Scenario, licensed=None) -> CriterionResult:
         issues.append("(b) " + "; ".join(faults))
     mu_p = [row.outcome.winner.rates.mu_p if row.outcome.status == "optimal" else 0.0
             for row in licensed]
-    for row, before, after in zip(licensed[1:], mu_p, mu_p[1:]):
-        if after < before - 1e-10:
-            issues.append(f"(c) mu_p fell with lambda_pe at {row.swept_value:.2f}")
-            break
+    if (k := _first_drop(mu_p)) is not None:
+        issues.append(f"(c) mu_p fell with lambda_pe at {licensed[k].swept_value:.2f}")
     detail = ("; ".join(issues) if issues else
               "mu_s nonincreasing in lambda_p; mu_s at lambda_se=0.4 >= at 0.2 "
               "wherever the 0.2 optimum stays feasible; mu_p nondecreasing in lambda_pe")
@@ -532,6 +540,18 @@ def audit_coupling(original: SlotTrace, twin: SlotTrace) -> CouplingAudit:
     )
 
 
+def _dominance_sample(scenario: Scenario):
+    """The ``_DOMINANCE_COUNT`` (scenario, policy) pairs of criterion 8, in
+    its draw order from ``_DOMINANCE_SEED``: each replication draws its
+    policy, then its four arrival rates, uniform on [0.05, 0.95]."""
+    rng = np.random.default_rng(_DOMINANCE_SEED)
+    for _ in range(_DOMINANCE_COUNT):
+        raw = rng.random(scenario.num_durations) + 0.01
+        policy = PolicyVector(tuple(raw / raw.sum()))
+        yield replace(scenario, **{name: rng.uniform(0.05, 0.95) for name in
+                                   ("lambda_p", "lambda_s", "lambda_pe", "lambda_se")}), policy
+
+
 def criterion_8_dominance(scenario: Scenario) -> CriterionResult:
     """The saturated twin is ordered against the original system where the
     shared-draw coupling guarantees it: (i) and (ii) of ``audit_coupling``,
@@ -550,19 +570,8 @@ def criterion_8_dominance(scenario: Scenario) -> CriterionResult:
     inversion starts in a slot where the two energy states differ, which is
     why (ii) is stated on the matched slots.
     """
-    rng = np.random.default_rng(_DOMINANCE_SEED)
-    m = scenario.num_durations
     energy = service = matched = slots = inversions = offenders = 0
-    for i in range(_DOMINANCE_COUNT):
-        raw = rng.random(m) + 0.01
-        policy = PolicyVector(tuple(raw / raw.sum()))
-        case = replace(
-            scenario,
-            lambda_p=rng.uniform(0.05, 0.95),
-            lambda_s=rng.uniform(0.05, 0.95),
-            lambda_pe=rng.uniform(0.05, 0.95),
-            lambda_se=rng.uniform(0.05, 0.95),
-        )
+    for i, (case, policy) in enumerate(_dominance_sample(scenario)):
         config = SimConfig(case, policy, "original", _DOMINANCE_HORIZON, 500 + i)
         _, original = simulate_traced(config)
         _, twin = simulate_traced(replace(config, mode="dominant"))

@@ -25,7 +25,7 @@ from .analytics import PROBABILITIES, PolicyVector, Scenario
 from .optimizer import solve
 from .scenario_io import parse_scenario
 from .simulator import MODES, SimConfig, SimReport, simulate
-from .sweep import SWEEPABLE, SweepSpec, _format_policy, rows_to_csv, run_sweep
+from .sweep import SWEEPABLE, SweepSpec, format_policy, rows_to_csv, run_sweep
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
@@ -37,9 +37,9 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--horizon", type=int, default=200_000)
-    parser.add_argument("--warmup", type=int, default=10_000)
-    parser.add_argument("--seed", type=int, default=0)
+    defaults = {field.name: field.default for field in fields(SweepSpec)}
+    for name in ("horizon", "warmup", "seed"):
+        parser.add_argument("--" + name, type=int, default=defaults[name])
 
 
 def _load_scenario(args) -> Scenario:
@@ -58,7 +58,7 @@ def _print_outcome(outcome) -> None:
     for name, value in (("mu_s", rates.mu_s), ("mu_p", rates.mu_p),
                         ("mu_se", rates.mu_se), ("x_tilde_se", rates.x_se_capped)):
         print(f"{name} {value:.6f}")
-    print("policy " + " ".join(_format_policy(outcome.winner.policy)))
+    print("policy " + " ".join(format_policy(outcome.winner.policy)))
 
 
 def _cmd_solve(args) -> int:

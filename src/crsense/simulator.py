@@ -300,6 +300,13 @@ def _indicators(scenario: Scenario, u: np.ndarray, levels: list[float], tables,
     )
 
 
+def _level_dtype(top: int, n: int) -> type:
+    """Dtype of an n-slot span's levels from a start level of at most
+    ``top``: every value lies in [-n, top + n], so int32 while ``top + n``
+    stays below the int32 maximum, and int64 from there."""
+    return np.int32 if top + n + 1 < 2**31 else np.int64
+
+
 def _lindley(q0: int, arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
     """Levels at slots 0..n of ``q' = max(q - r, 0) + a`` from ``q0``, exactly.
 
@@ -314,8 +321,8 @@ def _lindley(q0: int, arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
     are ``q0 + S`` without the scan.
 
     Every value computed lies in [-n, q0 + n], so the partial sums, the
-    running maximum and the levels are int32 where ``q0 + n + 1 < 2**31``
-    and int64 otherwise; the always-served levels are int32.
+    running maximum and the levels take ``_level_dtype(q0, n)``; the
+    always-served levels are int32.
     """
     n = arrivals.size
     if q0 <= 1 and service.all():
@@ -323,7 +330,7 @@ def _lindley(q0: int, arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
         level[0] = q0
         level[1:] = arrivals
         return level
-    dtype = np.int32 if q0 + n + 1 < 2**31 else np.int64
+    dtype = _level_dtype(q0, n)
     total = np.zeros(n + 1, dtype=dtype)
     np.cumsum(np.subtract(arrivals.view(np.int8), service.view(np.int8)),
               dtype=dtype, out=total[1:])
@@ -463,11 +470,10 @@ def _loop(d: _Draws, state: QueueState) -> tuple[np.ndarray, np.ndarray]:
 
 def _original(d: _Draws, state: QueueState) -> tuple[np.ndarray, _Service]:
     """The original system's (4, n + 1) levels and indicators over one chunk
-    from ``state``, settled window by window by ``_settle``. The levels are
-    int32 unless the largest start level is within ``n + 1`` of 2**31, as in
-    ``_lindley``."""
+    from ``state``, settled window by window by ``_settle``. The levels take
+    ``_level_dtype`` at the largest start level."""
     n = d.det.size
-    out = np.empty((4, n + 1), dtype=np.int32 if max(state) + n + 1 < 2**31 else np.int64)
+    out = np.empty((4, n + 1), dtype=_level_dtype(max(state), n))
     out[:, 0] = state
     service = np.empty((6, n), dtype=bool)
     for w0 in range(0, n, _WINDOW):

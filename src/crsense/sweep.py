@@ -167,7 +167,7 @@ def _fmt(x: float) -> str:
     return f"{x + 0.0:.6f}"          # + 0.0 normalizes negative zero
 
 
-def _format_policy(policy: PolicyVector) -> list[str]:
+def format_policy(policy: PolicyVector) -> list[str]:
     """Six-decimal probabilities nudged so the printed row sums to exactly 1.
 
     Largest-remainder rounding in units of 1e-6; the adjustment never moves
@@ -204,7 +204,7 @@ def rows_to_csv(spec: SweepSpec, rows: list[SweepRow]) -> str:
             cells += ["optimal", _fmt(rates.mu_s), _fmt(rates.mu_p),
                       _fmt(rates.mu_se), _fmt(rates.x_se_capped),
                       row.outcome.winning_subproblem]
-            cells += _format_policy(winner.policy)
+            cells += format_policy(winner.policy)
         else:
             cells += ["infeasible", _fmt(0.0), _fmt(0.0), _fmt(0.0), _fmt(0.0), "none"]
             cells += [_fmt(0.0)] * m

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 import crsense.cli as cli_module
@@ -296,6 +298,10 @@ def test_run_options_shared_by_sweep_and_simulate(scenario_file, monkeypatch,
                  "--horizon", "5000", "--warmup", "100", "--seed", "7"]) == 0
     assert [(a.horizon, a.warmup, a.seed) for a in seen] == [(200_000, 10_000, 0),
                                                             (5000, 100, 7)]
+    # the defaults are SweepSpec's, stated nowhere else
+    names = ("horizon", "warmup", "seed")
+    defaults = {field.name: field.default for field in fields(sweep_module.SweepSpec)}
+    assert [getattr(seen[0], name) for name in names] == [defaults[name] for name in names]
     assert {type(value) for a in seen for value in (a.horizon, a.warmup, a.seed)} == {int}
 
 

@@ -20,6 +20,18 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_private_names_imported_across_modules():
+    # an underscore name belongs to its module: one that another module
+    # needs is made public, so each rule keeps one owner
+    package = Path(crsense.__file__).parent
+    found = [f"{path.name}:{node.lineno} {alias.name}" for path in sorted(package.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").split(".")[0] == "crsense")
+             for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
 def test_bench_trace_points_resolve():
     # the benchmark's tracer patches these names from outside the package;
     # one that no longer resolves breaks only its slow traced run

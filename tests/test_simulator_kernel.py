@@ -20,6 +20,7 @@ chunked draw builds from the policy's interior thresholds is held against
 the ``searchsorted`` inverse CDF of the reference draw.
 """
 
+import itertools
 from dataclasses import fields, replace
 
 import numpy as np
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from crsense import simulator
+from crsense import acceptance, simulator
 from crsense.analytics import POLICY_SUM_TOL, PolicyVector, analyze
 from crsense.simulator import (
     QueueState,
@@ -399,12 +400,7 @@ def _first_chunk(config):
 def _replication_63(table, load):
     """Replication 63 of criterion 8's sample with lambda_s at ``load`` times
     the closed-form mu_s(P): near critical, its q_s empties every few slots."""
-    rng = np.random.default_rng(8)
-    for _ in range(64):
-        raw = rng.random(table.num_durations) + 0.01
-        policy = PolicyVector(tuple(raw / raw.sum()))
-        case = replace(table, **{name: rng.uniform(0.05, 0.95) for name in
-                                 ("lambda_p", "lambda_s", "lambda_pe", "lambda_se")})
+    case, policy = next(itertools.islice(acceptance._dominance_sample(table), 63, None))
     return replace(case, lambda_s=load * analyze(case, policy).mu_s), policy
 
 

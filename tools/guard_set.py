@@ -11,7 +11,9 @@ so that two trees can be timed one after the other. Every case is an
   on durations 1 and 10 (``e1``, ``e10``);
 * replication 63 of acceptance criterion 8's sample (seed 8) with lambda_s
   at 0.97 and 0.99 times its closed-form mu_s(P), near the opportunistic
-  queue's stability boundary.
+  queue's stability boundary. The sample is drawn here, in criterion 8's
+  order, not taken from ``acceptance._dominance_sample``: trees that
+  predate that generator must run the same cases.
 
 Each of ``--reps`` rounds runs every case once. The output is one JSON
 object: per case its label, its minimum wall time in seconds and the
